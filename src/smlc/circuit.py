@@ -163,24 +163,18 @@ class OrderAssignment:
 
 @dataclass(frozen=True, slots=True)
 class RegularCircuit:
-    """A circuit together with a verified interval assignment.
+    """A circuit, the order sigma it is regular for, and its degree.
 
-    Build instances through `regular`; the constructor itself does not check
-    anything, so passes that already know the invariants hold can assemble
-    results without re-validating.
+    `circuit` is the node DAG, `sigma` the row order (sigma[p-1] is the row at
+    position p) and `degree` the length of the root interval, which covers
+    positions 1..degree (0 for a constant).  The constructor checks nothing:
+    `regular` builds instances where circuits enter, and passes that preserve
+    regularity by construction assemble their results directly.
     """
 
     circuit: Circuit
-    order: OrderAssignment
-
-    @property
-    def sigma(self) -> tuple[int, ...]:
-        return self.order.sigma
-
-    @property
-    def degree(self) -> int:
-        iv = self.order.intervals[self.circuit.root]
-        return 0 if iv is None else iv.length
+    sigma: tuple[int, ...]
+    degree: int
 
 
 @dataclass(frozen=True)
@@ -303,13 +297,14 @@ def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
     """Validate and wrap a circuit as regular w.r.t. sigma.
 
     On top of interval inference this checks the root invariant: a regular
-    circuit of degree d covers positions 1..d (a prefix of the order).
+    circuit of degree d covers positions 1..d (a prefix of the order).  Only
+    sigma and d are kept; the per-node intervals are dropped.
     """
     order = infer_order(circuit, sigma)
     root_iv = order.intervals[circuit.root]
     if root_iv is not None and root_iv.start != 1:
         raise RootNotPrefix(root_iv.start, root_iv.length)
-    return RegularCircuit(circuit, order)
+    return RegularCircuit(circuit, order.sigma, 0 if root_iv is None else root_iv.length)
 
 
 def stats(circuit: Circuit) -> CircuitStats:

@@ -38,8 +38,10 @@ from .pipeline import OracleBudgetExceeded, VerificationFailed, reduce_to_single
 from .poly import (
     DEFAULT_TERM_BUDGET,
     DEFAULT_TRIALS,
+    Distinct,
     OracleError,
     PRIME,
+    equiv_random,
     eval_circuit,
     expand,
     expand_bouquet,
@@ -73,10 +75,6 @@ def _perm(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _keep(text: str) -> tuple[int, ...]:
-    return _perm(text)
-
-
 def _read_obj() -> Any:
     return loads(sys.stdin.read())
 
@@ -87,6 +85,13 @@ def _read_circuit():
 
 def _read_bouquet() -> Bouquet:
     return bouquet_from_obj(_read_obj())
+
+
+def _read_doc(obj: Any):
+    # expand and equiv take either wire format
+    if isinstance(obj, dict) and "summands" in obj:
+        return bouquet_from_obj(obj)
+    return circuit_from_obj(obj)
 
 
 def _emit(obj: Any) -> int:
@@ -175,11 +180,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    obj = _read_obj()
-    if isinstance(obj, dict) and "summands" in obj:
-        poly = expand_bouquet(bouquet_from_obj(obj), args.term_budget)
+    doc = _read_doc(_read_obj())
+    if isinstance(doc, Bouquet):
+        poly = expand_bouquet(doc, args.term_budget)
     else:
-        poly = expand(circuit_from_obj(obj), args.term_budget)
+        poly = expand(doc, args.term_budget)
     text = poly_to_text(poly)
     if text:
         print(text)
@@ -201,45 +206,22 @@ def _cmd_eval(args) -> int:
     )
 
 
-def _parse_doc(obj: Any) -> tuple[list, int]:
-    # either wire format works; evaluation only needs valid typing
-    if isinstance(obj, dict) and "summands" in obj:
-        b = bouquet_from_obj(obj)
-        return [rc.circuit for rc in b.summands], b.sign
-    circuit = circuit_from_obj(obj)
-    validate(circuit)
-    return [circuit], 1
-
-
-def _eval_doc(circuits: list, sign: int, point) -> int:
-    total = sum(eval_circuit(circuit, point) for circuit in circuits) % PRIME
-    return total * sign % PRIME
-
-
 def _cmd_equiv(args) -> int:
     doc = _read_obj()
     if not (isinstance(doc, dict) and "a" in doc and "b" in doc):
         raise ParseError('equiv expects {"a": <circuit|bouquet>, "b": <circuit|bouquet>}')
-    circuits_a, sign_a = _parse_doc(doc["a"])
-    circuits_b, sign_b = _parse_doc(doc["b"])
-    variables: set[tuple[int, int]] = set()
-    for circuit in circuits_a + circuits_b:
-        variables |= variables_of(circuit)
-    for t in range(args.trials):
-        point = trial_point(variables, args.seed, t)
-        va = _eval_doc(circuits_a, sign_a, point)
-        vb = _eval_doc(circuits_b, sign_b, point)
-        if va != vb:
-            return _emit(
-                {
-                    "ok": True,
-                    "verdict": "distinct",
-                    "trial": t,
-                    "witness": {f"{r},{c}": str(v) for (r, c), v in sorted(point.items())},
-                    "value_a": str(va),
-                    "value_b": str(vb),
-                }
-            )
+    verdict = equiv_random(_read_doc(doc["a"]), _read_doc(doc["b"]), args.trials, args.seed)
+    if isinstance(verdict, Distinct):
+        return _emit(
+            {
+                "ok": True,
+                "verdict": "distinct",
+                "trial": verdict.trial,
+                "witness": {f"{r},{c}": str(v) for (r, c), v in sorted(verdict.witness.items())},
+                "value_a": str(verdict.value_a),
+                "value_b": str(verdict.value_b),
+            }
+        )
     return _emit(
         {"ok": True, "verdict": "equivalent", "trials": args.trials, "prime": str(PRIME)}
     )
@@ -282,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_compose)
 
     pj = sub.add_parser("project", help="restrict to --keep rows and rename")
-    pj.add_argument("--keep", type=_keep, required=True)
+    pj.add_argument("--keep", type=_perm, required=True)
     pj.set_defaults(func=_cmd_project)
 
     pm = sub.add_parser("merge", help="join same-order summands")
@@ -297,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     rd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     rd.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET)
     rd.add_argument("--emit-transcript", metavar="FILE", default=None)
-    rd.add_argument("--threads", type=int, default=1)
     rd.set_defaults(func=_cmd_reduce)
 
     px = sub.add_parser("expand", help="exact expansion of a circuit or bouquet, as text")
@@ -311,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     pq = sub.add_parser("equiv", help="randomized identity test between two documents")
     pq.add_argument("--seed", type=int, required=True)
     pq.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    pq.add_argument("--threads", type=int, default=1)
     pq.set_defaults(func=_cmd_equiv)
 
     return parser
@@ -325,8 +305,6 @@ def _fail(code: int, exc: Exception) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     if getattr(args, "trials", 1) < 1:
         parser.error("--trials must be >= 1")
     try:

@@ -1,8 +1,14 @@
 """Structural passes over regular circuits and bouquets.
 
 All passes are pure: they rebuild node lists and never mutate their inputs.
-Each output is re-checked through `regular`, so a pass that broke typing or
-interval structure fails loudly instead of producing a corrupt bouquet.
+Regularity is checked where circuits enter (parsing and the generators), not
+after every pass.  compose, reverse and merge_summands preserve it by
+construction and carry the input's (sigma, degree) over: compose moves no
+position, reverse mirrors every interval (a full-degree root stays a prefix),
+and a join adds one Add over two prefixes of one order, well typed exactly
+when the degrees agree.  `project` alone re-infers: constant folding rebuilds
+the node list, so its result goes through `regular`, and a failure surfaces
+as OrderIncompatible.
 
 The passes:
 
@@ -29,6 +35,7 @@ from typing import Iterable, Sequence
 
 from .circuit import (
     Add,
+    AddMismatch,
     Bouquet,
     Circuit,
     CircuitError,
@@ -36,6 +43,7 @@ from .circuit import (
     Mul,
     Node,
     RegularCircuit,
+    RootNotPrefix,
     VarLeaf,
     regular,
 )
@@ -104,13 +112,19 @@ def reverse(rc: RegularCircuit) -> RegularCircuit:
     unchanged; only the interval structure flips, so the result is regular
     w.r.t. the reversed order.  Any value set that appears as a decreasing
     run in the original order appears as an increasing run afterwards.
+
+    The root interval 1..d mirrors to n-d+1..n, which is a prefix only when
+    d is 0 or n; any other degree raises RootNotPrefix.
     """
+    n, degree = rc.circuit.n, rc.degree
+    if 0 < degree < n:
+        raise RootNotPrefix(n - degree + 1, degree)
     nodes = tuple(
         Mul(node.right, node.left) if isinstance(node, Mul) else node
         for node in rc.circuit.nodes
     )
-    flipped = Circuit(rc.circuit.n, nodes, rc.circuit.root)
-    return regular(flipped, tuple(reversed(rc.sigma)))
+    flipped = Circuit(n, nodes, rc.circuit.root)
+    return RegularCircuit(flipped, tuple(reversed(rc.sigma)), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +153,7 @@ def compose(bouquet: Bouquet, tau: Iterable[int]) -> Bouquet:
             for node in rc.circuit.nodes
         )
         circuit = Circuit(bouquet.n, nodes, rc.circuit.root)
-        summands.append(regular(circuit, compose_perms(tau, rc.sigma)))
+        summands.append(RegularCircuit(circuit, compose_perms(tau, rc.sigma), rc.degree))
     sign = bouquet.sign * sign_of_permutation(tau)
     return Bouquet(bouquet.n, tuple(summands), sign)
 
@@ -353,7 +367,11 @@ def distinct_orders(bouquet: Bouquet) -> int:
 
 
 def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
+    # both roots cover the prefix 1..degree of the shared order, so the new
+    # Add is well typed exactly when the degrees agree
     offset = len(a.circuit.nodes)
+    if a.degree != b.degree:
+        raise AddMismatch(offset + len(b.circuit.nodes))
     nodes: list[Node] = list(a.circuit.nodes)
     for node in b.circuit.nodes:
         if isinstance(node, (Add, Mul)):
@@ -361,7 +379,7 @@ def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
         else:
             nodes.append(node)
     nodes.append(Add(a.circuit.root, b.circuit.root + offset))
-    return regular(Circuit(n, tuple(nodes), len(nodes) - 1), a.sigma)
+    return RegularCircuit(Circuit(n, tuple(nodes), len(nodes) - 1), a.sigma, a.degree)
 
 
 def merge_summands(bouquet: Bouquet) -> Bouquet:

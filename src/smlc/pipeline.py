@@ -37,7 +37,6 @@ from .circuit import (
     bouquet_gate_count,
     gate_count,
     Mul,
-    regular,
 )
 from .generators import DET_MAX_N, det_regular_circuit
 from .passes import (
@@ -218,13 +217,6 @@ def ceil_sqrt(m: int) -> int:
     return c if c * c == m else c + 1
 
 
-def _first_nonzero(bouquet: Bouquet) -> RegularCircuit | None:
-    for rc in bouquet.summands:
-        if not is_zero_summand(rc):
-            return rc
-    return None
-
-
 def normalize_first(bouquet: Bouquet) -> Bouquet:
     """Compose with the inverse of the leading order so it becomes the identity.
 
@@ -232,14 +224,13 @@ def normalize_first(bouquet: Bouquet) -> Bouquet:
     zeros has nothing to normalize.  Adds no nodes; an odd inverse flips the
     pending bouquet sign, which counts as one gate in the size accounting.
     """
-    ref = _first_nonzero(bouquet)
-    if ref is None or ref.sigma == identity_perm(bouquet.n):
-        return bouquet
-    return compose(bouquet, invert_perm(ref.sigma))
+    tau = _normalize_tau(bouquet)
+    return bouquet if tau is None else compose(bouquet, tau)
 
 
 def _normalize_tau(bouquet: Bouquet) -> tuple[int, ...] | None:
-    ref = _first_nonzero(bouquet)
+    # the tau normalize_first composes with, or None when there is nothing to do
+    ref = next((rc for rc in bouquet.summands if not is_zero_summand(rc)), None)
     if ref is None or ref.sigma == identity_perm(bouquet.n):
         return None
     return invert_perm(ref.sigma)
@@ -315,8 +306,7 @@ def reduce_to_single(
         gates_before = bouquet_gate_count(cur)
 
         tau = _normalize_tau(cur)
-        cur = normalize_first(cur)
-        cur = merge_summands(cur)
+        cur = merge_summands(cur if tau is None else compose(cur, tau))
 
         ident = identity_perm(cur.n)
         target_idx = next(
@@ -350,23 +340,20 @@ def reduce_to_single(
         )
 
     final_tau = _normalize_tau(cur)
-    cur = normalize_first(cur)
-    cur = merge_summands(cur)
+    cur = merge_summands(cur if final_tau is None else compose(cur, final_tau))
 
     survivors = [rc for rc in cur.summands if not is_zero_summand(rc)]
     dropped = len(cur.summands) - len(survivors)
     if not survivors:
-        single = regular(
-            Circuit(cur.n, (ConstLeaf(0),), 0), identity_perm(cur.n)
-        )
+        single = RegularCircuit(Circuit(cur.n, (ConstLeaf(0),), 0), identity_perm(cur.n), 0)
     else:
         single = survivors[0]
         if cur.sign < 0:
             nodes = list(single.circuit.nodes)
             nodes.append(ConstLeaf(-1))
             nodes.append(Mul(len(nodes) - 1, single.circuit.root))
-            single = regular(
-                Circuit(cur.n, tuple(nodes), len(nodes) - 1), single.sigma
+            single = RegularCircuit(
+                Circuit(cur.n, tuple(nodes), len(nodes) - 1), single.sigma, single.degree
             )
 
     transcript = Transcript(

@@ -377,6 +377,7 @@ class Equivalent:
 
 @dataclass(frozen=True, slots=True)
 class Distinct:
+    trial: int  # index of the first separating trial
     witness: dict[tuple[int, int], int]
     value_a: int
     value_b: int
@@ -401,27 +402,38 @@ def trial_point(
     return {var: rng.randrange(prime) for var in sorted(variables)}
 
 
+def _sampled(doc: Circuit | Bouquet):
+    # (degree, variables, evaluator); a bouquet's summands are already
+    # regular, but a raw circuit comes from outside and is validated here
+    if isinstance(doc, Bouquet):
+        degree = max(rc.degree for rc in doc.summands)
+        return degree, bouquet_variables(doc), eval_bouquet
+    degree = len(validate(doc)[doc.root])
+    return degree, variables_of(doc), eval_circuit
+
+
 def equiv_random(
-    a: Circuit,
-    b: Circuit,
+    a: Circuit | Bouquet,
+    b: Circuit | Bouquet,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     prime: int = PRIME,
 ) -> Verdict:
     """Schwartz-Zippel identity test at `trials` seeded random points.
 
-    Returns Distinct with the first separating point, or Equivalent with the
-    per-trial error bound d/prime where d is the larger circuit degree.
+    Either side may be a circuit or a bouquet.  Returns Distinct with the
+    first separating trial and point, or Equivalent with the per-trial error
+    bound d/prime where d is the larger degree.
     """
     if trials < 1:
         raise OracleError("trials must be >= 1")
-    deg_a = len(validate(a)[a.root])
-    deg_b = len(validate(b)[b.root])
-    variables = variables_of(a) | variables_of(b)
+    deg_a, vars_a, eval_a = _sampled(a)
+    deg_b, vars_b, eval_b = _sampled(b)
+    variables = vars_a | vars_b
     for t in range(trials):
         point = trial_point(variables, seed, t, prime)
-        va = eval_circuit(a, point, prime)
-        vb = eval_circuit(b, point, prime)
+        va = eval_a(a, point, prime)
+        vb = eval_b(b, point, prime)
         if va != vb:
-            return Distinct(point, va, vb)
+            return Distinct(t, point, va, vb)
     return Equivalent(trials, max(deg_a, deg_b) / prime)

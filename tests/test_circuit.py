@@ -145,7 +145,7 @@ def test_regularity_soundness_on_random_circuits():
             sigma,
         )
         sets = validate(rc.circuit)
-        for iv, index_set in zip(rc.order.intervals, sets):
+        for iv, index_set in zip(infer_order(rc.circuit, rc.sigma).intervals, sets):
             if iv is None:
                 assert index_set == frozenset()
             else:

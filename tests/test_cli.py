@@ -6,7 +6,7 @@ import sys
 
 from smlc.generators import det_bouquet
 from smlc.passes import compose, project
-from smlc.poly import expand, expand_bouquet, poly_to_text, reference_det
+from smlc.poly import PRIME, expand, expand_bouquet, poly_to_text, reference_det, trial_point
 from smlc.serialize import bouquet_from_obj, bouquet_to_obj, circuit_from_obj, dumps
 
 
@@ -196,6 +196,58 @@ def test_equiv_verdicts():
     doc3 = dumps({"a": leaf, "b": {"n": 2, "nodes": [{"id": 0, "op": "var", "row": 1, "col": 2}], "root": 0}})
     out3 = run(["equiv", "--seed", "4", "--trials", "8"], stdin=doc3)
     assert json.loads(out3.stdout)["verdict"] == "distinct"
+
+
+def test_equiv_distinct_reports_first_separating_trial():
+    # b is x[1,1]'s trial-0 value as a constant, so the documents agree at
+    # trial 0 and first separate at trial 1
+    v0 = trial_point({(1, 1)}, 5, 0)[(1, 1)]
+    v1 = trial_point({(1, 1)}, 5, 1)[(1, 1)]
+    leaf = {"n": 1, "nodes": [{"id": 0, "op": "var", "row": 1, "col": 1}], "root": 0}
+    const = {"n": 1, "nodes": [{"id": 0, "op": "const", "value": str(v0)}], "root": 0}
+    out = run(["equiv", "--seed", "5", "--trials", "4"], stdin=dumps({"a": leaf, "b": const}))
+    assert out.returncode == 0
+    assert out.stdout == dumps(
+        {
+            "ok": True,
+            "verdict": "distinct",
+            "trial": 1,
+            "witness": {"1,1": str(v1)},
+            "value_a": str(v1),
+            "value_b": str(v0),
+        }
+    ) + "\n"
+
+
+def test_equiv_circuit_vs_bouquet_equivalent_output():
+    det = run(["gen", "det", "--n", "3", "--sigma", "2,3,1"]).stdout
+    bouquet = run(["gen", "bouquet", "--n", "3", "--k", "3", "--seed", "2"]).stdout
+    doc = dumps({"a": json.loads(bouquet), "b": json.loads(det)})
+    out = run(["equiv", "--seed", "6", "--trials", "5"], stdin=doc)
+    assert out.returncode == 0
+    assert out.stdout == dumps(
+        {"ok": True, "verdict": "equivalent", "trials": 5, "prime": str(PRIME)}
+    ) + "\n"
+
+
+def test_reverse_below_full_degree_exits_1():
+    summand = {
+        "sigma": [1, 2, 3],
+        "circuit": {
+            "n": 3,
+            "nodes": [
+                {"id": 0, "op": "var", "row": 1, "col": 1},
+                {"id": 1, "op": "var", "row": 2, "col": 2},
+                {"id": 2, "op": "mul", "left": 0, "right": 1},
+            ],
+            "root": 2,
+        },
+    }
+    out = run(["reverse"], stdin=dumps({"n": 3, "sign": 1, "summands": [summand]}))
+    assert out.returncode == 1
+    doc = json.loads(out.stdout)
+    assert doc["ok"] is False
+    assert doc["error"] == "RootNotPrefix"
 
 
 def test_byte_stable_outputs():

@@ -98,7 +98,7 @@ def test_random_circuit_deterministic_per_seed():
     cfg = GenConfig(n=5, seed=123, size_budget=60)
     a = random_regular_circuit(cfg, (2, 4, 1, 5, 3))
     b = random_regular_circuit(cfg, (2, 4, 1, 5, 3))
-    assert a.circuit == b.circuit and a.order == b.order
+    assert (a.circuit, a.sigma, a.degree) == (b.circuit, b.sigma, b.degree)
 
 
 def test_random_circuit_always_valid_and_within_budget():

@@ -6,16 +6,16 @@ import random
 import pytest
 
 from smlc.circuit import (
+    AddMismatch,
     Bouquet,
     Circuit,
     ConstLeaf,
     Mul,
-    OrderAssignment,
     RegularCircuit,
+    RootNotPrefix,
     VarLeaf,
     bouquet_gate_count,
     gate_count,
-    infer_order,
     regular,
 )
 from smlc.generators import (
@@ -95,6 +95,15 @@ def test_reverse_random_circuits_preserve_everything():
         assert len(rev.circuit.nodes) == len(rc.circuit.nodes)
         assert equiv_exact(rc.circuit, rev.circuit)
         assert reverse(rev).circuit == rc.circuit  # involution, gate for gate
+
+
+def test_reverse_below_full_degree_raises_root_not_prefix():
+    # x[1,1]*x[2,2] covers positions 1..2 of a 3-row order; mirrored, its
+    # root would cover 2..3, which is not a prefix
+    rc = regular(Circuit(3, (VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1)), 2), (1, 2, 3))
+    assert rc.degree == 2
+    with pytest.raises(RootNotPrefix, match="starts at position 2 \\(length 2\\)"):
+        reverse(rc)
 
 
 def test_decreasing_run_becomes_increasing_after_reversal():
@@ -285,8 +294,7 @@ def test_project_surfaces_corrupt_order_as_incompatible():
     # a deliberately wrong order assignment sneaks past the constructor and is
     # caught when projection re-infers regularity
     circuit = Circuit(2, (VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1)), 2)
-    good = infer_order(circuit, (1, 2))
-    lying = RegularCircuit(circuit, OrderAssignment((2, 1), good.intervals))
+    lying = RegularCircuit(circuit, (2, 1), 2)
     with pytest.raises(OrderIncompatible):
         project(Bouquet(2, (lying,)), (1, 2))
 
@@ -374,6 +382,16 @@ def test_merge_skips_zero_summands():
     out = merge_summands(Bouquet(2, (zero, rc, rc)))
     assert len(out.summands) == 2
     assert is_zero_summand(out.summands[0])
+
+
+def test_merge_degree_mismatch_raises_add_mismatch():
+    # a nonzero constant is not a zero summand, so it joins; the new add gate
+    # (id 1 + 9) would add a degree-0 and a degree-2 child
+    five = regular(Circuit(2, (ConstLeaf(5),), 0), (1, 2))
+    det = det_regular_circuit(2, (1, 2))
+    assert len(det.circuit.nodes) == 9
+    with pytest.raises(AddMismatch, match="add gate 10:"):
+        merge_summands(Bouquet(2, (five, det)))
 
 
 # --- drop_last_index ---------------------------------------------------------

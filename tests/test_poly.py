@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from smlc.circuit import Add, Circuit, ConstLeaf, Mul, VarLeaf
-from smlc.generators import GenConfig, det_regular_circuit, random_regular_circuit
+from smlc.circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, VarLeaf
+from smlc.generators import GenConfig, det_bouquet, det_regular_circuit, random_regular_circuit
 from smlc.poly import (
     PRIME,
     BudgetExceeded,
@@ -289,6 +289,26 @@ def test_equiv_random_identical_and_distinct():
     verdict = equiv_random(det, per, trials=20, seed=1)
     assert isinstance(verdict, Distinct)
     assert verdict.value_a != verdict.value_b
+
+
+def test_equiv_random_distinct_pins_every_field():
+    # b is the constant x[1,1] takes at trial 0, so trial 1 is the first to
+    # separate the two sides
+    v0 = trial_point({(1, 1)}, 3, 0)[(1, 1)]
+    point = trial_point({(1, 1)}, 3, 1)
+    verdict = equiv_random(c(1, VarLeaf(1, 1)), c(1, ConstLeaf(v0)), trials=4, seed=3)
+    assert verdict == Distinct(trial=1, witness=point, value_a=point[(1, 1)], value_b=v0)
+
+
+def test_equiv_random_circuit_vs_bouquet():
+    det = det_regular_circuit(3, (2, 1, 3)).circuit
+    bouquet = det_bouquet(3, [(1, 2, 3), (3, 1, 2), (2, 3, 1)], seed=4)
+    assert equiv_random(det, bouquet, trials=6, seed=7) == Equivalent(6, 3 / PRIME)
+    assert equiv_random(bouquet, det, trials=6, seed=7) == Equivalent(6, 3 / PRIME)
+    flipped = Bouquet(3, bouquet.summands, -1)
+    verdict = equiv_random(bouquet, flipped, trials=6, seed=7)
+    assert isinstance(verdict, Distinct) and verdict.trial == 0
+    assert verdict.value_a == (PRIME - verdict.value_b) % PRIME
 
 
 def test_equiv_random_zero_circuit_vs_const_zero():
