@@ -29,6 +29,7 @@ from .circuit import (
     regular,
 )
 from .poly import (
+    REFERENCE_MAX_N,
     NotAPermutation,
     TooLarge,
     check_permutation,
@@ -45,8 +46,6 @@ __all__ = [
     "random_regular_circuit",
     "distinct_perms",
 ]
-
-DET_MAX_N = 8
 
 # Upper bound on the expanded term count of a random circuit, so generated
 # instances always stay within the default exact-oracle budget.
@@ -129,6 +128,8 @@ def _signed_term(b: _Builder, sigma: tuple[int, ...], pi: tuple[int, ...]) -> in
 def _det_terms_circuit(
     n: int, sigma: tuple[int, ...], perms: Sequence[tuple[int, ...]]
 ) -> RegularCircuit:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     b = _Builder(n)
     acc = _signed_term(b, sigma, perms[0])
     for pi in perms[1:]:
@@ -138,8 +139,8 @@ def _det_terms_circuit(
 
 def det_regular_circuit(n: int, sigma: Iterable[int]) -> RegularCircuit:
     """Full determinant circuit, regular w.r.t. sigma, built from all n! signed terms."""
-    if n > DET_MAX_N:
-        raise TooLarge(f"determinant generator limited to n <= {DET_MAX_N}, got {n}")
+    if n > REFERENCE_MAX_N:
+        raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
     sigma = check_permutation(sigma)
     if len(sigma) != n:
         raise NotAPermutation(sigma)
@@ -168,9 +169,11 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     regular w.r.t. sigmas[i].  With a single order this reproduces
     det_regular_circuit exactly.
     """
-    if n > DET_MAX_N:
-        raise TooLarge(f"determinant generator limited to n <= {DET_MAX_N}, got {n}")
+    if n > REFERENCE_MAX_N:
+        raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
     sigmas = [check_permutation(s) for s in sigmas]
+    if not sigmas:
+        raise ValueError("det_bouquet needs at least one summand order in sigmas")
     if math.factorial(n) < len(sigmas):
         raise NeedAtLeastOneTermPerBucket(
             f"{math.factorial(n)} terms cannot fill {len(sigmas)} buckets"
@@ -201,7 +204,7 @@ def sparse_term_bouquet(
     rng = random.Random(seed)
     sample: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    if n <= DET_MAX_N and terms >= math.factorial(n):
+    if n <= REFERENCE_MAX_N and terms >= math.factorial(n):
         sample = list(itertools.permutations(range(1, n + 1)))
     else:
         while len(sample) < terms:

@@ -131,7 +131,7 @@ def bouquet_from_obj(obj: Any) -> Bouquet:
     raw_summands = _require(obj, "summands", list)
     if not raw_summands:
         raise ParseError("bouquet needs at least one summand")
-    sign = obj.get("sign", 1)
+    sign = _require(obj, "sign", int) if "sign" in obj else 1
     if sign not in (1, -1):
         raise ParseError("sign must be 1 or -1")
     summands: list[RegularCircuit] = []

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from smlc.generators import det_bouquet
 from smlc.passes import compose, project
 from smlc.poly import PRIME, expand, expand_bouquet, poly_to_text, reference_det, trial_point
@@ -133,6 +135,30 @@ def test_domain_error_exits_1():
     out = run(["gen", "det", "--n", "9"])
     assert out.returncode == 1
     assert json.loads(out.stdout)["error"] == "TooLarge"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "det", "--n", "0"],
+        ["gen", "bouquet", "--n", "0", "--k", "1", "--seed", "1"],
+        ["gen", "bouquet", "--n", "2", "--k", "0", "--seed", "1"],
+    ],
+)
+def test_gen_degenerate_sizes_exit_1(args):
+    out = run(args)
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("sign", [1.0, True])
+def test_non_integer_bouquet_sign_exits_2(sign):
+    det = json.loads(run(["gen", "det", "--n", "3"]).stdout)
+    bouquet = json.loads(run(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "1"]).stdout)
+    bouquet["sign"] = sign
+    out = run(["equiv", "--seed", "1"], stdin=json.dumps({"a": det, "b": bouquet}))
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["error"] == "ParseError"
 
 
 def test_cli_pipeline_agrees_with_in_process():

@@ -84,6 +84,25 @@ def test_bouquet_rejects_duplicate_orders():
         det_bouquet(3, [(1, 2, 3), (1, 2, 3)], seed=0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: det_regular_circuit(0, ()),
+        lambda: det_bouquet(0, [()], seed=0),
+        lambda: sparse_term_bouquet(0, [()], terms=1, seed=0),
+    ],
+    ids=["det_regular_circuit", "det_bouquet", "sparse_term_bouquet"],
+)
+def test_determinant_generators_reject_empty_grid(build):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build()
+
+
+def test_bouquet_rejects_empty_order_list():
+    with pytest.raises(ValueError, match="sigmas"):
+        det_bouquet(2, [], seed=0)
+
+
 def test_minimal_budget_is_left_comb():
     n = 4
     rc = random_regular_circuit(GenConfig(n=n, seed=5, size_budget=2 * n - 1), (1, 2, 3, 4))

@@ -144,8 +144,32 @@ def test_reduce_detects_non_determinant_input():
 def test_reduce_verify_random_tier():
     b = det_bouquet(4, [(1, 2, 3, 4), (3, 1, 4, 2)], seed=8)
     single, tr = reduce_to_single(b, verify="random", seed=9, trials=8)
-    assert all(v["mode"] in ("random", "skipped") for v in tr.verdicts)
+    assert all(v["mode"] == "random" for v in tr.verdicts)
     assert expand(single.circuit).terms == reference_det(tr.final_degree).terms
+
+
+@pytest.mark.parametrize(("n", "verify"), [(4, "random"), (7, "exact")])
+def test_reduce_rejects_negated_determinant(n, verify):
+    # -det agrees with det only on a hypersurface, so the random tier (asked
+    # for directly, or reached by exact tiering down above degree 6) catches
+    # the flipped sign at the first trial of step 0
+    rng = random.Random(60 + n)
+    b = det_bouquet(n, distinct_perms(n, 2, rng), seed=n)
+    negated = Bouquet(b.n, b.summands, -b.sign)
+    with pytest.raises(VerificationFailed) as err:
+        reduce_to_single(negated, verify=verify, seed=0, trials=3)
+    assert err.value.step == 0
+
+
+@pytest.mark.parametrize("verify", ["random", "exact"])
+def test_reduce_checks_degrees_beyond_the_factorial_reference(verify):
+    # a sampled sub-sum of the degree-9 determinant is not a determinant, and
+    # no degree is too large for the elimination oracle to say so
+    rng = random.Random(59)
+    b = sparse_term_bouquet(9, distinct_perms(9, 2, rng), terms=200, seed=13)
+    with pytest.raises(VerificationFailed) as err:
+        reduce_to_single(b, verify=verify, seed=0, trials=2)
+    assert err.value.step == 0
 
 
 def test_reduce_verify_off_records_nothing_checked():

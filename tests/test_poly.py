@@ -1,5 +1,6 @@
 """Oracle machinery: expansion, references, signs, evaluation, equivalence."""
 
+import itertools
 import math
 import random
 
@@ -16,6 +17,7 @@ from smlc.poly import (
     SparsePoly,
     TooLarge,
     compose_perms,
+    det_mod,
     equiv_exact,
     equiv_random,
     eval_circuit,
@@ -212,6 +214,56 @@ def test_det_of_permutation_matrix_is_sign():
         matrix = [[1 if pi[i] == j + 1 else 0 for j in range(n)] for i in range(n)]
         # choosing column pi(i) in every row i is the only nonzero product
         assert _det_of_matrix(matrix) == sign_of_permutation(pi)
+
+
+def _grid(n):
+    return [(r, cc) for r in range(1, n + 1) for cc in range(1, n + 1)]
+
+
+def _as_matrix(point, n):
+    return [[point[(r, cc)] for cc in range(1, n + 1)] for r in range(1, n + 1)]
+
+
+def test_det_mod_matches_reference_at_trial_points():
+    for n in range(1, 7):
+        for trial in range(4):
+            point = trial_point(_grid(n), seed=n, trial=trial)
+            assert det_mod(_as_matrix(point, n)) == reference_det(n).eval_mod(point)
+
+
+def test_det_mod_matches_reference_on_small_entries():
+    # entries in {0, 1, 2} force zero pivots, row swaps and singular matrices:
+    # every 2x2 and 3x3 such matrix, then random ones up to n=6
+    matrices = [
+        [list(cells[i * n:(i + 1) * n]) for i in range(n)]
+        for n in (2, 3)
+        for cells in itertools.product((0, 1, 2), repeat=n * n)
+    ]
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(4, 6)
+        matrices.append([[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
+    singular = swapped = 0
+    for matrix in matrices:
+        expected = _det_of_matrix(matrix) % PRIME
+        assert det_mod(matrix) == expected
+        singular += expected == 0
+        swapped += expected != 0 and matrix[0][0] == 0
+    assert singular and swapped
+
+
+def test_det_mod_reduces_negative_entries_and_rejects_non_square():
+    assert det_mod([[-1]]) == PRIME - 1
+    assert det_mod([[0, 1], [1, 0]]) == PRIME - 1
+    with pytest.raises(ValueError):
+        det_mod([[1, 2]])
+
+
+def test_det_mod_matches_leibniz_circuit_at_n7():
+    circuit = det_regular_circuit(7, (3, 1, 7, 5, 2, 6, 4)).circuit
+    for trial in range(3):
+        point = trial_point(_grid(7), seed=77, trial=trial)
+        assert det_mod(_as_matrix(point, 7)) == eval_circuit(circuit, point)
 
 
 # --- evaluation -----------------------------------------------------------
