@@ -16,6 +16,13 @@ index set must be a contiguous interval of the order (sigma(1),...,sigma(n)),
 and the left factor of every product must sit immediately before the right
 factor.  `infer_order` computes the unique interval assignment or reports the
 first gate that breaks it.
+
+`regular` is the check at trust boundaries (parsing, the generators,
+`project`).  It runs one left-to-right sweep over plain ints, with no index
+sets and no `Interval` objects, and keeps only sigma and the degree.  Only a
+circuit that the sweep rejects goes through `infer_order`, whose typed error
+names the offending gate, so typing errors anywhere still come before
+regularity errors.
 """
 
 from __future__ import annotations
@@ -293,13 +300,80 @@ def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> OrderAssignment:
     return OrderAssignment(sigma, tuple(intervals))
 
 
-def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
-    """Validate and wrap a circuit as regular w.r.t. sigma.
+def _interval_sweep(circuit: Circuit, sigma: tuple[int, ...]) -> int | None:
+    """Degree of `circuit` if it is regular w.r.t. sigma with a prefix root, else None.
 
-    On top of interval inference this checks the root invariant: a regular
-    circuit of degree d covers positions 1..d (a prefix of the order).  Only
-    sigma and d are kept; the per-node intervals are dropped.
+    One left-to-right pass over plain ints: node v covers positions
+    start[v]..end[v] of the order, and start 0 is the empty interval.  Once
+    every interval is contiguous, equal intervals mean equal index sets and
+    adjacent ones are disjoint, so this accepts exactly what `validate`,
+    `infer_order` and the root check accept.
     """
+    n, nodes, root = circuit.n, circuit.nodes, circuit.root
+    if n < 1 or not 0 <= root < len(nodes) or len(sigma) != n:
+        return None
+    position = [0] * (n + 1)
+    for p, row in enumerate(sigma, start=1):
+        if not 0 < row <= n or position[row]:
+            return None
+        position[row] = p
+
+    start: list[int] = []
+    end: list[int] = []
+    for vid, node in enumerate(nodes):
+        kind = type(node)
+        if kind is Mul:
+            left, right = node.left, node.right
+            if not (0 <= left < vid and 0 <= right < vid):
+                return None
+            s, e = start[left], end[left]
+            rs = start[right]
+            if not s:
+                s, e = rs, end[right]
+            elif rs:
+                if e + 1 != rs:
+                    return None
+                e = end[right]
+        elif kind is Add:
+            left, right = node.left, node.right
+            if not (0 <= left < vid and 0 <= right < vid):
+                return None
+            s, e = start[left], end[left]
+            if s != start[right] or e != end[right]:
+                return None
+        elif kind is VarLeaf:
+            if not (0 < node.row <= n and 0 < node.col <= n):
+                return None
+            s = e = position[node.row]
+        elif kind is ConstLeaf:
+            s = e = 0
+        else:
+            return None
+        start.append(s)
+        end.append(e)
+    if not start[root]:
+        return 0
+    return end[root] if start[root] == 1 else None
+
+
+def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
+    """Check that a circuit is regular w.r.t. sigma and wrap it.
+
+    On top of typing and interval inference this checks the root invariant:
+    a regular circuit of degree d covers positions 1..d (a prefix of the
+    order).  Only sigma and d are kept.  The check is one int-only sweep
+    (`_interval_sweep`).  Only when it rejects does `infer_order` run on the
+    same input: it raises the typed error that names the first offending
+    gate, typing errors anywhere before regularity errors, and what it still
+    accepts (a node of a subclass, say) is wrapped as before.
+    """
+    try:
+        sigma = tuple(sigma)
+        degree = _interval_sweep(circuit, sigma)
+    except TypeError:  # a field that is not an int; infer_order reports it
+        degree = None
+    if degree is not None:
+        return RegularCircuit(circuit, sigma, degree)
     order = infer_order(circuit, sigma)
     root_iv = order.intervals[circuit.root]
     if root_iv is not None and root_iv.start != 1:

@@ -113,6 +113,12 @@ class _Builder:
         return Circuit(n=self.n, nodes=tuple(self.nodes), root=root)
 
 
+def _check_grid(n: int) -> None:
+    # first, so a negative n never reaches math.factorial or the order checks
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def _signed_term(b: _Builder, sigma: tuple[int, ...], pi: tuple[int, ...]) -> int:
     # left-comb product of one variable per row, multiplied in sigma order,
     # wrapped in a -1 factor for odd pi
@@ -128,8 +134,6 @@ def _signed_term(b: _Builder, sigma: tuple[int, ...], pi: tuple[int, ...]) -> in
 def _det_terms_circuit(
     n: int, sigma: tuple[int, ...], perms: Sequence[tuple[int, ...]]
 ) -> RegularCircuit:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     b = _Builder(n)
     acc = _signed_term(b, sigma, perms[0])
     for pi in perms[1:]:
@@ -139,6 +143,7 @@ def _det_terms_circuit(
 
 def det_regular_circuit(n: int, sigma: Iterable[int]) -> RegularCircuit:
     """Full determinant circuit, regular w.r.t. sigma, built from all n! signed terms."""
+    _check_grid(n)
     if n > REFERENCE_MAX_N:
         raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
     sigma = check_permutation(sigma)
@@ -169,6 +174,7 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     regular w.r.t. sigmas[i].  With a single order this reproduces
     det_regular_circuit exactly.
     """
+    _check_grid(n)
     if n > REFERENCE_MAX_N:
         raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
     sigmas = [check_permutation(s) for s in sigmas]
@@ -200,6 +206,7 @@ def sparse_term_bouquet(
     circuit, so structural passes can be exercised at grid sizes where the
     full determinant would be astronomically large.
     """
+    _check_grid(n)
     sigmas = [check_permutation(s) for s in sigmas]
     rng = random.Random(seed)
     sample: list[tuple[int, ...]] = []
@@ -222,6 +229,7 @@ def sparse_term_bouquet(
 
 def distinct_perms(n: int, k: int, rng: random.Random) -> list[tuple[int, ...]]:
     """k pairwise distinct random permutations of [1..n]."""
+    _check_grid(n)
     if k > math.factorial(n):
         raise ValueError(f"cannot draw {k} distinct permutations of [1..{n}]")
     out: list[tuple[int, ...]] = []

@@ -16,7 +16,12 @@ documents written without it parse fine.
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
 are decimal strings so readers never face integer-width surprises.  Parsing a
-bouquet also re-validates regularity of every summand against its sigma.
+bouquet also checks every summand with `regular` against its sigma.
+
+The node loop tests each field with `type(value) is int` (or `str`) and calls
+`_require` only when that test fails, so a malformed document gets the same
+`ParseError` as a field-by-field check, while a well-formed one pays for one
+dict lookup per field.
 """
 
 from __future__ import annotations
@@ -87,25 +92,41 @@ def circuit_from_obj(obj: Any) -> Circuit:
     for idx, raw in enumerate(raw_nodes):
         if not isinstance(raw, dict):
             raise ParseError(f"node {idx} is not an object")
-        if _require(raw, "id", int) != idx:
+        get = raw.get
+        vid = get("id")
+        if type(vid) is not int:
+            vid = _require(raw, "id", int)
+        if vid != idx:
             raise ParseError(f"node {idx}: id {raw['id']} out of order (ids must be dense, 0-based)")
-        op = _require(raw, "op", str)
-        if op == "const":
-            text = _require(raw, "value", str)
+        op = get("op")
+        if type(op) is not str:
+            op = _require(raw, "op", str)
+        if op == "mul" or op == "add":
+            left, right = get("left"), get("right")
+            if type(left) is not int:
+                left = _require(raw, "left", int)
+            if type(right) is not int:
+                right = _require(raw, "right", int)
+            if not (0 <= left < idx and 0 <= right < idx):
+                bad = right if 0 <= left < idx else left
+                raise ParseError(f"node {idx}: forward or invalid child reference {bad}")
+            nodes.append(Mul(left, right) if op == "mul" else Add(left, right))
+        elif op == "var":
+            row, col = get("row"), get("col")
+            if type(row) is not int:
+                row = _require(raw, "row", int)
+            if type(col) is not int:
+                col = _require(raw, "col", int)
+            nodes.append(VarLeaf(row, col))
+        elif op == "const":
+            text = get("value")
+            if type(text) is not str:
+                text = _require(raw, "value", str)
             try:
                 value = int(text)
             except ValueError:
                 raise ParseError(f"node {idx}: bad decimal constant {text!r}") from None
             nodes.append(ConstLeaf(value))
-        elif op == "var":
-            nodes.append(VarLeaf(_require(raw, "row", int), _require(raw, "col", int)))
-        elif op in ("add", "mul"):
-            left = _require(raw, "left", int)
-            right = _require(raw, "right", int)
-            for ref in (left, right):
-                if not (0 <= ref < idx):
-                    raise ParseError(f"node {idx}: forward or invalid child reference {ref}")
-            nodes.append(Add(left, right) if op == "add" else Mul(left, right))
         else:
             raise ParseError(f"node {idx}: unknown op {op!r}")
     if not (0 <= root < len(nodes)):

@@ -226,6 +226,58 @@ def test_parser_rejects_bad_documents():
         circuit_from_obj({"n": 1, "nodes": [{"id": 0, "op": "const", "value": "x"}], "root": 0})
 
 
+def _doc(*nodes):
+    return {"n": 2, "nodes": list(nodes), "root": 0}
+
+
+VAR = {"id": 0, "op": "var", "row": 1, "col": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_doc(7), "node 0 is not an object"),
+        (_doc({"op": "var", "row": 1, "col": 1}), "missing field 'id'"),
+        (_doc({**VAR, "id": True}), "field 'id': expected int, got bool"),
+        (_doc({**VAR, "id": None}), "field 'id': expected int, got NoneType"),
+        (_doc({**VAR, "id": 1}), "node 0: id 1 out of order (ids must be dense, 0-based)"),
+        (_doc(VAR, {**VAR, "id": 0}), "node 1: id 0 out of order (ids must be dense, 0-based)"),
+        (_doc({"id": 0, "row": 1, "col": 1}), "missing field 'op'"),
+        (_doc({**VAR, "op": 3}), "field 'op': expected str, got int"),
+        (
+            _doc(VAR, {"id": 1, "op": "mul", "left": 0.0, "right": 0}),
+            "field 'left': expected int, got float",
+        ),
+        (_doc(VAR, {"id": 1, "op": "add", "left": 0}), "missing field 'right'"),
+        (_doc({**VAR, "row": "1"}), "field 'row': expected int, got str"),
+        (_doc({**VAR, "col": False}), "field 'col': expected int, got bool"),
+        (
+            _doc(VAR, {"id": 1, "op": "mul", "left": 0, "right": 1}),
+            "node 1: forward or invalid child reference 1",
+        ),
+        (
+            _doc(VAR, {"id": 1, "op": "add", "left": -1, "right": 0}),
+            "node 1: forward or invalid child reference -1",
+        ),
+        (_doc({"id": 0, "op": "const", "value": "1.5"}), "node 0: bad decimal constant '1.5'"),
+        (_doc({"id": 0, "op": "const", "value": 3}), "field 'value': expected str, got int"),
+        (_doc({"id": 0, "op": "div", "left": 0, "right": 0}), "node 0: unknown op 'div'"),
+    ],
+)
+def test_parser_names_each_fault(doc, message):
+    with pytest.raises(ParseError) as err:
+        circuit_from_obj(doc)
+    assert str(err.value) == message
+
+
+def test_parser_accepts_int_subclass_fields():
+    class Row(int):
+        pass
+
+    circuit = circuit_from_obj(_doc({**VAR, "row": Row(2)}))
+    assert circuit.nodes == (VarLeaf(2, 1),)
+
+
 def test_const_values_survive_as_decimal_strings():
     big = 10**30 + 7
     circuit = c(1, ConstLeaf(big))

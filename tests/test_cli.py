@@ -151,6 +151,23 @@ def test_gen_degenerate_sizes_exit_1(args):
     assert json.loads(out.stdout)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "det", "--n", "-2"],
+        ["gen", "bouquet", "--n", "-1", "--k", "1", "--seed", "1"],
+    ],
+)
+def test_gen_negative_n_names_the_guard(args):
+    out = run(args)
+    assert out.returncode == 1
+    assert json.loads(out.stdout) == {
+        "ok": False,
+        "error": "ValueError",
+        "detail": "n must be >= 1",
+    }
+
+
 @pytest.mark.parametrize("sign", [1.0, True])
 def test_non_integer_bouquet_sign_exits_2(sign):
     det = json.loads(run(["gen", "det", "--n", "3"]).stdout)
@@ -274,6 +291,57 @@ def test_reverse_below_full_degree_exits_1():
     doc = json.loads(out.stdout)
     assert doc["ok"] is False
     assert doc["error"] == "RootNotPrefix"
+
+
+def _var(vid, row):
+    return {"id": vid, "op": "var", "row": row, "col": row}
+
+
+def _gate(vid, op, left, right):
+    return {"id": vid, "op": op, "left": left, "right": right}
+
+
+# each circuit is checked against the order 1,2,3
+IRREGULAR = {
+    "wrong-adjacency": (
+        [_var(0, 1), _var(1, 2), _gate(2, "mul", 1, 0), _var(3, 3), _gate(4, "mul", 2, 3)],
+        "WrongAdjacency",
+        "mul gate 2: children are adjacent but in right-before-left position order",
+    ),
+    "not-contiguous": (
+        [_var(0, 1), _var(1, 3), _gate(2, "mul", 0, 1), _var(3, 2), _gate(4, "mul", 2, 3)],
+        "NotContiguous",
+        "gate 2: index set [1, 3] is not contiguous in the given order",
+    ),
+    # gate 2 breaks regularity, but the typing error at gate 6 is reported
+    "typing-error-wins": (
+        [
+            _var(0, 1),
+            _var(1, 2),
+            _gate(2, "mul", 1, 0),
+            _var(3, 3),
+            _gate(4, "mul", 2, 3),
+            _var(5, 1),
+            _gate(6, "add", 4, 5),
+        ],
+        "AddMismatch",
+        "add gate 6: children cover different index sets",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", ["reduce", "check-regular"])
+@pytest.mark.parametrize("case", sorted(IRREGULAR))
+def test_irregular_summand_error_golden(case, verb):
+    nodes, error, detail = IRREGULAR[case]
+    circuit = {"n": 3, "nodes": nodes, "root": len(nodes) - 1}
+    if verb == "reduce":
+        bouquet = {"n": 3, "sign": 1, "summands": [{"sigma": [1, 2, 3], "circuit": circuit}]}
+        out = run(["reduce", "--verify", "off"], stdin=dumps(bouquet))
+    else:
+        out = run(["check-regular", "--sigma", "1,2,3"], stdin=dumps(circuit))
+    assert out.returncode == 1
+    assert out.stdout == json.dumps({"ok": False, "error": error, "detail": detail}) + "\n"
 
 
 def test_byte_stable_outputs():

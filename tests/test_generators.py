@@ -98,6 +98,24 @@ def test_determinant_generators_reject_empty_grid(build):
         build()
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: det_regular_circuit(n, ()),
+        lambda n: det_bouquet(n, [(1,)], seed=0),
+        lambda n: sparse_term_bouquet(n, [()], terms=1, seed=0),
+        lambda n: distinct_perms(n, 1, random.Random(0)),
+    ],
+    ids=["det_regular_circuit", "det_bouquet", "sparse_term_bouquet", "distinct_perms"],
+)
+def test_generators_reject_negative_grid_first(build, n):
+    # before the order length check, and before math.factorial sees n
+    with pytest.raises(ValueError) as err:
+        build(n)
+    assert str(err.value) == "n must be >= 1"
+
+
 def test_bouquet_rejects_empty_order_list():
     with pytest.raises(ValueError, match="sigmas"):
         det_bouquet(2, [], seed=0)
