@@ -50,6 +50,7 @@ from .poly import (
     equiv_exact,
     equiv_random,
     eval_circuit,
+    eval_points,
     expand,
     expand_bouquet,
     reference_det,

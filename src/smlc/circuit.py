@@ -227,8 +227,9 @@ def validate(circuit: Circuit) -> tuple[frozenset[int], ...]:
     """Check set-multilinear typing and return the index set of every node.
 
     Raises BadChildRef / VariableOutOfRange / AddMismatch / MulOverlap on the
-    first offending node in id order.  Deterministic: the same circuit always
-    yields the same assignment.
+    first offending node in id order; a variable whose row or col is not an
+    int (a float 1.0 included) is out of range.  Deterministic: the same
+    circuit always yields the same assignment.
     """
     n = circuit.n
     if n < 1:
@@ -241,8 +242,11 @@ def validate(circuit: Circuit) -> tuple[frozenset[int], ...]:
         if isinstance(node, ConstLeaf):
             sets.append(frozenset())
         elif isinstance(node, VarLeaf):
-            if not (1 <= node.row <= n and 1 <= node.col <= n):
-                raise VariableOutOfRange(vid, node.row, node.col, n)
+            row, col = node.row, node.col
+            if not (isinstance(row, int) and isinstance(col, int)) or not (
+                1 <= row <= n and 1 <= col <= n
+            ):
+                raise VariableOutOfRange(vid, row, col, n)
             sets.append(frozenset((node.row,)))
         else:
             for ref in (node.left, node.right):
@@ -267,12 +271,13 @@ def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> OrderAssignment:
     Propagates intervals bottom-up: a product's children must occupy adjacent
     position runs with the left child first; an addition inherits its
     children's common interval.  Raises NotContiguous / WrongAdjacency at the
-    first offending gate.
+    first offending gate; a sigma with an entry that is not an int is not a
+    permutation.
     """
     sets = validate(circuit)
     n = circuit.n
     sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if not all(isinstance(row, int) for row in sigma) or sorted(sigma) != list(range(1, n + 1)):
         raise CircuitError(f"sigma {sigma} is not a permutation of [1..{n}]")
     position = {row: p for p, row in enumerate(sigma, start=1)}
 
@@ -342,7 +347,10 @@ def _interval_sweep(circuit: Circuit, sigma: tuple[int, ...]) -> int | None:
             if s != start[right] or e != end[right]:
                 return None
         elif kind is VarLeaf:
-            if not (0 < node.row <= n and 0 < node.col <= n):
+            # a non-int row fails the position lookup; a col is never looked
+            # up, so one that is not exactly an int is left to infer_order
+            col = node.col
+            if not (0 < node.row <= n and 0 < col <= n) or type(col) is not int:
                 return None
             s = e = position[node.row]
         elif kind is ConstLeaf:
@@ -365,7 +373,8 @@ def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
     (`_interval_sweep`).  Only when it rejects does `infer_order` run on the
     same input: it raises the typed error that names the first offending
     gate, typing errors anywhere before regularity errors, and what it still
-    accepts (a node of a subclass, say) is wrapped as before.
+    accepts (a node of a subclass, or an int-subclass field) is wrapped as
+    before.  A row, col or sigma entry that is not an int is rejected.
     """
     try:
         sigma = tuple(sigma)

@@ -17,8 +17,12 @@ the current degree d: exactly (term-by-term expansion against the reference
 polynomial) up to degree 6 under verify="exact", and otherwise by seeded
 random evaluation, comparing the bouquet's value at each trial point with the
 determinant of that point's d x d matrix computed by elimination mod PRIME
-(`det_mod`), which works at every degree.  A failed check raises
-VerificationFailed: some pass broke semantics, the strongest possible error.
+(`det_mod`), which works at every degree.  The bouquet is evaluated at all of
+a step's trial points in one `eval_points` call, which compiles each summand
+once and sweeps it once per point; the values are compared in trial order.
+A failed check raises VerificationFailed: some pass broke semantics, the
+strongest possible error.  With verification on, at least one trial is
+required, so no verdict can be recorded ok without an evaluation.
 
 The even-degree trim (`trim_even`) drops one final index when the degree is
 odd and reports half the even degree, which is the degree parameter the
@@ -59,7 +63,7 @@ from .poly import (
     DEFAULT_TRIALS,
     PRIME,
     det_mod,
-    eval_bouquet,
+    eval_points,
     expand_bouquet,
     identity_perm,
     invert_perm,
@@ -258,10 +262,10 @@ def _verify_step(
         return {"step": step, "mode": "exact", "ok": True}
     indices = range(1, d + 1)
     grid = [(r, c) for r in indices for c in indices]
-    for t in range(trials):
-        point = trial_point(grid, seed, step * trials + t)
+    points = [trial_point(grid, seed, step * trials + t) for t in range(trials)]
+    for point, value in zip(points, eval_points(bouquet, points)):
         matrix = [[point[(r, c)] for c in indices] for r in indices]
-        if eval_bouquet(bouquet, point) != det_mod(matrix):
+        if value != det_mod(matrix):
             raise VerificationFailed(
                 step, f"random evaluation differs from degree-{d} determinant"
             )
@@ -287,12 +291,15 @@ def reduce_to_single(
     intermediate bouquet up to degree 6 and silently tiers down to random
     evaluation above; "random" evaluates at every degree, against the
     determinant of each trial point's matrix by elimination mod PRIME.  No
-    degree goes unchecked.  The caller promises the input computes the
+    degree goes unchecked; trials must be >= 1 unless verify is "off" (a
+    ValueError otherwise).  The caller promises the input computes the
     determinant of degree n; with verify on, a broken promise (or a broken
     pass) surfaces as VerificationFailed.
     """
     if verify not in ("off", "random", "exact"):
         raise ValueError(f"unknown verify mode {verify!r}")
+    if verify != "off" and trials < 1:
+        raise ValueError("trials must be >= 1")
 
     cur = bouquet
     steps: list[ReductionStep] = []

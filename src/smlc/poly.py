@@ -1,11 +1,16 @@
 """Ground-truth polynomial oracles, independent of the circuit passes.
 
 Everything here is deliberately brute force: exact sparse expansion over
-arbitrary-precision integers, Leibniz-sum reference determinant/permanent
-polynomials, the determinant of a concrete matrix mod a prime by Gaussian
-elimination, permutation sign, and two equivalence checks (exact term-by-term
-comparison, and a seeded Schwartz-Zippel test modulo the fixed 61-bit Mersenne
-prime).  Passes are trusted only after they agree with these oracles.
+arbitrary-precision integers, evaluation mod a prime at many points,
+Leibniz-sum reference determinant/permanent polynomials, the determinant of a
+concrete matrix mod a prime by Gaussian elimination, permutation sign, and
+two equivalence checks (exact term-by-term comparison, and a seeded
+Schwartz-Zippel test modulo the fixed 61-bit Mersenne prime).  Passes are
+trusted only after they agree with these oracles.
+
+Evaluation (`eval_points`) compiles each circuit once into a flat program in
+which structurally equal nodes share one slot, then sweeps that program once
+per point; `eval_circuit` and `eval_bouquet` are its one-point forms.
 
 A monomial is a tuple of (row, col) pairs sorted by strictly increasing row;
 a polynomial maps monomials to nonzero integer coefficients.  Field elements
@@ -293,22 +298,81 @@ def _add_consuming(
     return SparsePoly(n, terms)
 
 
-def eval_circuit(circuit: Circuit, assignment: Assignment, prime: int = PRIME) -> int:
-    """Value of the circuit polynomial at a point, mod prime."""
-    values: list[int] = []
+# opcodes of a compiled program (see _compile)
+_MUL, _ADD, _VAR, _CONST = range(4)
+
+
+def eval_points(
+    doc: Circuit | Bouquet, points: Sequence[Assignment], prime: int = PRIME
+) -> list[int]:
+    """Value of a circuit or bouquet polynomial at each point, mod prime.
+
+    Each circuit (every summand of a bouquet) is compiled once into a flat,
+    value-numbered program (`_compile`), and the programs are swept once per
+    point, in point order; a bouquet's value is sign times the sum of its
+    summands' values.  A variable the point does not assign raises
+    MissingAssignment, the first one in node order, as a node-by-node
+    evaluation would meet it.
+    """
+    if isinstance(doc, Bouquet):
+        circuits, sign = [rc.circuit for rc in doc.summands], doc.sign
+    else:
+        circuits, sign = [doc], 1
+    programs = [_compile(circuit, prime) for circuit in circuits]
+    out = []
+    for point in points:
+        total = 0
+        for program, root in programs:
+            values: list[int] = []
+            append = values.append
+            for op, a, b in program:
+                if op == _MUL:
+                    append(values[a] * values[b] % prime)
+                elif op == _ADD:
+                    append((values[a] + values[b]) % prime)
+                elif op == _VAR:
+                    if (a, b) not in point:
+                        raise MissingAssignment(a, b)
+                    append(point[a, b] % prime)
+                else:
+                    append(a)
+            total += values[root]
+        out.append(total % prime * sign % prime)
+    return out
+
+
+def _compile(circuit: Circuit, prime: int) -> tuple[list[tuple[int, int, int]], int]:
+    """(program, root slot): the circuit as a flat list of (op, a, b) slots.
+
+    One isinstance pass in node order; any node that is not a ConstLeaf,
+    VarLeaf or Add is treated as a Mul.  Nodes are value-numbered: each
+    distinct (op, operands) gets one slot, so structurally equal nodes are
+    computed once.  A gate's operands are the slots of its children, a
+    variable's are its row and col, and a constant's is its value mod prime.
+    """
+    memo: dict[tuple[int, int, int], int] = {}
+    program: list[tuple[int, int, int]] = []
+    slot_of: list[int] = []  # node id -> slot
     for node in circuit.nodes:
         if isinstance(node, ConstLeaf):
-            values.append(node.value % prime)
+            key = (_CONST, node.value % prime, 0)
         elif isinstance(node, VarLeaf):
-            key = (node.row, node.col)
-            if key not in assignment:
-                raise MissingAssignment(node.row, node.col)
-            values.append(assignment[key] % prime)
+            key = (_VAR, node.row, node.col)
         elif isinstance(node, Add):
-            values.append((values[node.left] + values[node.right]) % prime)
+            key = (_ADD, slot_of[node.left], slot_of[node.right])
         else:
-            values.append(values[node.left] * values[node.right] % prime)
-    return values[circuit.root]
+            key = (_MUL, slot_of[node.left], slot_of[node.right])
+        slot = memo.get(key)
+        if slot is None:
+            slot = memo[key] = len(program)
+            program.append(key)
+        slot_of.append(slot)
+    return program, slot_of[circuit.root]
+
+
+def eval_circuit(circuit: Circuit, assignment: Assignment, prime: int = PRIME) -> int:
+    """Value of the circuit polynomial at one point, mod prime (see eval_points)."""
+    return eval_points(circuit, [assignment], prime)[0]
 
 
 def expand_bouquet(bouquet: Bouquet, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePoly:
@@ -320,10 +384,8 @@ def expand_bouquet(bouquet: Bouquet, term_budget: int = DEFAULT_TERM_BUDGET) -> 
 
 
 def eval_bouquet(bouquet: Bouquet, assignment: Assignment, prime: int = PRIME) -> int:
-    total = 0
-    for rc in bouquet.summands:
-        total = (total + eval_circuit(rc.circuit, assignment, prime)) % prime
-    return total * bouquet.sign % prime
+    """Value of sign * (sum of summands) at one point, mod prime (see eval_points)."""
+    return eval_points(bouquet, [assignment], prime)[0]
 
 
 def bouquet_variables(bouquet: Bouquet) -> set[tuple[int, int]]:
@@ -431,14 +493,12 @@ def trial_point(
     return {var: rng.randrange(prime) for var in sorted(variables)}
 
 
-def _sampled(doc: Circuit | Bouquet):
-    # (degree, variables, evaluator); a bouquet's summands are already
-    # regular, but a raw circuit comes from outside and is validated here
+def _sampled(doc: Circuit | Bouquet) -> tuple[int, set[tuple[int, int]]]:
+    # (degree, variables); a bouquet's summands are already regular, but a
+    # raw circuit comes from outside and is validated here
     if isinstance(doc, Bouquet):
-        degree = max(rc.degree for rc in doc.summands)
-        return degree, bouquet_variables(doc), eval_bouquet
-    degree = len(validate(doc)[doc.root])
-    return degree, variables_of(doc), eval_circuit
+        return max(rc.degree for rc in doc.summands), bouquet_variables(doc)
+    return len(validate(doc)[doc.root]), variables_of(doc)
 
 
 def equiv_random(
@@ -450,19 +510,19 @@ def equiv_random(
 ) -> Verdict:
     """Schwartz-Zippel identity test at `trials` seeded random points.
 
-    Either side may be a circuit or a bouquet.  Returns Distinct with the
-    first separating trial and point, or Equivalent with the per-trial error
-    bound d/prime where d is the larger degree.
+    Either side may be a circuit or a bouquet; each is evaluated at all the
+    points in one `eval_points` call.  Returns Distinct with the first
+    separating trial and point, or Equivalent with the per-trial error bound
+    d/prime where d is the larger degree.
     """
     if trials < 1:
         raise OracleError("trials must be >= 1")
-    deg_a, vars_a, eval_a = _sampled(a)
-    deg_b, vars_b, eval_b = _sampled(b)
+    deg_a, vars_a = _sampled(a)
+    deg_b, vars_b = _sampled(b)
     variables = vars_a | vars_b
-    for t in range(trials):
-        point = trial_point(variables, seed, t, prime)
-        va = eval_a(a, point, prime)
-        vb = eval_b(b, point, prime)
+    points = [trial_point(variables, seed, t, prime) for t in range(trials)]
+    values = zip(eval_points(a, points, prime), eval_points(b, points, prime))
+    for t, (va, vb) in enumerate(values):
         if va != vb:
-            return Distinct(t, point, va, vb)
+            return Distinct(t, points[t], va, vb)
     return Equivalent(trials, max(deg_a, deg_b) / prime)

@@ -1,15 +1,18 @@
 """Typing validation, interval inference, stats, and serialization round-trips."""
 
+import io
 import random
 
 import pytest
 
+from smlc import cli
 from smlc.circuit import (
     Add,
     AddMismatch,
     BadChildRef,
     Bouquet,
     Circuit,
+    CircuitError,
     ConstLeaf,
     Interval,
     Mul,
@@ -33,6 +36,7 @@ from smlc.serialize import (
     bouquet_to_obj,
     circuit_from_obj,
     circuit_to_obj,
+    dumps,
 )
 
 
@@ -160,6 +164,53 @@ def test_regularity_completeness_on_det_circuits():
             sigma = random_perm(n, rng)
             rc = det_regular_circuit(n, sigma)  # regular() runs inside
             assert rc.sigma == sigma
+
+
+# --- non-int fields ----------------------------------------------------------
+
+
+class Row(int):
+    pass
+
+
+def _check_regular_cli(monkeypatch, circuit, sigma_text):
+    # the wire parser and the --sigma option reject the same fields: exit 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(circuit_to_obj(circuit))))
+    try:
+        return cli.main(["check-regular", "--sigma", sigma_text])
+    except SystemExit as exc:  # argparse usage error
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    ("row", "col"), [(1.5, 1), (1.0, 1), ("1", 1), (1, 1.0), (1, 2.5), (1, "2")]
+)
+def test_non_int_variable_field_is_out_of_range(row, col, monkeypatch, capsys):
+    circuit = c(2, VarLeaf(row, col), VarLeaf(2, 2), Mul(0, 1))
+    detail = f"node 0: variable x[{row},{col}] outside [1..2]^2"
+    for check in (validate, lambda cc: infer_order(cc, (1, 2)), lambda cc: regular(cc, (1, 2))):
+        with pytest.raises(VariableOutOfRange) as err:
+            check(circuit)
+        assert str(err.value) == detail
+    assert _check_regular_cli(monkeypatch, circuit, "1,2") == 2
+
+
+@pytest.mark.parametrize("sigma", [(1.0, 2), (1, 2.0), ("1", 2), (2, 1.5)])
+def test_non_int_sigma_entry_is_not_a_permutation(sigma, monkeypatch, capsys):
+    circuit = c(2, VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1))
+    detail = f"sigma {sigma} is not a permutation of [1..2]"
+    for check in (infer_order, regular):
+        with pytest.raises(CircuitError) as err:
+            check(circuit, sigma)
+        assert str(err.value) == detail
+    assert _check_regular_cli(monkeypatch, circuit, ",".join(map(repr, sigma))) == 2
+
+
+def test_int_subclass_fields_stay_regular():
+    circuit = c(2, VarLeaf(Row(1), Row(1)), VarLeaf(True, 2), VarLeaf(2, 2), Mul(0, 2))
+    rc = regular(circuit, (Row(1), 2))
+    assert (rc.sigma, rc.degree) == ((1, 2), 2)
+    assert validate(circuit)[3] == frozenset({1, 2})
 
 
 # --- stats ----------------------------------------------------------------

@@ -1,0 +1,247 @@
+"""eval_points against a node-by-node reference evaluator, as property tests."""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smlc.circuit import (
+    Add,
+    Bouquet,
+    Circuit,
+    ConstLeaf,
+    Mul,
+    RegularCircuit,
+    VarLeaf,
+    regular,
+    validate,
+)
+from smlc.generators import GenConfig, det_bouquet, distinct_perms, random_regular_circuit
+from smlc.pipeline import VerificationFailed, reduce_to_single
+from smlc.poly import (
+    PRIME,
+    MissingAssignment,
+    eval_bouquet,
+    eval_circuit,
+    eval_points,
+    expand_bouquet,
+    reference_det,
+)
+
+props = settings(derandomize=True, deadline=None, max_examples=200)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def reference_eval(circuit, assignment, prime=PRIME):
+    """One isinstance dispatch per node, per point: the evaluator eval_points replaced."""
+    values = []
+    for node in circuit.nodes:
+        if isinstance(node, ConstLeaf):
+            values.append(node.value % prime)
+        elif isinstance(node, VarLeaf):
+            key = (node.row, node.col)
+            if key not in assignment:
+                raise MissingAssignment(node.row, node.col)
+            values.append(assignment[key] % prime)
+        elif isinstance(node, Add):
+            values.append((values[node.left] + values[node.right]) % prime)
+        else:
+            values.append(values[node.left] * values[node.right] % prime)
+    return values[circuit.root]
+
+
+def reference_points(doc, points, prime=PRIME):
+    if isinstance(doc, Circuit):
+        return [reference_eval(doc, point, prime) for point in points]
+    out = []
+    for point in points:
+        total = 0
+        for rc in doc.summands:
+            total = (total + reference_eval(rc.circuit, point, prime)) % prime
+        out.append(total * doc.sign % prime)
+    return out
+
+
+def outcome(evaluate, doc, points, prime):
+    try:
+        return "ok", evaluate(doc, points, prime)
+    except MissingAssignment as exc:
+        return MissingAssignment, str(exc)
+
+
+class SubAdd(Add):
+    __slots__ = ()
+
+
+class SubMul(Mul):
+    __slots__ = ()
+
+
+big_ints = st.one_of(
+    st.integers(-3 * PRIME, 3 * PRIME),
+    st.sampled_from((-1, 0, 1, PRIME - 1, PRIME, PRIME + 1, -PRIME, 2 * PRIME)),
+)
+
+
+@st.composite
+def regular_summands(draw, n):
+    sigma = tuple(draw(st.permutations(range(1, n + 1))))
+    budget = draw(st.integers(2 * n - 1, 60))
+    return random_regular_circuit(GenConfig(n=n, seed=draw(seeds), size_budget=budget), sigma)
+
+
+@st.composite
+def det_summands(draw, n):
+    k = draw(st.integers(1, min(3, math.factorial(n))))
+    seed = draw(seeds)
+    return det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed).summands
+
+
+@st.composite
+def dags(draw, n):
+    """Any DAG of leaves and gates, set-multilinear or not: big and negative
+    constants, Add/Mul subclass nodes, and few enough choices that equal
+    subtrees recur."""
+    nodes = []
+    for vid in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(("const", "var", "gate") if vid else ("const", "var")))
+        if kind == "const":
+            nodes.append(ConstLeaf(draw(big_ints)))
+        elif kind == "var":
+            nodes.append(VarLeaf(draw(st.integers(1, n)), draw(st.integers(1, n))))
+        else:
+            gate = draw(st.sampled_from((Add, Mul, SubAdd, SubMul)))
+            refs = st.integers(max(0, vid - 4), vid - 1)
+            nodes.append(gate(draw(refs), draw(refs)))
+    return Circuit(n, tuple(nodes), draw(st.integers(0, len(nodes) - 1)))
+
+
+def duplicated(draw, circuit):
+    """The same polynomial with every node stored twice; each gate reads
+    either copy of each child, so structurally equal nodes abound."""
+    nodes = []
+    for node in circuit.nodes:
+        if isinstance(node, (Add, Mul)):
+            left = 2 * node.left + draw(st.integers(0, 1))
+            right = 2 * node.right + draw(st.integers(0, 1))
+            node = type(node)(left, right)
+        nodes.extend((node, node))
+    return Circuit(circuit.n, tuple(nodes), 2 * circuit.root + draw(st.integers(0, 1)))
+
+
+@st.composite
+def docs(draw):
+    """A circuit or a bouquet of either sign, over an n-row grid."""
+    n = draw(st.integers(1, 4))
+    source = draw(st.sampled_from(("random", "det", "dag")))
+    if source == "random":
+        summands = [draw(regular_summands(n)) for _ in range(draw(st.integers(1, 3)))]
+        circuits = [rc.circuit for rc in summands]
+    elif source == "det":
+        summands = draw(det_summands(n))
+        circuits = [rc.circuit for rc in summands]
+    else:
+        circuits = [draw(dags(n)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        circuits = [duplicated(draw, c) for c in circuits]
+    if draw(st.booleans()):
+        return circuits[0]
+    sign = draw(st.sampled_from((1, -1)))
+    # regularity plays no part in evaluation, so a DAG is wrapped unchecked
+    identity = tuple(range(1, n + 1))
+    return Bouquet(n, tuple(RegularCircuit(c, identity, 0) for c in circuits), sign)
+
+
+def grid(n):
+    return [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+
+
+@st.composite
+def points_for(draw, n, drop=False):
+    """Between 0 and 4 points over the whole grid, with values out of [0, prime)
+    too; with drop, one variable is missing from one point."""
+    keys = grid(n)
+    points = [
+        {key: draw(big_ints) for key in keys} for _ in range(draw(st.integers(0, 4)))
+    ]
+    if drop and points:
+        del draw(st.sampled_from(points))[draw(st.sampled_from(keys))]
+    return points
+
+
+primes = st.sampled_from((PRIME, 101, 2))
+
+
+@props
+@given(st.data())
+def test_eval_points_matches_reference(data):
+    doc = data.draw(docs())
+    points = data.draw(points_for(doc.n))
+    prime = data.draw(primes)
+    got = eval_points(doc, points, prime)
+    assert got == reference_points(doc, points, prime)
+    if isinstance(doc, Circuit):
+        assert [eval_circuit(doc, p, prime) for p in points] == got
+    else:
+        assert [eval_bouquet(doc, p, prime) for p in points] == got
+
+
+@props
+@given(st.data())
+def test_missing_variable_names_the_same_leaf(data):
+    doc = data.draw(docs())
+    points = data.draw(points_for(doc.n, drop=True))
+    prime = data.draw(primes)
+    assert outcome(eval_points, doc, points, prime) == outcome(
+        reference_points, doc, points, prime
+    )
+
+
+def _structure(circuit):
+    # structural key of every node: equal keys compute the same polynomial
+    keys = []
+    for node in circuit.nodes:
+        if isinstance(node, ConstLeaf):
+            keys.append(("const", node.value))
+        elif isinstance(node, VarLeaf):
+            keys.append(("var", node.row, node.col))
+        else:
+            keys.append((type(node).__name__, keys[node.left], keys[node.right]))
+    return keys
+
+
+def _rewire_a_twin(rc):
+    """rc with the right child of the later of two structurally equal Mul
+    nodes replaced by another node of the same index set, so the two differ
+    in one operand and the circuit stays regular; None if it has no twins."""
+    circuit = rc.circuit
+    keys = _structure(circuit)
+    sets = validate(circuit)
+    first = set()
+    for vid, node in enumerate(circuit.nodes):
+        if type(node) is not Mul:
+            continue
+        if keys[vid] not in first:
+            first.add(keys[vid])
+            continue
+        for other in range(vid):
+            if sets[other] == sets[node.right] and keys[other] != keys[node.right]:
+                nodes = list(circuit.nodes)
+                nodes[vid] = Mul(node.left, other)
+                return regular(Circuit(circuit.n, tuple(nodes), circuit.root), rc.sigma)
+    return None
+
+
+def test_value_numbering_keeps_rewired_twins_apart():
+    n = 4
+    b = det_bouquet(n, [(1, 2, 3, 4), (4, 2, 3, 1)], 3)
+    rewired = _rewire_a_twin(b.summands[1])
+    assert rewired is not None
+    broken = Bouquet(n, (b.summands[0], rewired), b.sign)
+    assert expand_bouquet(broken).terms != reference_det(n).terms
+    with pytest.raises(VerificationFailed) as info:
+        reduce_to_single(broken, verify="random", seed=0)
+    assert info.value.step == 0

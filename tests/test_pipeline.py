@@ -193,6 +193,17 @@ def test_reduce_rejects_unknown_verify_mode():
         reduce_to_single(b, verify="sometimes")
 
 
+@pytest.mark.parametrize("verify", ["random", "exact"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_reduce_rejects_checks_without_trials(verify, trials):
+    # zero trials would record ok verdicts having evaluated nothing
+    b = det_bouquet(3, [(1, 2, 3), (3, 2, 1)], seed=10)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        reduce_to_single(b, verify=verify, trials=trials)
+    _, tr = reduce_to_single(b, verify="off", trials=trials)
+    assert tr.trials == trials
+
+
 def test_reduce_exact_verify_with_tiny_budget():
     from smlc.pipeline import OracleBudgetExceeded
 
