@@ -1,4 +1,4 @@
-"""Set-multilinear circuit IR: typing validation and interval (regularity) checking.
+"""Set-multilinear circuit IR and its one typing and regularity checker.
 
 A circuit is an immutable DAG over an n-row variable grid x[r,c], r,c in 1..n.
 Row r is the partition class of x[r,c]: every monomial of a set-multilinear
@@ -14,15 +14,12 @@ their union.
 Regularity against a permutation sigma of [1..n] strengthens typing: every
 index set must be a contiguous interval of the order (sigma(1),...,sigma(n)),
 and the left factor of every product must sit immediately before the right
-factor.  `infer_order` computes the unique interval assignment or reports the
-first gate that breaks it.
+factor.
 
-`regular` is the check at trust boundaries (parsing, the generators,
-`project`).  It runs one left-to-right sweep over plain ints, with no index
-sets and no `Interval` objects, and keeps only sigma and the degree.  Only a
-circuit that the sweep rejects goes through `infer_order`, whose typed error
-names the offending gate, so typing errors anywhere still come before
-regularity errors.
+One left-to-right sweep, `_sweep`, checks both on int bitmasks in position
+space, typing errors anywhere before regularity errors.  `validate`,
+`infer_order`, `regular` (the check at trust boundaries: parsing, the
+generators, `project`) and `stats` are views over it.
 """
 
 from __future__ import annotations
@@ -155,10 +152,6 @@ class Interval:
     start: int
     length: int
 
-    @property
-    def end(self) -> int:
-        return self.start + self.length - 1
-
 
 @dataclass(frozen=True, slots=True)
 class OrderAssignment:
@@ -223,185 +216,150 @@ class CircuitStats:
     degree: int
 
 
+_KINDS = frozenset((ConstLeaf, VarLeaf, Add, Mul))
+
+
+def _kind(node) -> type:
+    # a subclass of a node class counts as it; any other object as a Mul
+    for kind in (ConstLeaf, VarLeaf, Add):
+        if isinstance(node, kind):
+            return kind
+    return Mul
+
+
+def _bits(mask: int) -> list[int]:
+    """0-based indices of the set bits of `mask`, low to high."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
+    """Check typing, and regularity w.r.t. sigma if it is given; return each node's mask.
+
+    Bit p-1 of a mask stands for position p of sigma, or for row p when sigma
+    is None or not a permutation.  A typing error raises at once, at the first
+    offending node in id order; the first product whose non-empty factors are
+    not adjacent left-then-right is only recorded, so that a typing error
+    anywhere, and then a sigma that is not a permutation, come first.
+    """
+    n, nodes, root = circuit.n, circuit.nodes, circuit.root
+    if n < 1:
+        raise CircuitError(f"grid size must be positive, got {n}")
+    if not (0 <= root < len(nodes)):
+        raise BadChildRef(root, root)
+    # row -> bit index under sigma; without one, row r is bit r-1 (no table,
+    # so a check without an order costs nothing per row of the grid)
+    shift = None
+    if sigma is not None and all(isinstance(row, int) for row in sigma):
+        if sorted(sigma) == list(range(1, n + 1)):
+            shift = [0] * (n + 1)
+            for p, row in enumerate(sigma):
+                shift[row] = p
+
+    masks: list[int] = []
+    append = masks.append
+    bad = None  # first irregular product
+    for vid, node in enumerate(nodes):
+        kind = type(node)
+        # products and sums are most nodes: spare them the set lookup
+        if kind is not Mul and kind is not Add and kind not in _KINDS:
+            kind = _kind(node)
+        if kind is Mul:
+            left, right = node.left, node.right
+            if not (0 <= left < vid and 0 <= right < vid):
+                raise BadChildRef(vid, right if 0 <= left < vid else left)
+            lm, rm = masks[left], masks[right]
+            if lm & rm:
+                raise MulOverlap(vid)
+            # every earlier mask is contiguous until the first bad product
+            if not (lm << 1 & rm) and lm and rm and bad is None:
+                bad = vid
+            append(lm | rm)
+        elif kind is Add:
+            left, right = node.left, node.right
+            if not (0 <= left < vid and 0 <= right < vid):
+                raise BadChildRef(vid, right if 0 <= left < vid else left)
+            lm = masks[left]
+            if lm != masks[right]:
+                raise AddMismatch(vid)
+            append(lm)
+        elif kind is VarLeaf:
+            row, col = node.row, node.col
+            ints = isinstance(row, int) and isinstance(col, int)
+            if not (ints and 1 <= row <= n and 1 <= col <= n):
+                raise VariableOutOfRange(vid, row, col, n)
+            append(1 << (row - 1 if shift is None else shift[row]))
+        else:
+            append(0)
+
+    if sigma is None:
+        return masks
+    if shift is None:
+        raise CircuitError(f"sigma {sigma} is not a permutation of [1..{n}]")
+    if bad is not None:
+        node = nodes[bad]
+        lm, rm = masks[node.left], masks[node.right]
+        if rm << 1 & lm:
+            raise WrongAdjacency(bad)
+        raise NotContiguous(bad, frozenset(sigma[p] for p in _bits(lm | rm)))
+    return masks
+
+
+def _per_mask(masks: list[int], view) -> tuple:
+    """`view(mask)` for every mask, computed once per distinct mask."""
+    table = {mask: view(mask) for mask in set(masks)}
+    return tuple(map(table.__getitem__, masks))
+
+
 def validate(circuit: Circuit) -> tuple[frozenset[int], ...]:
     """Check set-multilinear typing and return the index set of every node.
 
     Raises BadChildRef / VariableOutOfRange / AddMismatch / MulOverlap on the
     first offending node in id order; a variable whose row or col is not an
-    int (a float 1.0 included) is out of range.  Deterministic: the same
-    circuit always yields the same assignment.
+    int (a float 1.0 included) is out of range.  Each distinct row mask of the
+    sweep becomes one frozenset.
     """
-    n = circuit.n
-    if n < 1:
-        raise CircuitError(f"grid size must be positive, got {n}")
-    if not (0 <= circuit.root < len(circuit.nodes)):
-        raise BadChildRef(circuit.root, circuit.root)
-
-    sets: list[frozenset[int]] = []
-    for vid, node in enumerate(circuit.nodes):
-        if isinstance(node, ConstLeaf):
-            sets.append(frozenset())
-        elif isinstance(node, VarLeaf):
-            row, col = node.row, node.col
-            if not (isinstance(row, int) and isinstance(col, int)) or not (
-                1 <= row <= n and 1 <= col <= n
-            ):
-                raise VariableOutOfRange(vid, row, col, n)
-            sets.append(frozenset((node.row,)))
-        else:
-            for ref in (node.left, node.right):
-                if not (0 <= ref < vid):
-                    raise BadChildRef(vid, ref)
-            left, right = sets[node.left], sets[node.right]
-            if isinstance(node, Add):
-                if left != right:
-                    raise AddMismatch(vid)
-                sets.append(left)
-            else:
-                if left & right:
-                    raise MulOverlap(vid)
-                sets.append(left | right)
-    return tuple(sets)
+    return _per_mask(_sweep(circuit, None), lambda mask: frozenset(p + 1 for p in _bits(mask)))
 
 
 def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> OrderAssignment:
     """Compute the unique interval assignment w.r.t. sigma, or fail.
 
     sigma is given as 1-based images (sigma[p-1] is the row at position p).
-    Propagates intervals bottom-up: a product's children must occupy adjacent
-    position runs with the left child first; an addition inherits its
-    children's common interval.  Raises NotContiguous / WrongAdjacency at the
-    first offending gate; a sigma with an entry that is not an int is not a
-    permutation.
+    Typing errors come first, then a sigma that is not a permutation (an entry
+    that is not an int included), then NotContiguous / WrongAdjacency at the
+    first product whose factors are not adjacent runs, left child first.  A
+    node's interval is the lowest set bit and the bit count of its mask.
     """
-    sets = validate(circuit)
-    n = circuit.n
     sigma = tuple(sigma)
-    if not all(isinstance(row, int) for row in sigma) or sorted(sigma) != list(range(1, n + 1)):
-        raise CircuitError(f"sigma {sigma} is not a permutation of [1..{n}]")
-    position = {row: p for p, row in enumerate(sigma, start=1)}
-
-    intervals: list[Interval | None] = []
-    for vid, node in enumerate(circuit.nodes):
-        if isinstance(node, ConstLeaf):
-            intervals.append(None)
-        elif isinstance(node, VarLeaf):
-            intervals.append(Interval(position[node.row], 1))
-        elif isinstance(node, Add):
-            # validate() guarantees equal child sets, hence equal intervals
-            intervals.append(intervals[node.left])
-        else:
-            li, ri = intervals[node.left], intervals[node.right]
-            if li is None:
-                intervals.append(ri)
-            elif ri is None:
-                intervals.append(li)
-            elif li.end + 1 == ri.start:
-                intervals.append(Interval(li.start, li.length + ri.length))
-            elif ri.end + 1 == li.start:
-                raise WrongAdjacency(vid)
-            else:
-                raise NotContiguous(vid, sets[vid])
-    return OrderAssignment(sigma, tuple(intervals))
-
-
-def _interval_sweep(circuit: Circuit, sigma: tuple[int, ...]) -> int | None:
-    """Degree of `circuit` if it is regular w.r.t. sigma with a prefix root, else None.
-
-    One left-to-right pass over plain ints: node v covers positions
-    start[v]..end[v] of the order, and start 0 is the empty interval.  Once
-    every interval is contiguous, equal intervals mean equal index sets and
-    adjacent ones are disjoint, so this accepts exactly what `validate`,
-    `infer_order` and the root check accept.
-    """
-    n, nodes, root = circuit.n, circuit.nodes, circuit.root
-    if n < 1 or not 0 <= root < len(nodes) or len(sigma) != n:
-        return None
-    position = [0] * (n + 1)
-    for p, row in enumerate(sigma, start=1):
-        if not 0 < row <= n or position[row]:
-            return None
-        position[row] = p
-
-    start: list[int] = []
-    end: list[int] = []
-    for vid, node in enumerate(nodes):
-        kind = type(node)
-        if kind is Mul:
-            left, right = node.left, node.right
-            if not (0 <= left < vid and 0 <= right < vid):
-                return None
-            s, e = start[left], end[left]
-            rs = start[right]
-            if not s:
-                s, e = rs, end[right]
-            elif rs:
-                if e + 1 != rs:
-                    return None
-                e = end[right]
-        elif kind is Add:
-            left, right = node.left, node.right
-            if not (0 <= left < vid and 0 <= right < vid):
-                return None
-            s, e = start[left], end[left]
-            if s != start[right] or e != end[right]:
-                return None
-        elif kind is VarLeaf:
-            # a non-int row fails the position lookup; a col is never looked
-            # up, so one that is not exactly an int is left to infer_order
-            col = node.col
-            if not (0 < node.row <= n and 0 < col <= n) or type(col) is not int:
-                return None
-            s = e = position[node.row]
-        elif kind is ConstLeaf:
-            s = e = 0
-        else:
-            return None
-        start.append(s)
-        end.append(e)
-    if not start[root]:
-        return 0
-    return end[root] if start[root] == 1 else None
+    masks = _sweep(circuit, sigma)
+    return OrderAssignment(
+        sigma,
+        _per_mask(masks, lambda m: Interval((m & -m).bit_length(), m.bit_count()) if m else None),
+    )
 
 
 def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
     """Check that a circuit is regular w.r.t. sigma and wrap it.
 
-    On top of typing and interval inference this checks the root invariant:
-    a regular circuit of degree d covers positions 1..d (a prefix of the
-    order).  Only sigma and d are kept.  The check is one int-only sweep
-    (`_interval_sweep`).  Only when it rejects does `infer_order` run on the
-    same input: it raises the typed error that names the first offending
-    gate, typing errors anywhere before regularity errors, and what it still
-    accepts (a node of a subclass, or an int-subclass field) is wrapped as
-    before.  A row, col or sigma entry that is not an int is rejected.
+    After `infer_order`'s checks this checks the root invariant: a regular
+    circuit of degree d covers positions 1..d (a prefix of the order), so its
+    root mask is 2^d - 1.  Only sigma and d are kept.
     """
-    try:
-        sigma = tuple(sigma)
-        degree = _interval_sweep(circuit, sigma)
-    except TypeError:  # a field that is not an int; infer_order reports it
-        degree = None
-    if degree is not None:
-        return RegularCircuit(circuit, sigma, degree)
-    order = infer_order(circuit, sigma)
-    root_iv = order.intervals[circuit.root]
-    if root_iv is not None and root_iv.start != 1:
-        raise RootNotPrefix(root_iv.start, root_iv.length)
-    return RegularCircuit(circuit, order.sigma, 0 if root_iv is None else root_iv.length)
+    sigma = tuple(sigma)
+    mask = _sweep(circuit, sigma)[circuit.root]
+    if mask & (mask + 1):
+        raise RootNotPrefix((mask & -mask).bit_length(), mask.bit_count())
+    return RegularCircuit(circuit, sigma, mask.bit_count())
 
 
 def stats(circuit: Circuit) -> CircuitStats:
     """Size (all nodes), depth (edges on the longest leaf-to-root path), degree."""
-    sets = validate(circuit)
+    degree = _sweep(circuit, None)[circuit.root].bit_count()
     depths = [0] * len(circuit.nodes)
     for vid, node in enumerate(circuit.nodes):
         if isinstance(node, (Add, Mul)):
             depths[vid] = 1 + max(depths[node.left], depths[node.right])
-    return CircuitStats(
-        size=len(circuit.nodes),
-        depth=depths[circuit.root],
-        degree=len(sets[circuit.root]),
-    )
+    return CircuitStats(size=len(circuit.nodes), depth=depths[circuit.root], degree=degree)
 
 
 def gate_count(circuit: Circuit) -> int:

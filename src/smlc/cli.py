@@ -193,6 +193,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_eval(args) -> int:
     circuit = _read_circuit()
+    validate(circuit)
     point = trial_point(variables_of(circuit), args.seed, 0)
     value = eval_circuit(circuit, point)
     return _emit(

@@ -16,7 +16,8 @@ documents written without it parse fine.
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
 are decimal strings so readers never face integer-width surprises.  Parsing a
-bouquet also checks every summand with `regular` against its sigma.
+bouquet also checks that every summand is over the bouquet's grid, then runs
+`regular` on it against its sigma.
 
 The node loop tests each field with `type(value) is int` (or `str`) and calls
 `_require` only when that test fails, so a malformed document gets the same
@@ -163,6 +164,8 @@ def bouquet_from_obj(obj: Any) -> Bouquet:
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in sigma):
             raise ParseError(f"summand {idx}: sigma must be a list of ints")
         circuit = circuit_from_obj(_require(raw, "circuit", dict))
+        if circuit.n != n:
+            raise ParseError(f"summand {idx}: grid size {circuit.n} does not match bouquet n={n}")
         # regularity is a domain property, not a schema property: let
         # CircuitError propagate to the caller untouched
         summands.append(regular(circuit, tuple(sigma)))
