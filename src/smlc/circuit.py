@@ -18,8 +18,9 @@ factor.
 
 One left-to-right sweep, `_sweep`, checks both on int bitmasks in position
 space, typing errors anywhere before regularity errors.  `validate`,
-`infer_order`, `regular` (the check at trust boundaries: parsing, the
-generators, `project`) and `stats` are views over it.
+`infer_order`, `regular` (the check at trust boundaries: parsing and the
+generators) and `stats` are views over it.  Like the sweep, every walker here
+counts any node that is not a ConstLeaf or VarLeaf as a gate.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ class CircuitStats:
 
 
 _KINDS = frozenset((ConstLeaf, VarLeaf, Add, Mul))
+_LEAVES = (ConstLeaf, VarLeaf)
 
 
 def _kind(node) -> type:
@@ -357,7 +359,7 @@ def stats(circuit: Circuit) -> CircuitStats:
     degree = _sweep(circuit, None)[circuit.root].bit_count()
     depths = [0] * len(circuit.nodes)
     for vid, node in enumerate(circuit.nodes):
-        if isinstance(node, (Add, Mul)):
+        if not isinstance(node, _LEAVES):
             depths[vid] = 1 + max(depths[node.left], depths[node.right])
     return CircuitStats(size=len(circuit.nodes), depth=depths[circuit.root], degree=degree)
 
@@ -369,7 +371,7 @@ def gate_count(circuit: Circuit) -> int:
     sign factor costs one product gate (its constant leaf is not counted), and
     joining two summands costs one addition gate.
     """
-    return sum(1 for node in circuit.nodes if isinstance(node, (Add, Mul)))
+    return sum(1 for node in circuit.nodes if not isinstance(node, _LEAVES))
 
 
 def bouquet_gate_count(bouquet: Bouquet) -> int:

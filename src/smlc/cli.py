@@ -34,7 +34,7 @@ from .generators import (
     distinct_perms,
 )
 from .passes import PassError, compose, drop_last_index, merge_summands, project, reverse
-from .pipeline import OracleBudgetExceeded, VerificationFailed, reduce_to_single
+from .pipeline import VerificationFailed, reduce_to_single
 from .poly import (
     DEFAULT_TERM_BUDGET,
     DEFAULT_TRIALS,
@@ -63,7 +63,6 @@ _DOMAIN_ERRORS = (
     PassError,
     OracleError,
     NeedAtLeastOneTermPerBucket,
-    OracleBudgetExceeded,
     ValueError,
 )
 
@@ -166,11 +165,7 @@ def _cmd_droplast(args) -> int:
 def _cmd_reduce(args) -> int:
     b = _read_bouquet()
     single, transcript = reduce_to_single(
-        b,
-        verify=args.verify,
-        seed=args.seed,
-        trials=args.trials,
-        term_budget=args.term_budget,
+        b, verify=args.verify, seed=args.seed, trials=args.trials
     )
     if args.emit_transcript:
         with open(args.emit_transcript, "w", encoding="utf-8") as fh:
@@ -278,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     rd.add_argument("--verify", choices=("off", "random", "exact"), default="exact")
     rd.add_argument("--seed", type=int, default=0)
     rd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    rd.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET)
     rd.add_argument("--emit-transcript", metavar="FILE", default=None)
     rd.set_defaults(func=_cmd_reduce)
 

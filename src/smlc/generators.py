@@ -30,7 +30,6 @@ from .circuit import (
 )
 from .poly import (
     REFERENCE_MAX_N,
-    NotAPermutation,
     TooLarge,
     check_permutation,
     random_perm,
@@ -67,13 +66,10 @@ class GenConfig:
     n: int
     seed: int
     size_budget: int
-    k: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if self.size_budget < 2 * self.n - 1:
             raise ValueError(f"size_budget must be >= {2 * self.n - 1}")
 
@@ -146,9 +142,7 @@ def det_regular_circuit(n: int, sigma: Iterable[int]) -> RegularCircuit:
     _check_grid(n)
     if n > REFERENCE_MAX_N:
         raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
-    sigma = check_permutation(sigma)
-    if len(sigma) != n:
-        raise NotAPermutation(sigma)
+    sigma = check_permutation(sigma, n)
     perms = list(itertools.permutations(range(1, n + 1)))
     return _det_terms_circuit(n, sigma, perms)
 
@@ -177,7 +171,7 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     _check_grid(n)
     if n > REFERENCE_MAX_N:
         raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
-    sigmas = [check_permutation(s) for s in sigmas]
+    sigmas = [check_permutation(s, n) for s in sigmas]
     if not sigmas:
         raise ValueError("det_bouquet needs at least one summand order in sigmas")
     if math.factorial(n) < len(sigmas):
@@ -207,7 +201,7 @@ def sparse_term_bouquet(
     full determinant would be astronomically large.
     """
     _check_grid(n)
-    sigmas = [check_permutation(s) for s in sigmas]
+    sigmas = [check_permutation(s, n) for s in sigmas]
     rng = random.Random(seed)
     sample: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -251,9 +245,7 @@ def random_regular_circuit(config: GenConfig, sigma: Iterable[int]) -> RegularCi
     product of one variable per row.  Expanded term counts are capped so the
     exact oracle can always afford the result.
     """
-    sigma = check_permutation(sigma)
-    if len(sigma) != config.n:
-        raise NotAPermutation(sigma)
+    sigma = check_permutation(sigma, config.n)
     rng = random.Random(config.seed)
     b = _Builder(config.n)
 

@@ -2,13 +2,12 @@
 
 All passes are pure: they rebuild node lists and never mutate their inputs.
 Regularity is checked where circuits enter (parsing and the generators), not
-after every pass.  compose, reverse and merge_summands preserve it by
-construction and carry the input's (sigma, degree) over: compose moves no
-position, reverse mirrors every interval (a full-degree root stays a prefix),
-and a join adds one Add over two prefixes of one order, well typed exactly
-when the degrees agree.  `project` alone re-infers: constant folding rebuilds
-the node list, so its result goes through `regular`, and a failure surfaces
-as OrderIncompatible.
+after every pass.  Every pass preserves it by construction and carries a
+(sigma, degree) over without re-inferring: compose moves no position, reverse
+mirrors every interval (a full-degree root stays a prefix), a join adds one
+Add over two prefixes of one order, well typed exactly when the degrees
+agree, and `project` keeps the induced order by the folding lemma (see
+`project`).
 
 The passes:
 
@@ -38,17 +37,14 @@ from .circuit import (
     AddMismatch,
     Bouquet,
     Circuit,
-    CircuitError,
     ConstLeaf,
     Mul,
     Node,
     RegularCircuit,
     RootNotPrefix,
     VarLeaf,
-    regular,
 )
 from .poly import (
-    NotAPermutation,
     check_permutation,
     compose_perms,
     identity_perm,
@@ -61,7 +57,6 @@ __all__ = [
     "PassError",
     "DuplicateEntries",
     "EmptyKeepSet",
-    "OrderIncompatible",
     "DegreeTooSmall",
     "reverse",
     "compose",
@@ -86,14 +81,6 @@ class DuplicateEntries(PassError):
 class EmptyKeepSet(PassError):
     def __init__(self):
         super().__init__("projection needs a non-empty keep set")
-
-
-class OrderIncompatible(PassError):
-    """A projected summand failed regularity re-inference.
-
-    Unreachable when the input bouquet is well formed; raised to surface
-    pipeline bugs instead of silently propagating a corrupt circuit.
-    """
 
 
 class DegreeTooSmall(PassError):
@@ -140,9 +127,7 @@ def compose(bouquet: Bouquet, tau: Iterable[int]) -> Bouquet:
     arbitrary polynomials it is NOT value-preserving (it genuinely permutes
     monomials), which is exactly why the determinant contract matters.
     """
-    tau = check_permutation(tau)
-    if len(tau) != bouquet.n:
-        raise NotAPermutation(tau)
+    tau = check_permutation(tau, bouquet.n)
     if tau == identity_perm(bouquet.n):
         return bouquet
 
@@ -245,7 +230,8 @@ def _substitute_and_fold(
     variables with a dropped column become 0.  Folding keeps the result
     well typed: products with a 0 factor collapse, unit factors disappear,
     constant-only gates fold, and a dead (zero) branch of an addition is
-    dropped.  Node counts never grow.
+    dropped.  Node counts never grow.  On well-typed input an addition never
+    meets a nonzero constant beside a live branch (see `project`).
     """
     nodes: list[Node] = []
     const_ids: dict[int, int] = {}
@@ -282,13 +268,6 @@ def _substitute_and_fold(
                 desc.append((_REF, rv))
             elif rt == _CONST and rv == 0:
                 desc.append((_REF, lv))
-            elif lt == _CONST or rt == _CONST:
-                # nonzero constant next to a live branch cannot happen for a
-                # well-typed input; materialize and let regularity re-checking
-                # reject it
-                left = emit_const(lv) if lt == _CONST else lv
-                right = emit_const(rv) if rt == _CONST else rv
-                desc.append((_REF, emit(Add(left, right))))
             else:
                 desc.append((_REF, emit(Add(lv, rv))))
         else:
@@ -320,8 +299,15 @@ def project(bouquet: Bouquet, keep: Iterable[int]) -> Bouquet:
     For every dropped index j the substitution fixes x[j,j]=1 and zeroes the
     rest of row and column j; the j-th smallest kept index is then renamed to
     j.  On a degree-m determinant bouquet the result computes the determinant
-    of the kept principal submatrix, renamed to degree |keep|.  Each summand
-    comes back regular w.r.t. its order restricted to the kept values.
+    of the kept principal submatrix, renamed to degree |keep|.
+
+    Each summand comes back regular w.r.t. its order restricted to the kept
+    values, by construction (the folding lemma): a node that covers a kept
+    row folds to a reference or to 0, and an addition's children cover equal
+    rows, so no addition meets a nonzero constant, and a surviving root covers
+    exactly the kept rows among sigma's first `degree` positions, which is a
+    prefix of the induced order.  The new degree is their count, or 0 when
+    the root folds to a constant; nothing is re-inferred.
     """
     keep_list = sorted(set(keep))
     if not keep_list:
@@ -333,15 +319,12 @@ def project(bouquet: Bouquet, keep: Iterable[int]) -> Bouquet:
     new_n = len(keep_list)
 
     summands = []
-    for idx, rc in enumerate(bouquet.summands):
+    for rc in bouquet.summands:
         projected = _substitute_and_fold(rc.circuit, keep_set, rank, new_n)
         induced = tuple(rank[v] for v in rc.sigma if v in keep_set)
-        try:
-            summands.append(regular(projected, induced))
-        except CircuitError as exc:
-            raise OrderIncompatible(
-                f"summand {idx} lost regularity under keep set {keep_list}: {exc}"
-            ) from exc
+        live = not isinstance(projected.nodes[projected.root], ConstLeaf)
+        degree = len(keep_set.intersection(rc.sigma[: rc.degree])) if live else 0
+        summands.append(RegularCircuit(projected, induced, degree))
     return Bouquet(new_n, tuple(summands), bouquet.sign)
 
 

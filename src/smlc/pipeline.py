@@ -17,9 +17,12 @@ the current degree d: exactly (term-by-term expansion against the reference
 polynomial) up to degree 6 under verify="exact", and otherwise by seeded
 random evaluation, comparing the bouquet's value at each trial point with the
 determinant of that point's d x d matrix computed by elimination mod PRIME
-(`det_mod`), which works at every degree.  The bouquet is evaluated at all of
-a step's trial points in one `eval_points` call, which compiles each summand
-once and sweeps it once per point; the values are compared in trial order.
+(`det_mod`), which works at every degree.  The exact tier expands the
+already regular summands without validating them again, and needs no term
+budget: at d <= 6 no node has more than 6^6 = 46,656 terms.  The bouquet is
+evaluated at all of a step's trial points in one `eval_points` call, which
+compiles each summand once and sweeps it once per point; the values are
+compared in trial order.
 A failed check raises VerificationFailed: some pass broke semantics, the
 strongest possible error.  With verification on, at least one trial is
 required, so no verdict can be recorded ok without an evaluation.
@@ -58,8 +61,6 @@ from .passes import (
     reverse,
 )
 from .poly import (
-    BudgetExceeded,
-    DEFAULT_TERM_BUDGET,
     DEFAULT_TRIALS,
     PRIME,
     det_mod,
@@ -76,14 +77,16 @@ __all__ = [
     "Transcript",
     "TrimResult",
     "VerificationFailed",
-    "OracleBudgetExceeded",
     "normalize_first",
     "reduce_to_single",
     "trim_even",
     "ceil_sqrt",
 ]
 
-EXACT_VERIFY_MAX = 6  # factorial oracle ceiling for exact per-step checks
+# factorial oracle ceiling for exact per-step checks; on a d-row grid a node
+# over s rows has at most d^s terms, so no node or product of two nodes here
+# exceeds 6^6 = 46,656 terms, far below DEFAULT_TERM_BUDGET = 10^6
+EXACT_VERIFY_MAX = 6
 
 
 class VerificationFailed(Exception):
@@ -92,10 +95,6 @@ class VerificationFailed(Exception):
     def __init__(self, step: int, detail: str):
         super().__init__(f"verification failed after step {step}: {detail}")
         self.step = step
-
-
-class OracleBudgetExceeded(Exception):
-    """Exact verification was requested on an instance too large to expand."""
 
 
 @dataclass(frozen=True)
@@ -247,17 +246,12 @@ def _verify_step(
     step: int,
     seed: int,
     trials: int,
-    term_budget: int,
 ) -> dict[str, Any]:
     if mode == "off":
         return {"step": step, "mode": "off", "ok": None}
     d = bouquet.n
     if mode == "exact" and d <= EXACT_VERIFY_MAX:
-        try:
-            got = expand_bouquet(bouquet, term_budget)
-        except BudgetExceeded as exc:
-            raise OracleBudgetExceeded(str(exc)) from exc
-        if got.terms != reference_det(d).terms:
+        if expand_bouquet(bouquet).terms != reference_det(d).terms:
             raise VerificationFailed(step, f"expansion differs from degree-{d} determinant")
         return {"step": step, "mode": "exact", "ok": True}
     indices = range(1, d + 1)
@@ -283,7 +277,6 @@ def reduce_to_single(
     verify: str = "exact",
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> tuple[RegularCircuit, Transcript]:
     """Run the full reduction and return the single regular circuit plus transcript.
 
@@ -303,9 +296,7 @@ def reduce_to_single(
 
     cur = bouquet
     steps: list[ReductionStep] = []
-    verdicts: list[dict[str, Any]] = [
-        _verify_step(cur, verify, 0, seed, trials, term_budget)
-    ]
+    verdicts: list[dict[str, Any]] = [_verify_step(cur, verify, 0, seed, trials)]
     iteration = 0
     guarantee = cur.n
 
@@ -335,7 +326,7 @@ def reduce_to_single(
 
         cur = project(cur, kept)
         guarantee = ceil_sqrt(guarantee)
-        verdicts.append(_verify_step(cur, verify, iteration, seed, trials, term_budget))
+        verdicts.append(_verify_step(cur, verify, iteration, seed, trials))
         steps.append(
             ReductionStep(
                 iteration=iteration,

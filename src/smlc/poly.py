@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, VarLeaf, validate, variables_of
+from .circuit import Add, Bouquet, Circuit, ConstLeaf, VarLeaf, validate, variables_of
 
 # Fixed carrier for randomized identity testing.  Degree-d polynomials collide
 # at a uniform random point with probability at most d / PRIME per trial.
@@ -50,8 +50,8 @@ class TooLarge(OracleError):
 
 
 class NotAPermutation(OracleError):
-    def __init__(self, seq):
-        super().__init__(f"{tuple(seq)} is not a permutation of [1..{len(tuple(seq))}]")
+    def __init__(self, seq, n: int):
+        super().__init__(f"{tuple(seq)} is not a permutation of [1..{n}]")
 
 
 class MissingAssignment(OracleError):
@@ -63,16 +63,18 @@ class MissingAssignment(OracleError):
 # Permutations (1-based image tuples: pi[p-1] is the image of p)
 # ---------------------------------------------------------------------------
 
-def check_permutation(pi: Iterable[int]) -> tuple[int, ...]:
+def check_permutation(pi: Iterable[int], n: int) -> tuple[int, ...]:
+    """pi as a tuple, if it is a permutation of [1..n]; else NotAPermutation."""
     pi = tuple(pi)
-    if sorted(pi) != list(range(1, len(pi) + 1)):
-        raise NotAPermutation(pi)
+    if len(pi) != n or sorted(pi) != list(range(1, n + 1)):
+        raise NotAPermutation(pi, n)
     return pi
 
 
 def sign_of_permutation(pi: Iterable[int]) -> int:
     """Parity of pi: +1 for even, -1 for odd, via cycle decomposition."""
-    pi = check_permutation(pi)
+    pi = tuple(pi)
+    check_permutation(pi, len(pi))
     seen = [False] * len(pi)
     transpositions = 0
     for start in range(len(pi)):
@@ -233,12 +235,18 @@ def expand(circuit: Circuit, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePo
     Intermediate polynomials are dropped (and their dicts reused) at their
     last reference, so long addition chains accumulate in linear rather than
     quadratic time and peak memory stays proportional to the live frontier.
+    The circuit comes from outside and is validated first.
     """
     validate(circuit)
+    return _expand(circuit, term_budget)
+
+
+def _expand(circuit: Circuit, term_budget: int) -> SparsePoly:
+    # expand for circuits known to be well typed; like the sweep, any non-leaf is a gate
     n = circuit.n
     remaining = [0] * len(circuit.nodes)
     for node in circuit.nodes:
-        if isinstance(node, (Add, Mul)):
+        if not isinstance(node, (ConstLeaf, VarLeaf)):
             remaining[node.left] += 1
             remaining[node.right] += 1
     remaining[circuit.root] += 1
@@ -376,10 +384,13 @@ def eval_circuit(circuit: Circuit, assignment: Assignment, prime: int = PRIME) -
 
 
 def expand_bouquet(bouquet: Bouquet, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePoly:
-    """Exact polynomial of the whole bouquet: sign * sum of summand expansions."""
+    """Exact polynomial of the whole bouquet: sign * sum of summand expansions.
+
+    The summands are already regular, so they are not validated again.
+    """
     total = SparsePoly.zero(bouquet.n)
     for rc in bouquet.summands:
-        total = total + expand(rc.circuit, term_budget)
+        total = total + _expand(rc.circuit, term_budget)
     return total.scaled(bouquet.sign)
 
 

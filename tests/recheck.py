@@ -1,8 +1,8 @@
 """Test helper: re-run full regularity inference on a pass output.
 
-`compose`, `reverse` and `merge_summands` build their results from the
-input's (sigma, degree) without calling `regular`.  The tests check that
-claim here instead of in the library.
+`compose`, `reverse`, `merge_summands` and `project` build their results
+from the input's (sigma, degree) without calling `regular`.  The tests check
+that claim here instead of in the library.
 """
 
 from smlc.circuit import regular

@@ -29,7 +29,7 @@ from smlc.circuit import (
     validate,
 )
 from smlc.generators import GenConfig, det_regular_circuit, random_regular_circuit
-from smlc.poly import random_perm
+from smlc.poly import expand, random_perm
 from smlc.serialize import (
     ParseError,
     bouquet_from_obj,
@@ -225,6 +225,26 @@ def test_stats_single_leaf():
 def test_stats_two_leaf_product():
     st = stats(c(2, VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1)))
     assert (st.size, st.depth, st.degree) == (3, 1, 2)
+
+
+class Product:
+    """A gate of no node class: the typing sweep reads it as a product."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+
+def test_walkers_count_any_non_leaf_as_gate():
+    circuit = c(2, VarLeaf(1, 1), VarLeaf(2, 2), Product(0, 1))
+    assert validate(circuit)[2] == frozenset({1, 2})
+    st = stats(circuit)
+    assert (st.size, st.depth, st.degree) == (3, 1, 2)
+    assert gate_count(circuit) == 1
+    # node 2 is shared by a Mul and a Product; counting only the Mul's
+    # reference would free node 2 before the Product reads it
+    x11, x22, x33 = VarLeaf(1, 1), VarLeaf(2, 2), VarLeaf(3, 3)
+    shared = c(3, x11, x22, Mul(0, 1), x33, Mul(2, 3), Product(2, 3), Add(4, 5))
+    assert expand(shared).terms == {((1, 1), (2, 2), (3, 3)): 2}
 
 
 def test_stats_det2_generator():

@@ -137,6 +137,24 @@ def test_domain_error_exits_1():
     assert json.loads(out.stdout)["error"] == "TooLarge"
 
 
+def test_compose_tau_of_wrong_length_exits_1():
+    blob = dumps(bouquet_to_obj(det_bouquet(3, [(1, 2, 3), (3, 1, 2)], seed=1)))
+    out = run(["compose", "--tau", "1,2,3,4"], stdin=blob)
+    assert out.returncode == 1
+    assert json.loads(out.stdout) == {
+        "ok": False,
+        "error": "NotAPermutation",
+        "detail": "(1, 2, 3, 4) is not a permutation of [1..3]",
+    }
+
+
+def test_reduce_has_no_term_budget():
+    # the exact tier cannot reach a term budget, so reduce takes none
+    blob = dumps(bouquet_to_obj(det_bouquet(3, [(1, 2, 3), (3, 1, 2)], seed=1)))
+    out = run(["reduce", "--term-budget", "3"], stdin=blob)
+    assert out.returncode == 2
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -15,7 +15,7 @@ from smlc.generators import (
     random_regular_circuit,
     sparse_term_bouquet,
 )
-from smlc.poly import TooLarge, expand, expand_bouquet, random_perm, reference_det
+from smlc.poly import NotAPermutation, TooLarge, expand, expand_bouquet, random_perm, reference_det
 
 
 def test_det_n1_is_single_leaf():
@@ -155,8 +155,6 @@ def test_genconfig_invariants():
         GenConfig(n=0, seed=0, size_budget=10)
     with pytest.raises(ValueError):
         GenConfig(n=3, seed=0, size_budget=4)
-    with pytest.raises(ValueError):
-        GenConfig(n=3, seed=0, size_budget=9, k=0)
 
 
 def test_sparse_term_bouquet_shape():
@@ -174,3 +172,22 @@ def test_sparse_term_bouquet_shape():
 def test_sparse_term_bouquet_full_sample_is_determinant():
     b = sparse_term_bouquet(3, [(1, 2, 3), (3, 1, 2)], terms=6, seed=1)
     assert expand_bouquet(b).terms == reference_det(3).terms
+
+
+@pytest.mark.parametrize(
+    ("make", "detail"),
+    [
+        (lambda: det_bouquet(3, [(1, 2, 3, 4)], 0), "(1, 2, 3, 4) is not a permutation of [1..3]"),
+        (lambda: sparse_term_bouquet(3, [(1, 2, 3, 4)], 4, 0), "(1, 2, 3, 4) is not a permutation of [1..3]"),
+        (lambda: det_bouquet(4, [(1, 2, 3)], 0), "(1, 2, 3) is not a permutation of [1..4]"),
+        (lambda: det_regular_circuit(3, (1, 2, 3, 4)), "(1, 2, 3, 4) is not a permutation of [1..3]"),
+        (
+            lambda: random_regular_circuit(GenConfig(n=3, seed=0, size_budget=9), (1, 2)),
+            "(1, 2) is not a permutation of [1..3]",
+        ),
+    ],
+)
+def test_order_of_wrong_length_names_the_grid(make, detail):
+    with pytest.raises(NotAPermutation) as err:
+        make()
+    assert str(err.value) == detail

@@ -204,14 +204,6 @@ def test_reduce_rejects_checks_without_trials(verify, trials):
     assert tr.trials == trials
 
 
-def test_reduce_exact_verify_with_tiny_budget():
-    from smlc.pipeline import OracleBudgetExceeded
-
-    b = det_bouquet(4, [(1, 2, 3, 4), (2, 1, 3, 4)], seed=12)
-    with pytest.raises(OracleBudgetExceeded):
-        reduce_to_single(b, verify="exact", seed=0, term_budget=3)
-
-
 def test_trim_even_degrees():
     rc4 = det_regular_circuit(4, (1, 2, 3, 4))
     res = trim_even(rc4)

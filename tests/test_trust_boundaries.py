@@ -1,0 +1,109 @@
+"""Invariants are checked where circuits enter, never inside the reduction.
+
+Generators and the parser run `regular`; every pass carries (sigma, degree)
+over by construction, and the verify tiers trust the summands they are given.
+So `reduce_to_single` runs no typing or regularity sweep at all, and
+`project`'s carried (sigma, degree) must equal what inference would find.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smlc import circuit as circuit_module
+from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular, validate
+from smlc.generators import GenConfig, det_bouquet, distinct_perms, random_regular_circuit
+from smlc.passes import compose, project
+from smlc.pipeline import reduce_to_single
+from smlc.poly import random_perm
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = circuit_module._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(circuit_module, "_sweep", counted)
+    return calls
+
+
+def _det_bouquets():
+    return [
+        det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed)
+        for n, k, seed in ((3, 2, 1), (5, 3, 7), (6, 2, 2))
+    ]
+
+
+def _random_bouquets():
+    rng = random.Random(17)
+    out = []
+    for n, k in ((4, 3), (6, 3), (8, 2)):
+        summands = tuple(
+            random_regular_circuit(
+                GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 80)),
+                random_perm(n, rng),
+            )
+            for _ in range(k)
+        )
+        out.append(Bouquet(n, summands))
+    return out
+
+
+@pytest.mark.parametrize("verify", ["off", "exact", "random"])
+def test_reduce_runs_no_sweep_on_det_bouquets(monkeypatch, verify):
+    inputs = _det_bouquets()
+    calls = _count_sweeps(monkeypatch)
+    singles = [reduce_to_single(b, verify=verify, seed=3, trials=2)[0] for b in inputs]
+    assert calls == []
+    validate(singles[-1].circuit)  # the counter does see a sweep
+    assert len(calls) == 1
+
+
+def test_reduce_runs_no_sweep_on_random_summands(monkeypatch):
+    inputs = _random_bouquets()
+    calls = _count_sweeps(monkeypatch)
+    for b in inputs:
+        reduce_to_single(b, verify="off")
+    assert calls == []
+
+
+@st.composite
+def projections(draw):
+    """A full-degree random summand, sometimes embedded in a larger grid (so
+    its degree is below n and its rows are spread by a relabeling), and a
+    random keep set."""
+    m = draw(st.integers(1, 5))
+    config = GenConfig(n=m, seed=draw(seeds), size_budget=draw(st.integers(2 * m - 1, 60)))
+    rc = random_regular_circuit(config, draw(st.permutations(range(1, m + 1)).map(tuple)))
+    n = m + draw(st.integers(0, 2))
+    if n > m:
+        wide = Circuit(n, rc.circuit.nodes, rc.circuit.root)
+        rc = regular(wide, rc.sigma + tuple(range(m + 1, n + 1)))
+        tau = draw(st.permutations(range(1, n + 1)).map(tuple))
+        rc = compose(Bouquet(n, (rc,)), tau).summands[0]
+    keep = draw(st.sets(st.integers(1, n), min_size=1))
+    return rc, keep
+
+
+def test_project_carries_the_inferred_order_and_degree():
+    folded = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(projections())
+    def check(case):
+        rc, keep = case
+        out = project(Bouquet(rc.circuit.n, (rc,)), keep).summands[0]
+        again = regular(out.circuit, out.sigma)
+        assert (out.sigma, out.degree) == (again.sigma, again.degree)
+        folded.append(isinstance(out.circuit.nodes[out.circuit.root], ConstLeaf))
+
+    check()
+    # both lemma cases occur: roots folded to a constant, and surviving roots
+    assert any(folded) and not all(folded)
