@@ -2,9 +2,17 @@
 
 A circuit is an immutable DAG over an n-row variable grid x[r,c], r,c in 1..n.
 Row r is the partition class of x[r,c]: every monomial of a set-multilinear
-polynomial picks at most one variable per row.  Nodes live in a flat list in
-topological order (children always have smaller ids), so structural passes can
-rebuild circuits with a single left-to-right sweep.
+polynomial picks at most one variable per row.  Nodes live in topological
+order (children always have smaller ids), so every pass is one left-to-right
+sweep.
+
+The representation is flat: `Nodes` holds three parallel tuples `op`, `a`
+and `b`.  Node v is a product or sum (`op[v]` MUL or ADD) of the nodes
+`a[v]` and `b[v]`, the variable x[a[v], b[v]] (VAR), or the constant `a[v]`
+(CONST, with `b[v]` = 0).  The parser, the generators, the checker, the
+passes and the oracles read and write only these arrays.  The node classes
+`ConstLeaf`, `VarLeaf`, `Add` and `Mul` are a view: `Circuit` converts them
+once (`Nodes.of`), and indexing or iterating `circuit.nodes` builds them.
 
 Typing assigns each node v its index set I_v (the set of rows it covers):
 constants cover nothing, a variable leaf covers its row, addition requires
@@ -19,15 +27,18 @@ factor.
 One left-to-right sweep, `_sweep`, checks both on int bitmasks in position
 space, typing errors anywhere before regularity errors.  `validate`,
 `infer_order`, `regular` (the check at trust boundaries: parsing and the
-generators) and `stats` are views over it.  Like the sweep, every walker here
-counts any node that is not a ConstLeaf or VarLeaf as a gate.
+generators) and `stats` are views over it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
+    "MUL", "ADD", "VAR", "CONST",  # opcodes
+    "Nodes",
+    "Builder",
     "ConstLeaf",
     "VarLeaf",
     "Add",
@@ -136,14 +147,107 @@ class Mul:
 
 Node = ConstLeaf | VarLeaf | Add | Mul
 
+# opcodes of the flat representation; the gates come first, so `op < VAR`
+# holds exactly for gates
+MUL, ADD, VAR, CONST = range(4)
+
+_CODES = {Mul: MUL, Add: ADD, VarLeaf: VAR, ConstLeaf: CONST}
+_CLASSES = (Mul, Add, VarLeaf)
+
+
+def _node(op: int, a, b) -> Node:
+    return ConstLeaf(a) if op == CONST else _CLASSES[op](a, b)
+
+
+@dataclass(frozen=True, slots=True)
+class Nodes(Sequence):
+    """A circuit's nodes as three parallel tuples, and a sequence of node objects.
+
+    Node v is `op[v]` with operands `a[v]` and `b[v]` (see the module
+    docstring).  `len` reads the arrays; indexing and iteration build node
+    objects on demand, and nothing inside the package does either.  Equality
+    and hashing compare the arrays; a tuple of node objects equals the nodes
+    it converts to.
+    """
+
+    op: tuple[int, ...]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+
+    @classmethod
+    def of(cls, nodes: Iterable) -> Nodes:
+        """Convert node objects: a subclass of a node class counts as that class,
+        any other object as a product (it needs `left`/`right`).  Fields are kept
+        as given, so the checker rejects what it would reject in the objects."""
+        out = Builder()
+        for node in nodes:
+            code = _CODES.get(type(node))
+            if code is None:
+                code = next((c for kind, c in _CODES.items() if isinstance(node, kind)), MUL)
+            if code == VAR:
+                out.emit(code, node.row, node.col)
+            elif code == CONST:
+                out.emit(code, node.value, 0)
+            else:
+                out.emit(code, node.left, node.right)
+        return out.nodes()
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    def __getitem__(self, index: int) -> Node:
+        return _node(self.op[index], self.a[index], self.b[index])
+
+    def __iter__(self):
+        return map(_node, self.op, self.a, self.b)
+
+    def __eq__(self, other):
+        if isinstance(other, Nodes):
+            return (self.op, self.a, self.b) == (other.op, other.a, other.b)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
 
 @dataclass(frozen=True, slots=True)
 class Circuit:
-    """Immutable circuit: variable grid size n, topologically ordered nodes, root id."""
+    """Immutable circuit: variable grid size n, topologically ordered nodes, root id.
+
+    `nodes` may be given as node objects, which `Nodes.of` converts once.
+    """
 
     n: int
-    nodes: tuple[Node, ...]
+    nodes: Nodes
     root: int
+
+    def __post_init__(self):
+        if type(self.nodes) is not Nodes:
+            object.__setattr__(self, "nodes", Nodes.of(self.nodes))
+
+
+class Builder:
+    """Append-only flat node arrays; `leaf` shares equal leaves, `emit` never does."""
+
+    def __init__(self):
+        self.op: list[int] = []
+        self.a: list[int] = []
+        self.b: list[int] = []
+        self._leaves: dict[tuple[int, int, int], int] = {}
+
+    def emit(self, op: int, a: int, b: int) -> int:
+        self.op.append(op)
+        self.a.append(a)
+        self.b.append(b)
+        return len(self.op) - 1
+
+    def leaf(self, op: int, a: int, b: int = 0) -> int:
+        got = self._leaves.get((op, a, b))
+        if got is None:
+            got = self._leaves[op, a, b] = self.emit(op, a, b)
+        return got
+
+    def nodes(self) -> Nodes:
+        return Nodes(tuple(self.op), tuple(self.a), tuple(self.b))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,18 +321,6 @@ class CircuitStats:
     degree: int
 
 
-_KINDS = frozenset((ConstLeaf, VarLeaf, Add, Mul))
-_LEAVES = (ConstLeaf, VarLeaf)
-
-
-def _kind(node) -> type:
-    # a subclass of a node class counts as it; any other object as a Mul
-    for kind in (ConstLeaf, VarLeaf, Add):
-        if isinstance(node, kind):
-            return kind
-    return Mul
-
-
 def _bits(mask: int) -> list[int]:
     """0-based indices of the set bits of `mask`, low to high."""
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
@@ -246,7 +338,8 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     n, nodes, root = circuit.n, circuit.nodes, circuit.root
     if n < 1:
         raise CircuitError(f"grid size must be positive, got {n}")
-    if not (0 <= root < len(nodes)):
+    ops, lefts, rights = nodes.op, nodes.a, nodes.b
+    if not (0 <= root < len(ops)):
         raise BadChildRef(root, root)
     # row -> bit index under sigma; without one, row r is bit r-1 (no table,
     # so a check without an order costs nothing per row of the grid)
@@ -260,36 +353,28 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     masks: list[int] = []
     append = masks.append
     bad = None  # first irregular product
-    for vid, node in enumerate(nodes):
-        kind = type(node)
-        # products and sums are most nodes: spare them the set lookup
-        if kind is not Mul and kind is not Add and kind not in _KINDS:
-            kind = _kind(node)
-        if kind is Mul:
-            left, right = node.left, node.right
-            if not (0 <= left < vid and 0 <= right < vid):
-                raise BadChildRef(vid, right if 0 <= left < vid else left)
-            lm, rm = masks[left], masks[right]
+    for vid, op, a, b in zip(range(len(ops)), ops, lefts, rights):
+        if op == MUL:
+            if not (0 <= a < vid and 0 <= b < vid):
+                raise BadChildRef(vid, b if 0 <= a < vid else a)
+            lm, rm = masks[a], masks[b]
             if lm & rm:
                 raise MulOverlap(vid)
             # every earlier mask is contiguous until the first bad product
             if not (lm << 1 & rm) and lm and rm and bad is None:
                 bad = vid
             append(lm | rm)
-        elif kind is Add:
-            left, right = node.left, node.right
-            if not (0 <= left < vid and 0 <= right < vid):
-                raise BadChildRef(vid, right if 0 <= left < vid else left)
-            lm = masks[left]
-            if lm != masks[right]:
+        elif op == ADD:
+            if not (0 <= a < vid and 0 <= b < vid):
+                raise BadChildRef(vid, b if 0 <= a < vid else a)
+            lm = masks[a]
+            if lm != masks[b]:
                 raise AddMismatch(vid)
             append(lm)
-        elif kind is VarLeaf:
-            row, col = node.row, node.col
-            ints = isinstance(row, int) and isinstance(col, int)
-            if not (ints and 1 <= row <= n and 1 <= col <= n):
-                raise VariableOutOfRange(vid, row, col, n)
-            append(1 << (row - 1 if shift is None else shift[row]))
+        elif op == VAR:  # a, b = row, col
+            if not (isinstance(a, int) and isinstance(b, int) and 1 <= a <= n and 1 <= b <= n):
+                raise VariableOutOfRange(vid, a, b, n)
+            append(1 << (a - 1 if shift is None else shift[a]))
         else:
             append(0)
 
@@ -298,8 +383,7 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     if shift is None:
         raise CircuitError(f"sigma {sigma} is not a permutation of [1..{n}]")
     if bad is not None:
-        node = nodes[bad]
-        lm, rm = masks[node.left], masks[node.right]
+        lm, rm = masks[lefts[bad]], masks[rights[bad]]
         if rm << 1 & lm:
             raise WrongAdjacency(bad)
         raise NotContiguous(bad, frozenset(sigma[p] for p in _bits(lm | rm)))
@@ -357,11 +441,11 @@ def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
 def stats(circuit: Circuit) -> CircuitStats:
     """Size (all nodes), depth (edges on the longest leaf-to-root path), degree."""
     degree = _sweep(circuit, None)[circuit.root].bit_count()
-    depths = [0] * len(circuit.nodes)
-    for vid, node in enumerate(circuit.nodes):
-        if not isinstance(node, _LEAVES):
-            depths[vid] = 1 + max(depths[node.left], depths[node.right])
-    return CircuitStats(size=len(circuit.nodes), depth=depths[circuit.root], degree=degree)
+    nodes = circuit.nodes
+    depths: list[int] = []
+    for op, left, right in zip(nodes.op, nodes.a, nodes.b):
+        depths.append(1 + max(depths[left], depths[right]) if op < VAR else 0)
+    return CircuitStats(size=len(nodes), depth=depths[circuit.root], degree=degree)
 
 
 def gate_count(circuit: Circuit) -> int:
@@ -371,7 +455,8 @@ def gate_count(circuit: Circuit) -> int:
     sign factor costs one product gate (its constant leaf is not counted), and
     joining two summands costs one addition gate.
     """
-    return sum(1 for node in circuit.nodes if not isinstance(node, _LEAVES))
+    ops = circuit.nodes.op
+    return ops.count(MUL) + ops.count(ADD)
 
 
 def bouquet_gate_count(bouquet: Bouquet) -> int:
@@ -382,4 +467,5 @@ def bouquet_gate_count(bouquet: Bouquet) -> int:
 
 def variables_of(circuit: Circuit) -> set[tuple[int, int]]:
     """All (row, col) pairs appearing as variable leaves."""
-    return {(nd.row, nd.col) for nd in circuit.nodes if isinstance(nd, VarLeaf)}
+    nodes = circuit.nodes
+    return {(row, col) for op, row, col in zip(nodes.op, nodes.a, nodes.b) if op == VAR}

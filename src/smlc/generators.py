@@ -17,17 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuit import (
-    Add,
-    Bouquet,
-    Circuit,
-    ConstLeaf,
-    Mul,
-    Node,
-    RegularCircuit,
-    VarLeaf,
-    regular,
-)
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Builder, Circuit, RegularCircuit, regular
 from .poly import (
     REFERENCE_MAX_N,
     TooLarge,
@@ -74,67 +64,32 @@ class GenConfig:
             raise ValueError(f"size_budget must be >= {2 * self.n - 1}")
 
 
-class _Builder:
-    """Append-only node list with shared (hash-consed) leaves."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.nodes: list[Node] = []
-        self._leaves: dict[Node, int] = {}
-
-    def _leaf(self, node: Node) -> int:
-        got = self._leaves.get(node)
-        if got is None:
-            got = self._emit(node)
-            self._leaves[node] = got
-        return got
-
-    def _emit(self, node: Node) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
-
-    def const(self, value: int) -> int:
-        return self._leaf(ConstLeaf(value))
-
-    def var(self, row: int, col: int) -> int:
-        return self._leaf(VarLeaf(row, col))
-
-    def add(self, left: int, right: int) -> int:
-        return self._emit(Add(left, right))
-
-    def mul(self, left: int, right: int) -> int:
-        return self._emit(Mul(left, right))
-
-    def circuit(self, root: int) -> Circuit:
-        return Circuit(n=self.n, nodes=tuple(self.nodes), root=root)
-
-
 def _check_grid(n: int) -> None:
     # first, so a negative n never reaches math.factorial or the order checks
     if n < 1:
         raise ValueError("n must be >= 1")
 
 
-def _signed_term(b: _Builder, sigma: tuple[int, ...], pi: tuple[int, ...]) -> int:
+def _signed_term(b: Builder, sigma: tuple[int, ...], pi: tuple[int, ...]) -> int:
     # left-comb product of one variable per row, multiplied in sigma order,
     # wrapped in a -1 factor for odd pi
-    acc = b.var(sigma[0], pi[sigma[0] - 1])
+    acc = b.leaf(VAR, sigma[0], pi[sigma[0] - 1])
     for pos in range(1, len(sigma)):
         row = sigma[pos]
-        acc = b.mul(acc, b.var(row, pi[row - 1]))
+        acc = b.emit(MUL, acc, b.leaf(VAR, row, pi[row - 1]))
     if sign_of_permutation(pi) < 0:
-        acc = b.mul(b.const(-1), acc)
+        acc = b.emit(MUL, b.leaf(CONST, -1), acc)
     return acc
 
 
 def _det_terms_circuit(
     n: int, sigma: tuple[int, ...], perms: Sequence[tuple[int, ...]]
 ) -> RegularCircuit:
-    b = _Builder(n)
+    b = Builder()
     acc = _signed_term(b, sigma, perms[0])
     for pi in perms[1:]:
-        acc = b.add(acc, _signed_term(b, sigma, pi))
-    return regular(b.circuit(acc), sigma)
+        acc = b.emit(ADD, acc, _signed_term(b, sigma, pi))
+    return regular(Circuit(n, b.nodes(), acc), sigma)
 
 
 def det_regular_circuit(n: int, sigma: Iterable[int]) -> RegularCircuit:
@@ -247,7 +202,7 @@ def random_regular_circuit(config: GenConfig, sigma: Iterable[int]) -> RegularCi
     """
     sigma = check_permutation(sigma, config.n)
     rng = random.Random(config.seed)
-    b = _Builder(config.n)
+    b = Builder()
 
     def build(lo: int, hi: int, budget: int, term_cap: int) -> tuple[int, int]:
         span = hi - lo + 1
@@ -259,28 +214,28 @@ def random_regular_circuit(config: GenConfig, sigma: Iterable[int]) -> RegularCi
                     sub = rng.randint(1, budget - 2)
                     left, tl = build(lo, hi, sub, term_cap - 1)
                     right, tr = build(lo, hi, budget - 1 - sub, term_cap - tl)
-                    return b.add(left, right), tl + tr
-                scale = b.const(rng.choice((-3, -2, -1, 2, 3)))
+                    return b.emit(ADD, left, right), tl + tr
+                scale = b.leaf(CONST, rng.choice((-3, -2, -1, 2, 3)))
                 child, tc = build(lo, hi, budget - 2, term_cap)
-                return b.mul(scale, child), tc
-            return b.var(sigma[lo - 1], rng.randint(1, config.n)), 1
+                return b.emit(MUL, scale, child), tc
+            return b.leaf(VAR, sigma[lo - 1], rng.randint(1, config.n)), 1
         if budget >= minimal + 2 and rng.random() < 0.1:
             # scalar factor above a full-span subcircuit
-            scale = b.const(rng.choice((-2, -1, 2)))
+            scale = b.leaf(CONST, rng.choice((-2, -1, 2)))
             child, tc = build(lo, hi, budget - 2, term_cap)
-            return b.mul(scale, child), tc
+            return b.emit(MUL, scale, child), tc
         if budget >= 2 * minimal + 1 and term_cap >= 2 and rng.random() < spend:
             sub = rng.randint(minimal, budget - 1 - minimal)
             left, tl = build(lo, hi, sub, term_cap - 1)
             right, tr = build(lo, hi, budget - 1 - sub, term_cap - tl)
-            return b.add(left, right), tl + tr
+            return b.emit(ADD, left, right), tl + tr
         split = hi - 1 if budget == minimal else rng.randint(lo, hi - 1)
         lmin = 2 * (split - lo + 1) - 1
         rmin = 2 * (hi - split) - 1
         extra_l = rng.randint(0, budget - 1 - lmin - rmin)
         left, tl = build(lo, split, lmin + extra_l, max(1, math.isqrt(term_cap)))
         right, tr = build(split + 1, hi, budget - 1 - lmin - extra_l, term_cap // tl)
-        return b.mul(left, right), tl * tr
+        return b.emit(MUL, left, right), tl * tr
 
     root, _ = build(1, config.n, config.size_budget, _EXPANSION_GUARD)
-    return regular(b.circuit(root), sigma)
+    return regular(Circuit(config.n, b.nodes(), root), sigma)

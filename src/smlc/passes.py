@@ -1,6 +1,7 @@
 """Structural passes over regular circuits and bouquets.
 
-All passes are pure: they rebuild node lists and never mutate their inputs.
+All passes are pure: each is one sweep over a circuit's flat node arrays
+(`circuit.Nodes`) that builds new arrays and never mutates its input.
 Regularity is checked where circuits enter (parsing and the generators), not
 after every pass.  Every pass preserves it by construction and carries a
 (sigma, degree) over without re-inferring: compose moves no position, reverse
@@ -32,18 +33,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuit import (
-    Add,
-    AddMismatch,
-    Bouquet,
-    Circuit,
-    ConstLeaf,
-    Mul,
-    Node,
-    RegularCircuit,
-    RootNotPrefix,
-    VarLeaf,
-)
+from .circuit import ADD, CONST, MUL, VAR, AddMismatch, Bouquet, Builder, Circuit, Nodes
+from .circuit import RegularCircuit, RootNotPrefix
 from .poly import (
     check_permutation,
     compose_perms,
@@ -106,11 +97,10 @@ def reverse(rc: RegularCircuit) -> RegularCircuit:
     n, degree = rc.circuit.n, rc.degree
     if 0 < degree < n:
         raise RootNotPrefix(n - degree + 1, degree)
-    nodes = tuple(
-        Mul(node.right, node.left) if isinstance(node, Mul) else node
-        for node in rc.circuit.nodes
-    )
-    flipped = Circuit(n, nodes, rc.circuit.root)
+    ops, lefts, rights = rc.circuit.nodes.op, rc.circuit.nodes.a, rc.circuit.nodes.b
+    a = tuple(y if op == MUL else x for op, x, y in zip(ops, lefts, rights))
+    b = tuple(x if op == MUL else y for op, x, y in zip(ops, lefts, rights))
+    flipped = Circuit(n, Nodes(ops, a, b), rc.circuit.root)
     return RegularCircuit(flipped, tuple(reversed(rc.sigma)), degree)
 
 
@@ -133,11 +123,9 @@ def compose(bouquet: Bouquet, tau: Iterable[int]) -> Bouquet:
 
     summands = []
     for rc in bouquet.summands:
-        nodes = tuple(
-            VarLeaf(tau[node.row - 1], node.col) if isinstance(node, VarLeaf) else node
-            for node in rc.circuit.nodes
-        )
-        circuit = Circuit(bouquet.n, nodes, rc.circuit.root)
+        nodes = rc.circuit.nodes
+        rows = tuple(tau[x - 1] if op == VAR else x for op, x in zip(nodes.op, nodes.a))
+        circuit = Circuit(bouquet.n, Nodes(nodes.op, rows, nodes.b), rc.circuit.root)
         summands.append(RegularCircuit(circuit, compose_perms(tau, rc.sigma), rc.degree))
     sign = bouquet.sign * sign_of_permutation(tau)
     return Bouquet(bouquet.n, tuple(summands), sign)
@@ -217,80 +205,60 @@ def monotone_subsequence(seq: Sequence[int]) -> MonotoneResult:
 # Projection onto a kept row subset
 # ---------------------------------------------------------------------------
 
-_CONST = 0  # descriptor tags
-_REF = 1
-
-
-def _substitute_and_fold(
-    circuit: Circuit, keep: frozenset[int], rank: dict[int, int], new_n: int
-) -> Circuit:
+def _substitute_and_fold(circuit: Circuit, rank: list[int], new_n: int) -> Circuit:
     """Apply the 0/1 substitutions for dropped rows, fold constants, rename.
 
-    Dropped-row variables become 1 on the diagonal and 0 elsewhere; kept-row
-    variables with a dropped column become 0.  Folding keeps the result
-    well typed: products with a 0 factor collapse, unit factors disappear,
-    constant-only gates fold, and a dead (zero) branch of an addition is
-    dropped.  Node counts never grow.  On well-typed input an addition never
-    meets a nonzero constant beside a live branch (see `project`).
+    `rank[r]` is the new index of a kept row or column r, and 0 for a dropped
+    one.  Dropped-row variables become 1 on the diagonal and 0 elsewhere;
+    kept-row variables with a dropped column become 0.  Folding keeps the
+    result well typed: products with a 0 factor collapse, unit factors
+    disappear, constant-only gates fold, and a dead (zero) branch of an
+    addition is dropped.  Node counts never grow.  On well-typed input an
+    addition never meets a nonzero constant beside a live branch (see
+    `project`).
     """
-    nodes: list[Node] = []
-    const_ids: dict[int, int] = {}
-
-    def emit(node: Node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def emit_const(value: int) -> int:
-        got = const_ids.get(value)
-        if got is None:
-            got = emit(ConstLeaf(value))
-            const_ids[value] = got
-        return got
-
-    # descriptor per old node: (_CONST, value) or (_REF, new id)
-    desc: list[tuple[int, int]] = []
-    for node in circuit.nodes:
-        if isinstance(node, ConstLeaf):
-            desc.append((_CONST, node.value))
-        elif isinstance(node, VarLeaf):
-            if node.row not in keep:
-                desc.append((_CONST, 1 if node.col == node.row else 0))
-            elif node.col not in keep:
-                desc.append((_CONST, 0))
+    out = Builder()  # emits every node; only constants are shared
+    emit, leaf = out.emit, out.leaf
+    # per old node: its new id, or None when it folded to the constant in `value`
+    ref: list[int | None] = []
+    value: list[int | None] = []
+    nodes = circuit.nodes
+    for op, x, y in zip(nodes.op, nodes.a, nodes.b):
+        new = const = None
+        if op == CONST:
+            const = x
+        elif op == VAR:
+            if not rank[x]:
+                const = 1 if x == y else 0
+            elif not rank[y]:
+                const = 0
             else:
-                desc.append((_REF, emit(VarLeaf(rank[node.row], rank[node.col]))))
-        elif isinstance(node, Add):
-            lt, lv = desc[node.left]
-            rt, rv = desc[node.right]
-            if lt == _CONST and rt == _CONST:
-                desc.append((_CONST, lv + rv))
-            elif lt == _CONST and lv == 0:
-                desc.append((_REF, rv))
-            elif rt == _CONST and rv == 0:
-                desc.append((_REF, lv))
-            else:
-                desc.append((_REF, emit(Add(lv, rv))))
+                new = emit(VAR, rank[x], rank[y])
         else:
-            lt, lv = desc[node.left]
-            rt, rv = desc[node.right]
-            if lt == _CONST and rt == _CONST:
-                desc.append((_CONST, lv * rv))
-            elif (lt == _CONST and lv == 0) or (rt == _CONST and rv == 0):
-                desc.append((_CONST, 0))
-            elif lt == _CONST and lv == 1:
-                desc.append((_REF, rv))
-            elif rt == _CONST and rv == 1:
-                desc.append((_REF, lv))
-            elif lt == _CONST:
-                desc.append((_REF, emit(Mul(emit_const(lv), rv))))
-            elif rt == _CONST:
-                desc.append((_REF, emit(Mul(lv, emit_const(rv)))))
+            lr, rr, lv, rv = ref[x], ref[y], value[x], value[y]
+            if lr is None and rr is None:
+                const = lv + rv if op == ADD else lv * rv
+            elif op == ADD:
+                if lr is None and lv == 0:
+                    new = rr
+                elif rr is None and rv == 0:
+                    new = lr
+                else:
+                    new = emit(ADD, lr, rr)
+            elif lv == 0 or rv == 0:
+                const = 0
+            elif lr is None:
+                new = rr if lv == 1 else emit(MUL, leaf(CONST, lv), rr)
+            elif rr is None:
+                new = lr if rv == 1 else emit(MUL, lr, leaf(CONST, rv))
             else:
-                desc.append((_REF, emit(Mul(lv, rv))))
+                new = emit(MUL, lr, rr)
+        ref.append(new)
+        value.append(const)
 
-    tag, value = desc[circuit.root]
-    root = emit_const(value) if tag == _CONST else value
-    return Circuit(n=new_n, nodes=tuple(nodes), root=root)
+    root = ref[circuit.root]
+    root = leaf(CONST, value[circuit.root]) if root is None else root
+    return Circuit(new_n, out.nodes(), root)
 
 
 def project(bouquet: Bouquet, keep: Iterable[int]) -> Bouquet:
@@ -314,16 +282,17 @@ def project(bouquet: Bouquet, keep: Iterable[int]) -> Bouquet:
         raise EmptyKeepSet()
     if keep_list[0] < 1 or keep_list[-1] > bouquet.n:
         raise PassError(f"keep set {keep_list} not within [1..{bouquet.n}]")
-    keep_set = frozenset(keep_list)
-    rank = {value: i + 1 for i, value in enumerate(keep_list)}
+    rank = [0] * (bouquet.n + 1)
+    for i, value in enumerate(keep_list):
+        rank[value] = i + 1
     new_n = len(keep_list)
 
     summands = []
     for rc in bouquet.summands:
-        projected = _substitute_and_fold(rc.circuit, keep_set, rank, new_n)
-        induced = tuple(rank[v] for v in rc.sigma if v in keep_set)
-        live = not isinstance(projected.nodes[projected.root], ConstLeaf)
-        degree = len(keep_set.intersection(rc.sigma[: rc.degree])) if live else 0
+        projected = _substitute_and_fold(rc.circuit, rank, new_n)
+        induced = tuple(rank[v] for v in rc.sigma if rank[v])
+        live = projected.nodes.op[projected.root] != CONST
+        degree = sum(1 for v in rc.sigma[: rc.degree] if rank[v]) if live else 0
         summands.append(RegularCircuit(projected, induced, degree))
     return Bouquet(new_n, tuple(summands), bouquet.sign)
 
@@ -340,8 +309,8 @@ def drop_last_index(bouquet: Bouquet) -> Bouquet:
 # ---------------------------------------------------------------------------
 
 def is_zero_summand(rc: RegularCircuit) -> bool:
-    node = rc.circuit.nodes[rc.circuit.root]
-    return isinstance(node, ConstLeaf) and node.value == 0
+    nodes, root = rc.circuit.nodes, rc.circuit.root
+    return nodes.op[root] == CONST and nodes.a[root] == 0
 
 
 def distinct_orders(bouquet: Bouquet) -> int:
@@ -352,17 +321,21 @@ def distinct_orders(bouquet: Bouquet) -> int:
 def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
     # both roots cover the prefix 1..degree of the shared order, so the new
     # Add is well typed exactly when the degrees agree
-    offset = len(a.circuit.nodes)
+    first, second = a.circuit.nodes, b.circuit.nodes
+    offset = len(first)
     if a.degree != b.degree:
-        raise AddMismatch(offset + len(b.circuit.nodes))
-    nodes: list[Node] = list(a.circuit.nodes)
-    for node in b.circuit.nodes:
-        if isinstance(node, (Add, Mul)):
-            nodes.append(type(node)(node.left + offset, node.right + offset))
-        else:
-            nodes.append(node)
-    nodes.append(Add(a.circuit.root, b.circuit.root + offset))
-    return RegularCircuit(Circuit(n, tuple(nodes), len(nodes) - 1), a.sigma, a.degree)
+        raise AddMismatch(offset + len(second))
+
+    def shifted(operands: tuple[int, ...]) -> tuple[int, ...]:
+        # the second circuit's child ids move up by offset; leaf operands stay
+        return tuple(x + offset if op < VAR else x for op, x in zip(second.op, operands))
+
+    nodes = Nodes(
+        first.op + second.op + (ADD,),
+        first.a + shifted(second.a) + (a.circuit.root,),
+        first.b + shifted(second.b) + (b.circuit.root + offset,),
+    )
+    return RegularCircuit(Circuit(n, nodes, len(nodes) - 1), a.sigma, a.degree)
 
 
 def merge_summands(bouquet: Bouquet) -> Bouquet:

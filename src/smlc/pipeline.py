@@ -19,10 +19,11 @@ random evaluation, comparing the bouquet's value at each trial point with the
 determinant of that point's d x d matrix computed by elimination mod PRIME
 (`det_mod`), which works at every degree.  The exact tier expands the
 already regular summands without validating them again, and needs no term
-budget: at d <= 6 no node has more than 6^6 = 46,656 terms.  The bouquet is
-evaluated at all of a step's trial points in one `eval_points` call, which
-compiles each summand once and sweeps it once per point; the values are
-compared in trial order.
+budget: at d <= 6 no node has more than 6^6 = 46,656 terms.  Its reference
+terms are built once per degree and shared, read-only, by every later step.
+The bouquet is evaluated at all of a step's trial points in one `eval_points`
+call, which compiles each summand once and sweeps it once per point; the
+values are compared in trial order.
 A failed check raises VerificationFailed: some pass broke semantics, the
 strongest possible error.  With verification on, at least one trial is
 required, so no verdict can be recorded ok without an evaluation.
@@ -34,19 +35,14 @@ downstream determinant-to-permanent conversion would produce.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Any
 
-from .circuit import (
-    Bouquet,
-    Circuit,
-    ConstLeaf,
-    RegularCircuit,
-    bouquet_gate_count,
-    gate_count,
-    Mul,
-)
+from .circuit import CONST, MUL, Bouquet, Circuit, Nodes, RegularCircuit
+from .circuit import bouquet_gate_count, gate_count
 from .passes import (
     DegreeTooSmall,
     Direction,
@@ -240,6 +236,12 @@ def _normalize_tau(bouquet: Bouquet) -> tuple[int, ...] | None:
     return invert_perm(ref.sigma)
 
 
+@functools.cache
+def _det_terms(d: int) -> types.MappingProxyType:
+    # read-only: every later step and reduction shares this one mapping
+    return types.MappingProxyType(reference_det(d).terms)
+
+
 def _verify_step(
     bouquet: Bouquet,
     mode: str,
@@ -251,7 +253,7 @@ def _verify_step(
         return {"step": step, "mode": "off", "ok": None}
     d = bouquet.n
     if mode == "exact" and d <= EXACT_VERIFY_MAX:
-        if expand_bouquet(bouquet).terms != reference_det(d).terms:
+        if expand_bouquet(bouquet).terms != _det_terms(d):
             raise VerificationFailed(step, f"expansion differs from degree-{d} determinant")
         return {"step": step, "mode": "exact", "ok": True}
     indices = range(1, d + 1)
@@ -345,16 +347,15 @@ def reduce_to_single(
     survivors = [rc for rc in cur.summands if not is_zero_summand(rc)]
     dropped = len(cur.summands) - len(survivors)
     if not survivors:
-        single = RegularCircuit(Circuit(cur.n, (ConstLeaf(0),), 0), identity_perm(cur.n), 0)
+        zero = Circuit(cur.n, Nodes((CONST,), (0,), (0,)), 0)
+        single = RegularCircuit(zero, identity_perm(cur.n), 0)
     else:
         single = survivors[0]
         if cur.sign < 0:
-            nodes = list(single.circuit.nodes)
-            nodes.append(ConstLeaf(-1))
-            nodes.append(Mul(len(nodes) - 1, single.circuit.root))
-            single = RegularCircuit(
-                Circuit(cur.n, tuple(nodes), len(nodes) - 1), single.sigma, single.degree
-            )
+            root, nodes = single.circuit.root, single.circuit.nodes
+            size = len(nodes)
+            wrapped = Nodes(nodes.op + (CONST, MUL), nodes.a + (-1, size), nodes.b + (0, root))
+            single = RegularCircuit(Circuit(cur.n, wrapped, size + 1), single.sigma, single.degree)
 
     transcript = Transcript(
         n_input=bouquet.n,

@@ -8,9 +8,10 @@ two equivalence checks (exact term-by-term comparison, and a seeded
 Schwartz-Zippel test modulo the fixed 61-bit Mersenne prime).  Passes are
 trusted only after they agree with these oracles.
 
-Evaluation (`eval_points`) compiles each circuit once into a flat program in
-which structurally equal nodes share one slot, then sweeps that program once
-per point; `eval_circuit` and `eval_bouquet` are its one-point forms.
+Evaluation (`eval_points`) compiles each circuit's flat node arrays once into
+a program in which structurally equal nodes share one slot, then sweeps that
+program once per point; `eval_circuit` and `eval_bouquet` are its one-point
+forms.
 
 A monomial is a tuple of (row, col) pairs sorted by strictly increasing row;
 a polynomial maps monomials to nonzero integer coefficients.  Field elements
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .circuit import Add, Bouquet, Circuit, ConstLeaf, VarLeaf, validate, variables_of
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, validate, variables_of
 
 # Fixed carrier for randomized identity testing.  Degree-d polynomials collide
 # at a uniform random point with probability at most d / PRIME per trial.
@@ -242,33 +243,35 @@ def expand(circuit: Circuit, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePo
 
 
 def _expand(circuit: Circuit, term_budget: int) -> SparsePoly:
-    # expand for circuits known to be well typed; like the sweep, any non-leaf is a gate
+    # expand for circuits known to be well typed
     n = circuit.n
-    remaining = [0] * len(circuit.nodes)
-    for node in circuit.nodes:
-        if not isinstance(node, (ConstLeaf, VarLeaf)):
-            remaining[node.left] += 1
-            remaining[node.right] += 1
+    nodes = circuit.nodes
+    ops, lefts, rights = nodes.op, nodes.a, nodes.b
+    remaining = [0] * len(ops)
+    for op, left, right in zip(ops, lefts, rights):
+        if op < VAR:
+            remaining[left] += 1
+            remaining[right] += 1
     remaining[circuit.root] += 1
 
-    polys: list[SparsePoly | None] = [None] * len(circuit.nodes)
-    for vid, node in enumerate(circuit.nodes):
-        if isinstance(node, ConstLeaf):
-            result = SparsePoly.const(n, node.value)
-        elif isinstance(node, VarLeaf):
-            result = SparsePoly.variable(n, node.row, node.col)
+    polys: list[SparsePoly | None] = [None] * len(ops)
+    for vid, op, left, right in zip(range(len(ops)), ops, lefts, rights):
+        if op == CONST:
+            result = SparsePoly.const(n, left)
+        elif op == VAR:
+            result = SparsePoly.variable(n, left, right)
         else:
-            a = polys[node.left]
-            b = polys[node.right]
-            remaining[node.left] -= 1
-            remaining[node.right] -= 1
-            if isinstance(node, Add):
+            a = polys[left]
+            b = polys[right]
+            remaining[left] -= 1
+            remaining[right] -= 1
+            if op == ADD:
                 result = _add_consuming(
                     n,
                     a,
                     b,
-                    consume_a=remaining[node.left] == 0 and node.left != node.right,
-                    consume_b=remaining[node.right] == 0 and node.left != node.right,
+                    consume_a=remaining[left] == 0 and left != right,
+                    consume_b=remaining[right] == 0 and left != right,
                 )
             else:
                 if len(a) * len(b) > term_budget:
@@ -276,10 +279,10 @@ def _expand(circuit: Circuit, term_budget: int) -> SparsePoly:
                         f"product of {len(a)} x {len(b)} terms exceeds budget {term_budget}"
                     )
                 result = a * b
-            if remaining[node.left] == 0:
-                polys[node.left] = None
-            if remaining[node.right] == 0:
-                polys[node.right] = None
+            if remaining[left] == 0:
+                polys[left] = None
+            if remaining[right] == 0:
+                polys[right] = None
         if len(result) > term_budget:
             raise BudgetExceeded(f"{len(result)} terms exceed budget {term_budget}")
         polys[vid] = result
@@ -306,10 +309,6 @@ def _add_consuming(
     return SparsePoly(n, terms)
 
 
-# opcodes of a compiled program (see _compile)
-_MUL, _ADD, _VAR, _CONST = range(4)
-
-
 def eval_points(
     doc: Circuit | Bouquet, points: Sequence[Assignment], prime: int = PRIME
 ) -> list[int]:
@@ -334,11 +333,11 @@ def eval_points(
             values: list[int] = []
             append = values.append
             for op, a, b in program:
-                if op == _MUL:
+                if op == MUL:
                     append(values[a] * values[b] % prime)
-                elif op == _ADD:
+                elif op == ADD:
                     append((values[a] + values[b]) % prime)
-                elif op == _VAR:
+                elif op == VAR:
                     if (a, b) not in point:
                         raise MissingAssignment(a, b)
                     append(point[a, b] % prime)
@@ -352,24 +351,23 @@ def eval_points(
 def _compile(circuit: Circuit, prime: int) -> tuple[list[tuple[int, int, int]], int]:
     """(program, root slot): the circuit as a flat list of (op, a, b) slots.
 
-    One isinstance pass in node order; any node that is not a ConstLeaf,
-    VarLeaf or Add is treated as a Mul.  Nodes are value-numbered: each
-    distinct (op, operands) gets one slot, so structurally equal nodes are
-    computed once.  A gate's operands are the slots of its children, a
-    variable's are its row and col, and a constant's is its value mod prime.
+    One pass over the node arrays, with the circuit's opcodes.  Nodes are
+    value-numbered: each distinct (op, operands) gets one slot, so
+    structurally equal nodes are computed once.  A gate's operands are the
+    slots of its children, a variable's are its row and col, and a constant's
+    is its value mod prime.
     """
     memo: dict[tuple[int, int, int], int] = {}
     program: list[tuple[int, int, int]] = []
     slot_of: list[int] = []  # node id -> slot
-    for node in circuit.nodes:
-        if isinstance(node, ConstLeaf):
-            key = (_CONST, node.value % prime, 0)
-        elif isinstance(node, VarLeaf):
-            key = (_VAR, node.row, node.col)
-        elif isinstance(node, Add):
-            key = (_ADD, slot_of[node.left], slot_of[node.right])
+    nodes = circuit.nodes
+    for op, a, b in zip(nodes.op, nodes.a, nodes.b):
+        if op == CONST:
+            key = (CONST, a % prime, 0)
+        elif op == VAR:
+            key = (VAR, a, b)
         else:
-            key = (_MUL, slot_of[node.left], slot_of[node.right])
+            key = (op, slot_of[a], slot_of[b])
         slot = memo.get(key)
         if slot is None:
             slot = memo[key] = len(program)
@@ -397,13 +395,6 @@ def expand_bouquet(bouquet: Bouquet, term_budget: int = DEFAULT_TERM_BUDGET) -> 
 def eval_bouquet(bouquet: Bouquet, assignment: Assignment, prime: int = PRIME) -> int:
     """Value of sign * (sum of summands) at one point, mod prime (see eval_points)."""
     return eval_points(bouquet, [assignment], prime)[0]
-
-
-def bouquet_variables(bouquet: Bouquet) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for rc in bouquet.summands:
-        out |= variables_of(rc.circuit)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +499,8 @@ def _sampled(doc: Circuit | Bouquet) -> tuple[int, set[tuple[int, int]]]:
     # (degree, variables); a bouquet's summands are already regular, but a
     # raw circuit comes from outside and is validated here
     if isinstance(doc, Bouquet):
-        return max(rc.degree for rc in doc.summands), bouquet_variables(doc)
+        variables = set().union(*(variables_of(rc.circuit) for rc in doc.summands))
+        return max(rc.degree for rc in doc.summands), variables
     return len(validate(doc)[doc.root]), variables_of(doc)
 
 

@@ -19,10 +19,11 @@ are decimal strings so readers never face integer-width surprises.  Parsing a
 bouquet also checks that every summand is over the bouquet's grid, then runs
 `regular` on it against its sigma.
 
-The node loop tests each field with `type(value) is int` (or `str`) and calls
-`_require` only when that test fails, so a malformed document gets the same
-`ParseError` as a field-by-field check, while a well-formed one pays for one
-dict lookup per field.
+The parser writes each node straight into the three flat arrays of
+`circuit.Nodes` and builds no node objects.  Its loop tests each field with
+`type(value) is int` (or `str`) and calls `_require` only when that test
+fails, so a malformed document gets the same `ParseError` as a field-by-field
+check, while a well-formed one pays for one dict lookup per field.
 """
 
 from __future__ import annotations
@@ -30,17 +31,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .circuit import (
-    Add,
-    Bouquet,
-    Circuit,
-    ConstLeaf,
-    Mul,
-    Node,
-    RegularCircuit,
-    VarLeaf,
-    regular,
-)
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, RegularCircuit, regular
 
 __all__ = [
     "ParseError",
@@ -57,18 +48,22 @@ class ParseError(Exception):
     """Malformed document: bad JSON, bad schema, or broken id discipline."""
 
 
+# op name -> (opcode, field of operand a, field of operand b), for the nodes
+# whose operands are two ints
+_FIELDS = {"mul": (MUL, "left", "right"), "add": (ADD, "left", "right"), "var": (VAR, "row", "col")}
+_NAMES = {op: (name, fa, fb) for name, (op, fa, fb) in _FIELDS.items()}
+
+
 def circuit_to_obj(circuit: Circuit) -> dict[str, Any]:
-    nodes = []
-    for vid, node in enumerate(circuit.nodes):
-        if isinstance(node, ConstLeaf):
-            nodes.append({"id": vid, "op": "const", "value": str(node.value)})
-        elif isinstance(node, VarLeaf):
-            nodes.append({"id": vid, "op": "var", "row": node.row, "col": node.col})
-        elif isinstance(node, Add):
-            nodes.append({"id": vid, "op": "add", "left": node.left, "right": node.right})
+    nodes = circuit.nodes
+    out = []
+    for vid, op, a, b in zip(range(len(nodes)), nodes.op, nodes.a, nodes.b):
+        if op == CONST:
+            out.append({"id": vid, "op": "const", "value": str(a)})
         else:
-            nodes.append({"id": vid, "op": "mul", "left": node.left, "right": node.right})
-    return {"n": circuit.n, "nodes": nodes, "root": circuit.root}
+            name, fa, fb = _NAMES[op]
+            out.append({"id": vid, "op": name, fa: a, fb: b})
+    return {"n": circuit.n, "nodes": out, "root": circuit.root}
 
 
 def _require(obj: dict, key: str, kind: type) -> Any:
@@ -89,7 +84,9 @@ def circuit_from_obj(obj: Any) -> Circuit:
     raw_nodes = _require(obj, "nodes", list)
     root = _require(obj, "root", int)
 
-    nodes: list[Node] = []
+    ops: list[int] = []
+    lefts: list[Any] = []
+    rights: list[Any] = []
     for idx, raw in enumerate(raw_nodes):
         if not isinstance(raw, dict):
             raise ParseError(f"node {idx} is not an object")
@@ -99,40 +96,36 @@ def circuit_from_obj(obj: Any) -> Circuit:
             vid = _require(raw, "id", int)
         if vid != idx:
             raise ParseError(f"node {idx}: id {raw['id']} out of order (ids must be dense, 0-based)")
-        op = get("op")
-        if type(op) is not str:
-            op = _require(raw, "op", str)
-        if op == "mul" or op == "add":
-            left, right = get("left"), get("right")
+        name = get("op")
+        if type(name) is not str:
+            name = _require(raw, "op", str)
+        fields = _FIELDS.get(name)
+        if fields is not None:
+            op, fa, fb = fields
+            left, right = get(fa), get(fb)
             if type(left) is not int:
-                left = _require(raw, "left", int)
+                left = _require(raw, fa, int)
             if type(right) is not int:
-                right = _require(raw, "right", int)
-            if not (0 <= left < idx and 0 <= right < idx):
+                right = _require(raw, fb, int)
+            if op < VAR and not (0 <= left < idx and 0 <= right < idx):
                 bad = right if 0 <= left < idx else left
                 raise ParseError(f"node {idx}: forward or invalid child reference {bad}")
-            nodes.append(Mul(left, right) if op == "mul" else Add(left, right))
-        elif op == "var":
-            row, col = get("row"), get("col")
-            if type(row) is not int:
-                row = _require(raw, "row", int)
-            if type(col) is not int:
-                col = _require(raw, "col", int)
-            nodes.append(VarLeaf(row, col))
-        elif op == "const":
-            text = get("value")
+        elif name == "const":
+            op, text = CONST, get("value")
             if type(text) is not str:
                 text = _require(raw, "value", str)
             try:
-                value = int(text)
+                left, right = int(text), 0
             except ValueError:
                 raise ParseError(f"node {idx}: bad decimal constant {text!r}") from None
-            nodes.append(ConstLeaf(value))
         else:
-            raise ParseError(f"node {idx}: unknown op {op!r}")
-    if not (0 <= root < len(nodes)):
+            raise ParseError(f"node {idx}: unknown op {name!r}")
+        ops.append(op)
+        lefts.append(left)
+        rights.append(right)
+    if not (0 <= root < len(ops)):
         raise ParseError(f"root {root} out of range")
-    return Circuit(n=n, nodes=tuple(nodes), root=root)
+    return Circuit(n, Nodes(tuple(ops), tuple(lefts), tuple(rights)), root)
 
 
 def bouquet_to_obj(bouquet: Bouquet) -> dict[str, Any]:

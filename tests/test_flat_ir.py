@@ -1,0 +1,141 @@
+"""The flat circuit representation: node objects are a view, built only on request.
+
+A circuit stores its nodes as three parallel tuples (`circuit.Nodes`).  The
+constructor converts node objects once, by the checker's kind policy, and
+indexing or iterating `circuit.nodes` builds them again on demand.  So the
+parser and the reduction build none, every pass treats a gate of no node
+class as the product the checker types it as, and both conversions round-trip.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smlc import pipeline
+from smlc.circuit import (
+    Bouquet,
+    Circuit,
+    CircuitError,
+    ConstLeaf,
+    Mul,
+    Nodes,
+    VarLeaf,
+    regular,
+    validate,
+)
+from smlc.generators import det_bouquet, distinct_perms
+from smlc.passes import merge_summands, reverse
+from smlc.pipeline import VerificationFailed, reduce_to_single
+from smlc.poly import det_mod, eval_bouquet, expand_bouquet, reference_det
+from smlc.serialize import bouquet_from_obj, bouquet_to_obj, circuit_from_obj, circuit_to_obj
+from test_regular_sweep import Foreign, cases, summands
+from test_trust_boundaries import _det_bouquets, _random_bouquets
+
+x11, x12, x21, x22 = VarLeaf(1, 1), VarLeaf(1, 2), VarLeaf(2, 1), VarLeaf(2, 2)
+
+
+def _count_views(monkeypatch):
+    """Record every call that builds node objects from a `Nodes`."""
+    calls = []
+    for name in ("__getitem__", "__iter__"):
+        method = getattr(Nodes, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(Nodes, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("verify", ["off", "exact", "random"])
+def test_parser_and_reduction_build_no_node_objects(monkeypatch, verify):
+    docs = [bouquet_to_obj(b) for b in _det_bouquets()]
+    if verify == "off":
+        docs += [bouquet_to_obj(b) for b in _random_bouquets()]
+    calls = _count_views(monkeypatch)
+    for doc in docs:
+        single, _ = reduce_to_single(bouquet_from_obj(doc), verify=verify, seed=3, trials=2)
+        circuit_to_obj(single.circuit)
+        assert len(single.circuit.nodes) > 0
+    assert calls == []
+    single.circuit.nodes[0]  # the counter does see a view access
+    assert calls == ["__getitem__"]
+
+
+def test_node_view_reads_like_a_tuple():
+    nodes = (x11, x22, ConstLeaf(-1), Mul(0, 1), Mul(2, 3))
+    circuit = Circuit(2, nodes, 4)
+    assert circuit.nodes == nodes and tuple(circuit.nodes) == nodes
+    assert circuit.nodes[-1] == Mul(2, 3) and len(circuit.nodes) == 5
+    assert (circuit.nodes.op, circuit.nodes.a, circuit.nodes.b) == (
+        (2, 2, 3, 0, 0),
+        (1, 2, -1, 0, 2),
+        (1, 2, 0, 1, 3),
+    )
+    assert Circuit(2, list(nodes), 4) == circuit
+    assert hash(Circuit(2, list(nodes), 4)) == hash(circuit)
+    assert Circuit(2, (x11, x22, Foreign(0, 1)), 2) == Circuit(2, (x11, x22, Mul(0, 1)), 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(cases(), summands()))
+def test_objects_and_wire_round_trip(case):
+    circuit, _ = case
+    if callable(circuit):  # a node of no kind: it cannot be built at all
+        return
+    again = Circuit(circuit.n, tuple(circuit.nodes), circuit.root)
+    assert again == circuit and hash(again) == hash(circuit)
+    try:
+        validate(circuit)
+    except CircuitError:  # not well formed, so it has no wire form to compare
+        return
+    assert circuit_from_obj(circuit_to_obj(circuit)) == circuit
+
+
+# --- gates of no node class are products in every pass ----------------------
+
+
+def test_reverse_swaps_a_gate_of_no_node_class():
+    rc = regular(Circuit(2, (x11, x22, Foreign(0, 1)), 2), (1, 2))
+    out = reverse(rc)
+    again = regular(out.circuit, out.sigma)
+    assert (again.sigma, again.degree) == (out.sigma, out.degree) == ((2, 1), 2)
+
+
+def test_merge_offsets_a_gate_of_no_node_class():
+    plus = regular(Circuit(2, (x11, x22, Foreign(0, 1)), 2), (1, 2))
+    minus = regular(Circuit(2, (x12, x21, Foreign(0, 1), ConstLeaf(-1), Mul(3, 2)), 4), (1, 2))
+    merged = merge_summands(Bouquet(2, (plus, minus)))
+    assert len(merged.summands) == 1
+    assert expand_bouquet(merged).terms == reference_det(2).terms
+    point = {(1, 1): 3, (1, 2): 5, (2, 1): 7, (2, 2): 11}
+    assert eval_bouquet(merged, point) == det_mod([[3, 5], [7, 11]])
+
+
+# --- the exact tier's reference ---------------------------------------------
+
+
+def test_exact_tier_builds_each_reference_once(monkeypatch):
+    built = []
+
+    def counted(d):
+        built.append(d)
+        return reference_det(d)
+
+    monkeypatch.setattr(pipeline, "reference_det", counted)
+    pipeline._det_terms.cache_clear()
+    seed = 5
+    bouquet = det_bouquet(6, distinct_perms(6, 3, random.Random(seed)), seed)
+    first = reduce_to_single(bouquet, verify="exact", seed=seed)[1].to_obj()
+    second = reduce_to_single(bouquet, verify="exact", seed=seed)[1].to_obj()
+    assert first == second and len(first["steps"]) >= 1
+    assert sorted(built) == sorted(set(built)) and 6 in built
+    with pytest.raises(TypeError):
+        pipeline._det_terms(6)[()] = 1  # shared, so read-only
+    flipped = Bouquet(bouquet.n, bouquet.summands, -bouquet.sign)
+    with pytest.raises(VerificationFailed) as err:
+        reduce_to_single(flipped, verify="exact", seed=seed)
+    assert err.value.step == 0
