@@ -38,7 +38,6 @@ from .passes import (
 from .pipeline import (
     ReductionStep,
     Transcript,
-    TrimResult,
     VerificationFailed,
     normalize_first,
     reduce_to_single,
@@ -47,7 +46,6 @@ from .pipeline import (
 from .poly import (
     PRIME,
     SparsePoly,
-    equiv_exact,
     equiv_random,
     eval_circuit,
     eval_points,

@@ -36,7 +36,6 @@ from .generators import (
 from .passes import PassError, compose, drop_last_index, merge_summands, project, reverse
 from .pipeline import VerificationFailed, reduce_to_single
 from .poly import (
-    DEFAULT_TERM_BUDGET,
     DEFAULT_TRIALS,
     Distinct,
     OracleError,
@@ -176,10 +175,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_expand(args) -> int:
     doc = _read_doc(_read_obj())
-    if isinstance(doc, Bouquet):
-        poly = expand_bouquet(doc, args.term_budget)
-    else:
-        poly = expand(doc, args.term_budget)
+    poly = expand_bouquet(doc) if isinstance(doc, Bouquet) else expand(doc)
     text = poly_to_text(poly)
     if text:
         print(text)
@@ -277,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     rd.set_defaults(func=_cmd_reduce)
 
     px = sub.add_parser("expand", help="exact expansion of a circuit or bouquet, as text")
-    px.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET)
     px.set_defaults(func=_cmd_expand)
 
     pe = sub.add_parser("eval", help="evaluate a circuit at a seeded random point")

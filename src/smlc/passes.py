@@ -213,9 +213,9 @@ def _substitute_and_fold(circuit: Circuit, rank: list[int], new_n: int) -> Circu
     kept-row variables with a dropped column become 0.  Folding keeps the
     result well typed: products with a 0 factor collapse, unit factors
     disappear, constant-only gates fold, and a dead (zero) branch of an
-    addition is dropped.  Node counts never grow.  On well-typed input an
+    addition is dropped.  Node counts never grow.  On regular input an
     addition never meets a nonzero constant beside a live branch (see
-    `project`).
+    `project`); where one does, AddMismatch names that addition.
     """
     out = Builder()  # emits every node; only constants are shared
     emit, leaf = out.emit, out.leaf
@@ -239,12 +239,12 @@ def _substitute_and_fold(circuit: Circuit, rank: list[int], new_n: int) -> Circu
             if lr is None and rr is None:
                 const = lv + rv if op == ADD else lv * rv
             elif op == ADD:
-                if lr is None and lv == 0:
-                    new = rr
-                elif rr is None and rv == 0:
-                    new = lr
-                else:
+                if lr is not None and rr is not None:
                     new = emit(ADD, lr, rr)
+                elif lv or rv:  # a nonzero constant beside a live branch
+                    raise AddMismatch(len(ref))
+                else:
+                    new = rr if lr is None else lr
             elif lv == 0 or rv == 0:
                 const = 0
             elif lr is None:
@@ -280,7 +280,8 @@ def project(bouquet: Bouquet, keep: Iterable[int]) -> Bouquet:
     keep_list = sorted(set(keep))
     if not keep_list:
         raise EmptyKeepSet()
-    if keep_list[0] < 1 or keep_list[-1] > bouquet.n:
+    ints = all(isinstance(v, int) for v in keep_list)
+    if not ints or keep_list[0] < 1 or keep_list[-1] > bouquet.n:
         raise PassError(f"keep set {keep_list} not within [1..{bouquet.n}]")
     rank = [0] * (bouquet.n + 1)
     for i, value in enumerate(keep_list):

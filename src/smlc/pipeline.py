@@ -29,8 +29,8 @@ strongest possible error.  With verification on, at least one trial is
 required, so no verdict can be recorded ok without an evaluation.
 
 The even-degree trim (`trim_even`) drops one final index when the degree is
-odd and reports half the even degree, which is the degree parameter the
-downstream determinant-to-permanent conversion would produce.
+odd and returns the even-degree circuit, the input a determinant-to-permanent
+conversion would take.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .poly import (
 __all__ = [
     "ReductionStep",
     "Transcript",
-    "TrimResult",
     "VerificationFailed",
     "normalize_first",
     "reduce_to_single",
@@ -81,7 +80,7 @@ __all__ = [
 
 # factorial oracle ceiling for exact per-step checks; on a d-row grid a node
 # over s rows has at most d^s terms, so no node or product of two nodes here
-# exceeds 6^6 = 46,656 terms, far below DEFAULT_TERM_BUDGET = 10^6
+# exceeds 6^6 = 46,656 terms, far below poly.TERM_BUDGET = 10^6
 EXACT_VERIFY_MAX = 6
 
 
@@ -118,23 +117,6 @@ class ReductionStep:
             "k_before_after": list(self.k_before_after),
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "ReductionStep":
-        sub = obj["subsequence"]
-        return cls(
-            iteration=obj["iteration"],
-            tau_applied=tuple(obj["tau_applied"]) if obj["tau_applied"] else None,
-            summand_reversed=obj["summand_reversed"],
-            subsequence=MonotoneResult(
-                positions=tuple(sub["positions"]),
-                direction=Direction(sub["direction"]),
-                values=tuple(sub["values"]),
-            ),
-            kept_indices=tuple(obj["kept_indices"]),
-            sizes_before_after=tuple(obj["sizes_before_after"]),
-            k_before_after=tuple(obj["k_before_after"]),
-        )
-
 
 @dataclass(frozen=True)
 class Transcript:
@@ -152,7 +134,6 @@ class Transcript:
     verify: str
     seed: int
     trials: int
-    pit_prime: int
     steps: tuple[ReductionStep, ...]
     verdicts: tuple[dict[str, Any], ...]
     final_degree: int
@@ -171,7 +152,7 @@ class Transcript:
                 "verify": self.verify,
                 "seed": self.seed,
                 "trials": self.trials,
-                "pit_prime": str(self.pit_prime),
+                "pit_prime": str(PRIME),
             },
             "steps": [step.to_obj() for step in self.steps],
             "verdicts": list(self.verdicts),
@@ -182,34 +163,6 @@ class Transcript:
             "final_tau": list(self.final_tau) if self.final_tau else None,
             "zero_summands_dropped": self.zero_summands_dropped,
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "Transcript":
-        cfg = obj["config"]
-        return cls(
-            n_input=cfg["n"],
-            k_input=cfg["k"],
-            k_distinct_input=cfg["k_distinct"],
-            verify=cfg["verify"],
-            seed=cfg["seed"],
-            trials=cfg["trials"],
-            pit_prime=int(cfg["pit_prime"]),
-            steps=tuple(ReductionStep.from_obj(s) for s in obj["steps"]),
-            verdicts=tuple(obj["verdicts"]),
-            final_degree=obj["final_degree"],
-            final_gates=obj["final_gates"],
-            epsilon_guarantee=obj["epsilon_guarantee"],
-            es_guarantee=obj["es_guarantee"],
-            final_tau=tuple(obj["final_tau"]) if obj["final_tau"] else None,
-            zero_summands_dropped=obj["zero_summands_dropped"],
-        )
-
-
-@dataclass(frozen=True)
-class TrimResult:
-    circuit: RegularCircuit
-    even_degree: int
-    permanent_degree: int
 
 
 def ceil_sqrt(m: int) -> int:
@@ -364,7 +317,6 @@ def reduce_to_single(
         verify=verify,
         seed=seed,
         trials=trials,
-        pit_prime=PRIME,
         steps=tuple(steps),
         verdicts=tuple(verdicts),
         final_degree=cur.n,
@@ -377,17 +329,14 @@ def reduce_to_single(
     return single, transcript
 
 
-def trim_even(rc: RegularCircuit) -> TrimResult:
-    """Drop the last index if the degree is odd; report the implied half degree.
+def trim_even(rc: RegularCircuit) -> RegularCircuit:
+    """The even-degree circuit: rc itself at even degree, else rc with its last index dropped.
 
     The input is a single regular circuit computing the determinant of its
-    grid size d.  Odd d is lowered to d-1 by one projection; the returned
-    permanent_degree is (even degree)/2.
+    grid size d >= 2; the result computes the determinant of degree d or d-1,
+    whichever is even.
     """
     d = rc.circuit.n
     if d < 2:
         raise DegreeTooSmall(d)
-    if d % 2 == 0:
-        return TrimResult(rc, d, d // 2)
-    trimmed = drop_last_index(Bouquet(d, (rc,)))
-    return TrimResult(trimmed.summands[0], d - 1, (d - 1) // 2)
+    return rc if d % 2 == 0 else drop_last_index(Bouquet(d, (rc,))).summands[0]

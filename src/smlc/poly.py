@@ -3,9 +3,9 @@
 Everything here is deliberately brute force: exact sparse expansion over
 arbitrary-precision integers, evaluation mod a prime at many points,
 Leibniz-sum reference determinant/permanent polynomials, the determinant of a
-concrete matrix mod a prime by Gaussian elimination, permutation sign, and
-two equivalence checks (exact term-by-term comparison, and a seeded
-Schwartz-Zippel test modulo the fixed 61-bit Mersenne prime).  Passes are
+concrete matrix mod a prime by Gaussian elimination, permutation sign, and a
+seeded Schwartz-Zippel equivalence test modulo the fixed 61-bit Mersenne
+prime (exact equivalence is equality of two expansions' terms).  Passes are
 trusted only after they agree with these oracles.
 
 Evaluation (`eval_points`) compiles each circuit's flat node arrays once into
@@ -31,7 +31,7 @@ from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, validate, variables
 # at a uniform random point with probability at most d / PRIME per trial.
 PRIME = 2**61 - 1
 
-DEFAULT_TERM_BUDGET = 10**6
+TERM_BUDGET = 10**6  # terms any one node of an exact expansion may hold
 DEFAULT_TRIALS = 20
 
 Monomial = tuple[tuple[int, int], ...]
@@ -65,9 +65,10 @@ class MissingAssignment(OracleError):
 # ---------------------------------------------------------------------------
 
 def check_permutation(pi: Iterable[int], n: int) -> tuple[int, ...]:
-    """pi as a tuple, if it is a permutation of [1..n]; else NotAPermutation."""
+    """pi as a tuple, if it is a permutation of [1..n] (ints only); else NotAPermutation."""
     pi = tuple(pi)
-    if len(pi) != n or sorted(pi) != list(range(1, n + 1)):
+    ints = all(isinstance(v, int) for v in pi)
+    if len(pi) != n or not ints or sorted(pi) != list(range(1, n + 1)):
         raise NotAPermutation(pi, n)
     return pi
 
@@ -199,39 +200,17 @@ def poly_to_text(poly: SparsePoly) -> str:
     return "\n".join(lines)
 
 
-def poly_from_text(text: str, n: int) -> SparsePoly:
-    terms: dict[Monomial, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        coeff = int(fields[0])
-        mono = []
-        for tok in fields[1:]:
-            if not (tok.startswith("x[") and tok.endswith("]")):
-                raise OracleError(f"bad factor {tok!r}")
-            r, c = tok[2:-1].split(",")
-            mono.append((int(r), int(c)))
-        key = tuple(mono)
-        if key in terms:
-            raise OracleError(f"duplicate monomial in line {line!r}")
-        if coeff:
-            terms[key] = coeff
-    return SparsePoly(n, terms)
-
-
 # ---------------------------------------------------------------------------
 # Circuit expansion and evaluation
 # ---------------------------------------------------------------------------
 
-def expand(circuit: Circuit, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePoly:
+def expand(circuit: Circuit) -> SparsePoly:
     """Exact polynomial computed by the circuit.
 
     Works bottom-up over the node list.  Because every gate of a valid circuit
     is set-multilinear, the term count of a product is exactly the product of
-    the factor term counts, which gives a precise budget check before any
-    large multiplication is attempted.
+    the factor term counts, which gives a precise check against TERM_BUDGET
+    before any large multiplication is attempted.
 
     Intermediate polynomials are dropped (and their dicts reused) at their
     last reference, so long addition chains accumulate in linear rather than
@@ -239,12 +218,12 @@ def expand(circuit: Circuit, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePo
     The circuit comes from outside and is validated first.
     """
     validate(circuit)
-    return _expand(circuit, term_budget)
+    return _expand(circuit)
 
 
-def _expand(circuit: Circuit, term_budget: int) -> SparsePoly:
+def _expand(circuit: Circuit) -> SparsePoly:
     # expand for circuits known to be well typed
-    n = circuit.n
+    n, term_budget = circuit.n, TERM_BUDGET
     nodes = circuit.nodes
     ops, lefts, rights = nodes.op, nodes.a, nodes.b
     remaining = [0] * len(ops)
@@ -381,14 +360,14 @@ def eval_circuit(circuit: Circuit, assignment: Assignment, prime: int = PRIME) -
     return eval_points(circuit, [assignment], prime)[0]
 
 
-def expand_bouquet(bouquet: Bouquet, term_budget: int = DEFAULT_TERM_BUDGET) -> SparsePoly:
+def expand_bouquet(bouquet: Bouquet) -> SparsePoly:
     """Exact polynomial of the whole bouquet: sign * sum of summand expansions.
 
     The summands are already regular, so they are not validated again.
     """
     total = SparsePoly.zero(bouquet.n)
     for rc in bouquet.summands:
-        total = total + _expand(rc.circuit, term_budget)
+        total = total + _expand(rc.circuit)
     return total.scaled(bouquet.sign)
 
 
@@ -463,10 +442,6 @@ class Equivalent:
     trials: int
     per_trial_bound: float  # Schwartz-Zippel failure probability per trial
 
-    @property
-    def error_bound(self) -> float:
-        return self.per_trial_bound**self.trials
-
 
 @dataclass(frozen=True, slots=True)
 class Distinct:
@@ -477,11 +452,6 @@ class Distinct:
 
 
 Verdict = Equivalent | Distinct
-
-
-def equiv_exact(a: Circuit, b: Circuit, term_budget: int = DEFAULT_TERM_BUDGET) -> bool:
-    """Term-by-term equality of the two expansions."""
-    return expand(a, term_budget).terms == expand(b, term_budget).terms
 
 
 def trial_point(

@@ -6,10 +6,18 @@ import sys
 
 import pytest
 
-from smlc.generators import det_bouquet
+from smlc.generators import det_bouquet, det_regular_circuit
 from smlc.passes import compose, project
 from smlc.poly import PRIME, expand, expand_bouquet, poly_to_text, reference_det, trial_point
-from smlc.serialize import bouquet_from_obj, bouquet_to_obj, circuit_from_obj, dumps
+from smlc.serialize import (
+    bouquet_from_obj,
+    bouquet_to_obj,
+    circuit_from_obj,
+    circuit_to_obj,
+    dumps,
+)
+
+from test_poly import over_budget_circuit
 
 
 def run(args, stdin=""):
@@ -152,6 +160,23 @@ def test_reduce_has_no_term_budget():
     # the exact tier cannot reach a term budget, so reduce takes none
     blob = dumps(bouquet_to_obj(det_bouquet(3, [(1, 2, 3), (3, 1, 2)], seed=1)))
     out = run(["reduce", "--term-budget", "3"], stdin=blob)
+    assert out.returncode == 2
+
+
+def test_expand_budget_exceeded_exits_1():
+    out = run(["expand"], stdin=dumps(circuit_to_obj(over_budget_circuit())))
+    assert out.returncode == 1
+    assert json.loads(out.stdout) == {
+        "ok": False,
+        "error": "BudgetExceeded",
+        "detail": "product of 1331 x 1331 terms exceeds budget 1000000",
+    }
+
+
+def test_expand_has_no_term_budget():
+    # the budget is the fixed poly.TERM_BUDGET, so expand takes none
+    blob = dumps(circuit_to_obj(det_regular_circuit(2, (1, 2)).circuit))
+    out = run(["expand", "--term-budget", "3"], stdin=blob)
     assert out.returncode == 2
 
 

@@ -191,3 +191,10 @@ def test_order_of_wrong_length_names_the_grid(make, detail):
     with pytest.raises(NotAPermutation) as err:
         make()
     assert str(err.value) == detail
+
+
+def test_det_rejects_non_int_order_entry():
+    # 1.0 == 1, so only the type tells this order from a permutation
+    with pytest.raises(NotAPermutation) as err:
+        det_regular_circuit(2, (1.0, 2))
+    assert str(err.value) == "(1.0, 2) is not a permutation of [1..2]"

@@ -6,11 +6,13 @@ import random
 import pytest
 
 from smlc.circuit import (
+    Add,
     AddMismatch,
     Bouquet,
     Circuit,
     ConstLeaf,
     Mul,
+    RegularCircuit,
     RootNotPrefix,
     VarLeaf,
     bouquet_gate_count,
@@ -29,6 +31,7 @@ from smlc.passes import (
     Direction,
     DuplicateEntries,
     EmptyKeepSet,
+    PassError,
     compose,
     distinct_orders,
     drop_last_index,
@@ -41,7 +44,6 @@ from smlc.passes import (
 from smlc.poly import (
     NotAPermutation,
     compose_perms,
-    equiv_exact,
     expand,
     expand_bouquet,
     random_perm,
@@ -76,7 +78,7 @@ def test_reverse_two_leaf_product():
     out = reverse(regular(circuit, (1, 2)))
     assert out.sigma == (2, 1)
     assert out.circuit.nodes[2] == Mul(1, 0)
-    assert equiv_exact(circuit, out.circuit)
+    assert expand(circuit).terms == expand(out.circuit).terms
 
 
 def test_reverse_random_circuits_preserve_everything():
@@ -91,7 +93,7 @@ def test_reverse_random_circuits_preserve_everything():
         rev = reverse(rc)
         assert rev.sigma == tuple(reversed(sigma))
         assert len(rev.circuit.nodes) == len(rc.circuit.nodes)
-        assert equiv_exact(rc.circuit, rev.circuit)
+        assert expand(rc.circuit).terms == expand(rev.circuit).terms
         assert reverse(rev).circuit == rc.circuit  # involution, gate for gate
 
 
@@ -170,12 +172,20 @@ def test_compose_changes_single_monomial_polynomial():
     assert expand_bouquet(out).terms != expand_bouquet(b).terms
 
 
+class Row(int):
+    """An int subclass, which counts as an int."""
+
+
 def test_compose_rejects_non_permutation():
     b = det_bouquet(2, [(1, 2)], seed=0)
     with pytest.raises(NotAPermutation):
         compose(b, (1, 1))
     with pytest.raises(NotAPermutation, match=r"\(1, 2, 3\) is not a permutation of \[1\.\.2\]"):
         compose(b, (1, 2, 3))
+    # 2.0 == 2, so only the type tells this tuple from a permutation
+    with pytest.raises(NotAPermutation, match=r"\(2\.0, 1\) is not a permutation of \[1\.\.2\]"):
+        compose(b, (2.0, 1))
+    assert compose(b, (Row(2), 1)) == compose(b, (2, 1))
 
 
 # --- monotone subsequence ---------------------------------------------------
@@ -286,6 +296,24 @@ def test_project_errors():
         project(b, (0, 1))
     with pytest.raises(Exception):
         project(b, (1, 3))
+    for keep in ([1.5, 2], [1.0, 2]):
+        with pytest.raises(PassError) as err:
+            project(b, keep)
+        assert type(err.value) is PassError
+        assert str(err.value) == f"keep set {keep} not within [1..2]"
+    assert project(b, [Row(1)]) == project(b, [1])
+
+
+@pytest.mark.parametrize("add", [Add(0, 1), Add(1, 0)])
+@pytest.mark.parametrize("keep", [[1], [1, 2]])
+def test_project_names_add_of_constant_and_live_branch(add, keep):
+    # x[1,1] + 5 is not regular, but RegularCircuit takes it unchecked; the
+    # fold must name the addition rather than emit it with a missing child
+    circuit = Circuit(2, (VarLeaf(1, 1), ConstLeaf(5), add, VarLeaf(2, 2), Mul(2, 3)), 4)
+    b = Bouquet(2, (RegularCircuit(circuit, (1, 2), 2),))
+    with pytest.raises(AddMismatch) as err:
+        project(b, keep)
+    assert err.value.node_id == 2
 
 
 def _project_poly_oracle(poly, keep):

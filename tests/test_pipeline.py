@@ -121,18 +121,6 @@ def test_reduce_transcript_replay_is_identical():
     assert tr1.to_obj() == tr2.to_obj()
 
 
-def test_transcript_json_round_trip():
-    import json
-
-    from smlc.pipeline import Transcript
-
-    b = det_bouquet(4, [(2, 1, 4, 3), (1, 2, 3, 4)], seed=8)
-    _, tr = reduce_to_single(b, verify="random", seed=5, trials=4)
-    assert tr.steps  # the reduction actually iterated
-    blob = json.dumps(tr.to_obj())
-    assert Transcript.from_obj(json.loads(blob)) == tr
-
-
 def test_reduce_detects_non_determinant_input():
     nodes = (VarLeaf(1, 1), VarLeaf(2, 1), Mul(0, 1))
     rc = regular(Circuit(2, nodes, 2), (1, 2))
@@ -206,20 +194,17 @@ def test_reduce_rejects_checks_without_trials(verify, trials):
 
 def test_trim_even_degrees():
     rc4 = det_regular_circuit(4, (1, 2, 3, 4))
-    res = trim_even(rc4)
-    assert res.circuit is rc4
-    assert (res.even_degree, res.permanent_degree) == (4, 2)
+    assert trim_even(rc4) is rc4
 
     rc2 = det_regular_circuit(2, (1, 2))
-    res2 = trim_even(rc2)
-    assert (res2.even_degree, res2.permanent_degree) == (2, 1)
+    assert trim_even(rc2) is rc2
 
 
 def test_trim_odd_degree_drops_one():
     rc3 = det_regular_circuit(3, (1, 2, 3))
     res = trim_even(rc3)
-    assert (res.even_degree, res.permanent_degree) == (2, 1)
-    assert expand(res.circuit.circuit).terms == reference_det(2).terms
+    assert res.circuit.n == 2
+    assert expand(res.circuit).terms == reference_det(2).terms
 
 
 def test_trim_degree_too_small():
