@@ -3,7 +3,17 @@
 Determinant circuits are built term by term from the Leibniz sum, so they are
 factorial-sized and capped at n <= 8.  That is fine for an oracle-checked
 toolkit: the transformations under test are size-preserving up to a constant,
-so exercising them on small exact instances is what matters.
+so exercising them on small exact instances is what matters.  The Leibniz
+path also makes the inputs of all three benchmark workloads, whose
+determinism digests and `final_gates` compare across changes only while the
+same nodes come out in the same order; that is why it stays beside any
+smaller construction.
+
+The terms are emitted in bulk from a leaf table and one table of all n!
+signs (`_det_terms_circuit`, `_leibniz_signs`).  Leaves are numbered where
+they are first used, and that numbering is part of the output: the wire
+bytes and every digest over them depend on it, and
+`tests/test_generator_bytes.py` pins them.
 
 Every generator is deterministic for a fixed seed and returns circuits that
 already passed `regular` against their declared order.
@@ -15,6 +25,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, Bouquet, Builder, Circuit, RegularCircuit, regular
@@ -70,25 +81,85 @@ def _check_grid(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def _signed_term(b: Builder, sigma: tuple[int, ...], pi: tuple[int, ...]) -> int:
-    # left-comb product of one variable per row, multiplied in sigma order,
-    # wrapped in a -1 factor for odd pi
-    acc = b.leaf(VAR, sigma[0], pi[sigma[0] - 1])
-    for pos in range(1, len(sigma)):
-        row = sigma[pos]
-        acc = b.emit(MUL, acc, b.leaf(VAR, row, pi[row - 1]))
-    if sign_of_permutation(pi) < 0:
-        acc = b.emit(MUL, b.leaf(CONST, -1), acc)
-    return acc
+def _leibniz_signs(n: int) -> list[int]:
+    """The signs of all n! permutations of [1..n], in itertools.permutations order.
+
+    The m-th permutation's Lehmer code is m's factorial-base digits, and the
+    digits sum to its inversion count, so its sign is (-1) to that sum.  In
+    the order of itertools the leading digit d fixes a block of (n-1)!
+    consecutive permutations, so each block is the table for n-1, flipped
+    for odd d.
+    """
+    signs = [1]
+    for size in range(2, n + 1):
+        flipped = [-s for s in signs]
+        signs = [s for d in range(size) for s in (flipped if d % 2 else signs)]
+    return signs
 
 
 def _det_terms_circuit(
-    n: int, sigma: tuple[int, ...], perms: Sequence[tuple[int, ...]]
+    n: int, sigma: tuple[int, ...], perms: Sequence[tuple[int, ...]], signs: Sequence[int]
 ) -> RegularCircuit:
+    """The sum of the signed Leibniz terms sign * prod_row x[row, pi(row)].
+
+    Each term is a left-comb product of one variable per row, multiplied in
+    sigma order, times the leaf -1 when its sign is negative; each term after
+    the first is joined to the sum so far by one addition.  Equal leaves are
+    shared, and a leaf is numbered where it is first used.  So node ids
+    depend on the order of `perms`, and the output is byte-stable: the
+    golden digests, the benchmark's determinism digests and its `final_gates`
+    all rest on this numbering.
+
+    Leaf ids come from a table indexed by (position of the row in sigma,
+    column).  A term whose leaves all exist already, the -1 leaf included
+    when its sign is negative, is appended to the arrays in one go: its n-1
+    products, its -1 factor and its addition.  A term that needs a new leaf
+    is emitted node by node, so its new leaves get their first-use ids.
+    """
     b = Builder()
-    acc = _signed_term(b, sigma, perms[0])
-    for pi in perms[1:]:
-        acc = b.emit(ADD, acc, _signed_term(b, sigma, pi))
+    op, a, bb, emit = b.op, b.a, b.b, b.emit
+    # pi's columns in sigma order, as a tuple (a slice, so also for n = 1)
+    columns_of = itemgetter(*(row - 1 for row in sigma)) if n > 1 else itemgetter(slice(0, 1))
+    table: list[list[int | None]] = [[None] * (n + 1) for _ in range(n)]
+    even_tail = [MUL] * (n - 1) + [ADD]
+    odd_tail = [MUL] * n + [ADD]
+    neg: int | None = None
+    acc = -1
+    for pi, sign in zip(perms, signs):
+        cols = columns_of(pi)
+        ids = list(map(getitem, table, cols))
+        # node by node where a leaf is new (and for n = 1, where the term is
+        # a bare leaf with no products to append)
+        if n == 1 or None in ids or (sign < 0 and neg is None):
+            term = -1
+            for pos, col in enumerate(cols):
+                leaf = ids[pos]
+                if leaf is None:
+                    leaf = table[pos][col] = emit(VAR, sigma[pos], col)
+                term = leaf if term < 0 else emit(MUL, term, leaf)
+            if sign < 0:
+                if neg is None:
+                    neg = emit(CONST, -1, 0)
+                term = emit(MUL, neg, term)
+            acc = term if acc < 0 else emit(ADD, acc, term)
+            continue
+        # the products left to right, then the -1 factor if odd, then the
+        # sum; acc is always the newest node, so the term starts at acc + 1
+        last = acc + n - 1
+        a.append(ids[0])
+        a.extend(range(acc + 1, last))
+        del ids[0]
+        bb.extend(ids)
+        if sign > 0:
+            op.extend(even_tail)
+            a.append(acc)
+            bb.append(last)
+            acc = last + 1
+        else:
+            op.extend(odd_tail)
+            a.extend((neg, acc))
+            bb.extend((last, last + 1))
+            acc = last + 2
     return regular(Circuit(n, b.nodes(), acc), sigma)
 
 
@@ -99,7 +170,7 @@ def det_regular_circuit(n: int, sigma: Iterable[int]) -> RegularCircuit:
         raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
     sigma = check_permutation(sigma, n)
     perms = list(itertools.permutations(range(1, n + 1)))
-    return _det_terms_circuit(n, sigma, perms)
+    return _det_terms_circuit(n, sigma, perms, _leibniz_signs(n))
 
 
 def _bucket_split(
@@ -136,10 +207,11 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     if len(set(sigmas)) != len(sigmas):
         raise ValueError("summand orders must be pairwise distinct")
     perms = list(itertools.permutations(range(1, n + 1)))
+    signs = _leibniz_signs(n)
     rng = random.Random(seed)
     buckets = _bucket_split(len(perms), len(sigmas), rng)
     summands = tuple(
-        _det_terms_circuit(n, sigma, [perms[i] for i in bucket])
+        _det_terms_circuit(n, sigma, [perms[i] for i in bucket], [signs[i] for i in bucket])
         for sigma, bucket in zip(sigmas, buckets)
     )
     return Bouquet(n=n, summands=summands)
@@ -170,7 +242,9 @@ def sparse_term_bouquet(
                 sample.append(pi)
     buckets = _bucket_split(len(sample), len(sigmas), rng)
     summands = tuple(
-        _det_terms_circuit(n, sigma, [sample[i] for i in bucket])
+        _det_terms_circuit(
+            n, sigma, [sample[i] for i in bucket], [sign_of_permutation(sample[i]) for i in bucket]
+        )
         for sigma, bucket in zip(sigmas, buckets)
     )
     return Bouquet(n=n, summands=summands)

@@ -277,11 +277,14 @@ def project(bouquet: Bouquet, keep: Iterable[int]) -> Bouquet:
     prefix of the induced order.  The new degree is their count, or 0 when
     the root folds to a constant; nothing is re-inferred.
     """
-    keep_list = sorted(set(keep))
-    if not keep_list:
+    keep = list(keep)
+    if not keep:
         raise EmptyKeepSet()
-    ints = all(isinstance(v, int) for v in keep_list)
-    if not ints or keep_list[0] < 1 or keep_list[-1] > bouquet.n:
+    # ints first: sorting a mix such as ["a", 1] would raise a bare TypeError
+    if not all(isinstance(v, int) for v in keep):
+        raise PassError(f"keep set {keep} not within [1..{bouquet.n}]")
+    keep_list = sorted(set(keep))
+    if keep_list[0] < 1 or keep_list[-1] > bouquet.n:
         raise PassError(f"keep set {keep_list} not within [1..{bouquet.n}]")
     rank = [0] * (bouquet.n + 1)
     for i, value in enumerate(keep_list):

@@ -20,10 +20,11 @@ bouquet also checks that every summand is over the bouquet's grid, then runs
 `regular` on it against its sigma.
 
 The parser writes each node straight into the three flat arrays of
-`circuit.Nodes` and builds no node objects.  Its loop tests each field with
-`type(value) is int` (or `str`) and calls `_require` only when that test
-fails, so a malformed document gets the same `ParseError` as a field-by-field
-check, while a well-formed one pays for one dict lookup per field.
+`circuit.Nodes` and builds no node objects.  Its loop reads the id, op and
+operand fields by subscript, tests each with `type(value) is int` (or `str`)
+and calls `_require` only when a field is missing or that test fails, so a
+malformed document gets the same `ParseError` as a field-by-field check, while
+a well-formed one pays for one subscript per field.
 """
 
 from __future__ import annotations
@@ -88,21 +89,27 @@ def circuit_from_obj(obj: Any) -> Circuit:
     lefts: list[Any] = []
     rights: list[Any] = []
     for idx, raw in enumerate(raw_nodes):
-        if not isinstance(raw, dict):
-            raise ParseError(f"node {idx} is not an object")
-        get = raw.get
-        vid = get("id")
+        if type(raw) is not dict:
+            if not isinstance(raw, dict):
+                raise ParseError(f"node {idx} is not an object")
+            raw = dict(raw)  # so a subclass's __missing__ cannot fill in a field
+        try:
+            vid, name = raw["id"], raw["op"]
+        except KeyError:
+            vid = name = None
         if type(vid) is not int:
             vid = _require(raw, "id", int)
         if vid != idx:
             raise ParseError(f"node {idx}: id {raw['id']} out of order (ids must be dense, 0-based)")
-        name = get("op")
         if type(name) is not str:
             name = _require(raw, "op", str)
         fields = _FIELDS.get(name)
         if fields is not None:
             op, fa, fb = fields
-            left, right = get(fa), get(fb)
+            try:
+                left, right = raw[fa], raw[fb]
+            except KeyError:
+                left = right = None
             if type(left) is not int:
                 left = _require(raw, fa, int)
             if type(right) is not int:
@@ -111,7 +118,7 @@ def circuit_from_obj(obj: Any) -> Circuit:
                 bad = right if 0 <= left < idx else left
                 raise ParseError(f"node {idx}: forward or invalid child reference {bad}")
         elif name == "const":
-            op, text = CONST, get("value")
+            op, text = CONST, raw.get("value")
             if type(text) is not str:
                 text = _require(raw, "value", str)
             try:

@@ -301,6 +301,11 @@ def test_project_errors():
             project(b, keep)
         assert type(err.value) is PassError
         assert str(err.value) == f"keep set {keep} not within [1..2]"
+    # entries that do not even sort together are typed before any sorting
+    with pytest.raises(PassError) as err:
+        project(det_bouquet(3, [(1, 2, 3)], 0), ["a", 1])
+    assert type(err.value) is PassError
+    assert str(err.value) == "keep set ['a', 1] not within [1..3]"
     assert project(b, [Row(1)]) == project(b, [1])
 
 

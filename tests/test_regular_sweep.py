@@ -116,8 +116,12 @@ def variable_out_of_range(draw, circuit, sigma):
     if vid is None:
         return circuit, sigma
     node = circuit.nodes[vid]
-    bad = draw(st.sampled_from((0, -1, circuit.n + 1)))
-    leaf = VarLeaf(bad, node.col) if draw(st.booleans()) else VarLeaf(node.row, bad)
+    # one draw over every (field, value) pair, just past the grid first: the
+    # draws favour early entries, and with separate field and value draws no
+    # col = n+1 came up in a run
+    pairs = [(f, v) for v in (circuit.n + 1, 0, -1) for f in ("col", "row")]
+    field, bad = draw(st.sampled_from(pairs))
+    leaf = VarLeaf(bad, node.col) if field == "row" else VarLeaf(node.row, bad)
     return _put(circuit, vid, leaf), sigma
 
 
