@@ -8,7 +8,6 @@ from .circuit import (
     ConstLeaf,
     Interval,
     Mul,
-    OrderAssignment,
     RegularCircuit,
     VarLeaf,
     bouquet_gate_count,
@@ -19,7 +18,6 @@ from .circuit import (
     validate,
 )
 from .generators import (
-    GenConfig,
     det_bouquet,
     det_regular_circuit,
     random_regular_circuit,

@@ -46,7 +46,6 @@ __all__ = [
     "Node",
     "Circuit",
     "Interval",
-    "OrderAssignment",
     "RegularCircuit",
     "Bouquet",
     "CircuitStats",
@@ -259,14 +258,6 @@ class Interval:
 
 
 @dataclass(frozen=True, slots=True)
-class OrderAssignment:
-    """Per-node interval assignment w.r.t. sigma; None marks the empty interval."""
-
-    sigma: tuple[int, ...]
-    intervals: tuple[Interval | None, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class RegularCircuit:
     """A circuit, the order sigma it is regular for, and its degree.
 
@@ -305,7 +296,7 @@ class Bouquet:
     def __post_init__(self):
         if not self.summands:
             raise ValueError("bouquet needs at least one summand")
-        if self.sign not in (1, -1):
+        if not _is_int(self.sign) or self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         for rc in self.summands:
             if rc.circuit.n != self.n:
@@ -319,6 +310,11 @@ class CircuitStats:
     size: int
     depth: int
     degree: int
+
+
+def _is_int(value) -> bool:
+    """An int, an int subclass included, but not a bool, which JSON would write as true/false."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _bits(mask: int) -> list[int]:
@@ -341,10 +337,11 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     ops, lefts, rights = nodes.op, nodes.a, nodes.b
     if not (0 <= root < len(ops)):
         raise BadChildRef(root, root)
-    # row -> bit index under sigma; without one, row r is bit r-1 (no table,
-    # so a check without an order costs nothing per row of the grid)
+    # row -> bit index under sigma; without one, row r is bit r-1.  Nothing
+    # per row of the grid is built without an order or (length first) for a
+    # sigma of the wrong length, so a huge n costs nothing to check.
     shift = None
-    if sigma is not None and all(isinstance(row, int) for row in sigma):
+    if sigma is not None and len(sigma) == n and all(_is_int(row) for row in sigma):
         if sorted(sigma) == list(range(1, n + 1)):
             shift = [0] * (n + 1)
             for p, row in enumerate(sigma):
@@ -372,7 +369,7 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
                 raise AddMismatch(vid)
             append(lm)
         elif op == VAR:  # a, b = row, col
-            if not (isinstance(a, int) and isinstance(b, int) and 1 <= a <= n and 1 <= b <= n):
+            if not (_is_int(a) and _is_int(b) and 1 <= a <= n and 1 <= b <= n):
                 raise VariableOutOfRange(vid, a, b, n)
             append(1 << (a - 1 if shift is None else shift[a]))
         else:
@@ -407,8 +404,8 @@ def validate(circuit: Circuit) -> tuple[frozenset[int], ...]:
     return _per_mask(_sweep(circuit, None), lambda mask: frozenset(p + 1 for p in _bits(mask)))
 
 
-def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> OrderAssignment:
-    """Compute the unique interval assignment w.r.t. sigma, or fail.
+def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> tuple[Interval | None, ...]:
+    """The unique interval of every node w.r.t. sigma (None for empty), or fail.
 
     sigma is given as 1-based images (sigma[p-1] is the row at position p).
     Typing errors come first, then a sigma that is not a permutation (an entry
@@ -416,12 +413,8 @@ def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> OrderAssignment:
     first product whose factors are not adjacent runs, left child first.  A
     node's interval is the lowest set bit and the bit count of its mask.
     """
-    sigma = tuple(sigma)
-    masks = _sweep(circuit, sigma)
-    return OrderAssignment(
-        sigma,
-        _per_mask(masks, lambda m: Interval((m & -m).bit_length(), m.bit_count()) if m else None),
-    )
+    masks = _sweep(circuit, tuple(sigma))
+    return _per_mask(masks, lambda m: Interval((m & -m).bit_length(), m.bit_count()) if m else None)
 
 
 def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:

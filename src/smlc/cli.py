@@ -98,7 +98,8 @@ def _emit(obj: Any) -> int:
 
 
 def _cmd_gen_det(args) -> int:
-    sigma = args.sigma or tuple(range(1, args.n + 1))
+    # a range, so an n the generator refuses costs nothing to refuse
+    sigma = args.sigma or range(1, args.n + 1)
     rc = det_regular_circuit(args.n, sigma)
     return _emit(circuit_to_obj(rc.circuit))
 
@@ -118,11 +119,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check_regular(args) -> int:
     circuit = _read_circuit()
-    order = infer_order(circuit, args.sigma)
     intervals = [
-        None if iv is None else [iv.start, iv.length] for iv in order.intervals
+        None if iv is None else [iv.start, iv.length] for iv in infer_order(circuit, args.sigma)
     ]
-    return _emit({"ok": True, "sigma": list(order.sigma), "intervals": intervals})
+    return _emit({"ok": True, "sigma": list(args.sigma), "intervals": intervals})
 
 
 def _cmd_stats(args) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
@@ -38,7 +37,6 @@ from .poly import (
 )
 
 __all__ = [
-    "GenConfig",
     "NeedAtLeastOneTermPerBucket",
     "det_regular_circuit",
     "det_bouquet",
@@ -54,25 +52,6 @@ _EXPANSION_GUARD = 50_000
 
 class NeedAtLeastOneTermPerBucket(Exception):
     """Fewer terms than summands requested."""
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Knobs for the random generators.
-
-    size_budget is an upper bound on the node count; the minimum useful value
-    is 2n-1 (one variable per row joined by products).
-    """
-
-    n: int
-    seed: int
-    size_budget: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.size_budget < 2 * self.n - 1:
-            raise ValueError(f"size_budget must be >= {2 * self.n - 1}")
 
 
 def _check_grid(n: int) -> None:
@@ -164,21 +143,20 @@ def _det_terms_circuit(
 
 
 def det_regular_circuit(n: int, sigma: Iterable[int]) -> RegularCircuit:
-    """Full determinant circuit, regular w.r.t. sigma, built from all n! signed terms."""
-    _check_grid(n)
-    if n > REFERENCE_MAX_N:
-        raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
-    sigma = check_permutation(sigma, n)
-    perms = list(itertools.permutations(range(1, n + 1)))
-    return _det_terms_circuit(n, sigma, perms, _leibniz_signs(n))
+    """Full determinant circuit, regular w.r.t. sigma, built from all n! signed terms:
+    the one summand of det_bouquet with the single order sigma."""
+    return det_bouquet(n, [sigma], 0).summands[0]
 
 
 def _bucket_split(
     count: int, k: int, rng: random.Random
 ) -> list[list[int]]:
-    # random assignment of `count` items to k buckets, resampled until none is empty
+    # random assignment of `count` items to k buckets, resampled until none is
+    # empty; a single bucket takes everything and draws no random numbers
     if count < k:
         raise NeedAtLeastOneTermPerBucket(f"{count} terms cannot fill {k} buckets")
+    if k == 1:
+        return [list(range(count))]
     while True:
         buckets: list[list[int]] = [[] for _ in range(k)]
         for idx in range(count):
@@ -191,8 +169,7 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     """Split the n! determinant terms into one regular summand per order.
 
     The summands' expansions sum to the determinant polynomial; summand i is
-    regular w.r.t. sigmas[i].  With a single order this reproduces
-    det_regular_circuit exactly.
+    regular w.r.t. sigmas[i].  det_regular_circuit is the single-order case.
     """
     _check_grid(n)
     if n > REFERENCE_MAX_N:
@@ -200,16 +177,12 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     sigmas = [check_permutation(s, n) for s in sigmas]
     if not sigmas:
         raise ValueError("det_bouquet needs at least one summand order in sigmas")
-    if math.factorial(n) < len(sigmas):
-        raise NeedAtLeastOneTermPerBucket(
-            f"{math.factorial(n)} terms cannot fill {len(sigmas)} buckets"
-        )
+    perms = list(itertools.permutations(range(1, n + 1)))
+    # more orders than terms is refused here, before the distinct check
+    buckets = _bucket_split(len(perms), len(sigmas), random.Random(seed))
     if len(set(sigmas)) != len(sigmas):
         raise ValueError("summand orders must be pairwise distinct")
-    perms = list(itertools.permutations(range(1, n + 1)))
     signs = _leibniz_signs(n)
-    rng = random.Random(seed)
-    buckets = _bucket_split(len(perms), len(sigmas), rng)
     summands = tuple(
         _det_terms_circuit(n, sigma, [perms[i] for i in bucket], [signs[i] for i in bucket])
         for sigma, bucket in zip(sigmas, buckets)
@@ -253,7 +226,8 @@ def sparse_term_bouquet(
 def distinct_perms(n: int, k: int, rng: random.Random) -> list[tuple[int, ...]]:
     """k pairwise distinct random permutations of [1..n]."""
     _check_grid(n)
-    if k > math.factorial(n):
+    # n! >= n, so n! is computed only for n < k, which costs less than k draws
+    if k > n and k > math.factorial(n):
         raise ValueError(f"cannot draw {k} distinct permutations of [1..{n}]")
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -265,17 +239,23 @@ def distinct_perms(n: int, k: int, rng: random.Random) -> list[tuple[int, ...]]:
     return out
 
 
-def random_regular_circuit(config: GenConfig, sigma: Iterable[int]) -> RegularCircuit:
-    """Random full-degree regular circuit w.r.t. sigma within the size budget.
+def random_regular_circuit(sigma: Sequence[int], seed: int, size_budget: int) -> RegularCircuit:
+    """Random full-degree regular circuit w.r.t. sigma with at most size_budget nodes.
 
-    Grows top-down over position spans: a span either splits multiplicatively
-    at a random point, or (budget permitting) becomes a sum of two circuits
-    over the same span.  A tight budget degenerates to the minimal left-comb
-    product of one variable per row.  Expanded term counts are capped so the
-    exact oracle can always afford the result.
+    n is len(sigma), and sigma must be a permutation of [1..n].  The minimum
+    budget is 2n-1 (one variable per row joined by products).  Grows top-down
+    over position spans: a span either splits multiplicatively at a random
+    point, or (budget permitting) becomes a sum of two circuits over the same
+    span.  A tight budget degenerates to the minimal left-comb product of one
+    variable per row.  Expanded term counts are capped so the exact oracle can
+    always afford the result.  Deterministic for a fixed seed.
     """
-    sigma = check_permutation(sigma, config.n)
-    rng = random.Random(config.seed)
+    n = len(sigma)
+    _check_grid(n)
+    if size_budget < 2 * n - 1:
+        raise ValueError(f"size_budget must be >= {2 * n - 1}")
+    sigma = check_permutation(sigma, n)
+    rng = random.Random(seed)
     b = Builder()
 
     def build(lo: int, hi: int, budget: int, term_cap: int) -> tuple[int, int]:
@@ -292,7 +272,7 @@ def random_regular_circuit(config: GenConfig, sigma: Iterable[int]) -> RegularCi
                 scale = b.leaf(CONST, rng.choice((-3, -2, -1, 2, 3)))
                 child, tc = build(lo, hi, budget - 2, term_cap)
                 return b.emit(MUL, scale, child), tc
-            return b.leaf(VAR, sigma[lo - 1], rng.randint(1, config.n)), 1
+            return b.leaf(VAR, sigma[lo - 1], rng.randint(1, n)), 1
         if budget >= minimal + 2 and rng.random() < 0.1:
             # scalar factor above a full-span subcircuit
             scale = b.leaf(CONST, rng.choice((-2, -1, 2)))
@@ -311,5 +291,5 @@ def random_regular_circuit(config: GenConfig, sigma: Iterable[int]) -> RegularCi
         right, tr = build(split + 1, hi, budget - 1 - lmin - extra_l, term_cap // tl)
         return b.emit(MUL, left, right), tl * tr
 
-    root, _ = build(1, config.n, config.size_budget, _EXPANSION_GUARD)
-    return regular(Circuit(config.n, b.nodes(), root), sigma)
+    root, _ = build(1, n, size_budget, _EXPANSION_GUARD)
+    return regular(Circuit(n, b.nodes(), root), sigma)

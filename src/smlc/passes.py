@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, AddMismatch, Bouquet, Builder, Circuit, Nodes
-from .circuit import RegularCircuit, RootNotPrefix
+from .circuit import RegularCircuit, RootNotPrefix, _is_int
 from .poly import (
     check_permutation,
     compose_perms,
@@ -281,7 +281,7 @@ def project(bouquet: Bouquet, keep: Iterable[int]) -> Bouquet:
     if not keep:
         raise EmptyKeepSet()
     # ints first: sorting a mix such as ["a", 1] would raise a bare TypeError
-    if not all(isinstance(v, int) for v in keep):
+    if not all(_is_int(v) for v in keep):
         raise PassError(f"keep set {keep} not within [1..{bouquet.n}]")
     keep_list = sorted(set(keep))
     if keep_list[0] < 1 or keep_list[-1] > bouquet.n:

@@ -1,11 +1,12 @@
 """Ground-truth polynomial oracles, independent of the circuit passes.
 
 Everything here is deliberately brute force: exact sparse expansion over
-arbitrary-precision integers, evaluation mod a prime at many points,
-Leibniz-sum reference determinant/permanent polynomials, the determinant of a
-concrete matrix mod a prime by Gaussian elimination, permutation sign, and a
-seeded Schwartz-Zippel equivalence test modulo the fixed 61-bit Mersenne
-prime (exact equivalence is equality of two expansions' terms).  Passes are
+arbitrary-precision integers, evaluation at many points, Leibniz-sum
+reference determinant/permanent polynomials, the determinant of a concrete
+matrix by Gaussian elimination, permutation sign, and a seeded
+Schwartz-Zippel equivalence test (exact equivalence is equality of two
+expansions' terms).  Every modular computation is over one field, the
+integers mod the fixed 61-bit Mersenne prime PRIME = 2^61 - 1.  Passes are
 trusted only after they agree with these oracles.
 
 Evaluation (`eval_points`) compiles each circuit's flat node arrays once into
@@ -25,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, validate, variables_of
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, _is_int, validate, variables_of
 
 # Fixed carrier for randomized identity testing.  Degree-d polynomials collide
 # at a uniform random point with probability at most d / PRIME per trial.
@@ -65,9 +66,9 @@ class MissingAssignment(OracleError):
 # ---------------------------------------------------------------------------
 
 def check_permutation(pi: Iterable[int], n: int) -> tuple[int, ...]:
-    """pi as a tuple, if it is a permutation of [1..n] (ints only); else NotAPermutation."""
+    """pi as a tuple, if it is a permutation of [1..n] (ints, not bools); else NotAPermutation."""
     pi = tuple(pi)
-    ints = all(isinstance(v, int) for v in pi)
+    ints = all(_is_int(v) for v in pi)
     if len(pi) != n or not ints or sorted(pi) != list(range(1, n + 1)):
         raise NotAPermutation(pi, n)
     return pi
@@ -142,14 +143,7 @@ class SparsePoly:
         return cls(n, {((row, col),): 1})
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = out.get(mono, 0) + coeff
-            if total:
-                out[mono] = total
-            else:
-                out.pop(mono, None)
-        return SparsePoly(self.n, out)
+        return SparsePoly(self.n, _add_into(dict(self.terms), other))
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         out: dict[Monomial, int] = {}
@@ -168,7 +162,8 @@ class SparsePoly:
             return SparsePoly.zero(self.n)
         return SparsePoly(self.n, {m: factor * c for m, c in self.terms.items()})
 
-    def eval_mod(self, assignment: Assignment, prime: int = PRIME) -> int:
+    def eval_mod(self, assignment: Assignment) -> int:
+        prime = PRIME
         total = 0
         for mono, coeff in self.terms.items():
             term = coeff % prime
@@ -179,6 +174,17 @@ class SparsePoly:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _add_into(terms: dict[Monomial, int], other: SparsePoly) -> dict[Monomial, int]:
+    # add other's terms into `terms`, which the caller gives up; returns it
+    for mono, coeff in other.terms.items():
+        total = terms.get(mono, 0) + coeff
+        if total:
+            terms[mono] = total
+        else:
+            terms.pop(mono, None)
+    return terms
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -278,20 +284,11 @@ def _add_consuming(
         base, other = b, a
     else:
         return a + b
-    terms = base.terms
-    for mono, coeff in other.terms.items():
-        total = terms.get(mono, 0) + coeff
-        if total:
-            terms[mono] = total
-        else:
-            del terms[mono]
-    return SparsePoly(n, terms)
+    return SparsePoly(n, _add_into(base.terms, other))
 
 
-def eval_points(
-    doc: Circuit | Bouquet, points: Sequence[Assignment], prime: int = PRIME
-) -> list[int]:
-    """Value of a circuit or bouquet polynomial at each point, mod prime.
+def eval_points(doc: Circuit | Bouquet, points: Sequence[Assignment]) -> list[int]:
+    """Value of a circuit or bouquet polynomial at each point, mod PRIME.
 
     Each circuit (every summand of a bouquet) is compiled once into a flat,
     value-numbered program (`_compile`), and the programs are swept once per
@@ -304,7 +301,8 @@ def eval_points(
         circuits, sign = [rc.circuit for rc in doc.summands], doc.sign
     else:
         circuits, sign = [doc], 1
-    programs = [_compile(circuit, prime) for circuit in circuits]
+    prime = PRIME
+    programs = [_compile(circuit) for circuit in circuits]
     out = []
     for point in points:
         total = 0
@@ -327,14 +325,14 @@ def eval_points(
     return out
 
 
-def _compile(circuit: Circuit, prime: int) -> tuple[list[tuple[int, int, int]], int]:
+def _compile(circuit: Circuit) -> tuple[list[tuple[int, int, int]], int]:
     """(program, root slot): the circuit as a flat list of (op, a, b) slots.
 
     One pass over the node arrays, with the circuit's opcodes.  Nodes are
     value-numbered: each distinct (op, operands) gets one slot, so
     structurally equal nodes are computed once.  A gate's operands are the
     slots of its children, a variable's are its row and col, and a constant's
-    is its value mod prime.
+    is its value mod PRIME, so constants congruent mod PRIME share a slot.
     """
     memo: dict[tuple[int, int, int], int] = {}
     program: list[tuple[int, int, int]] = []
@@ -342,7 +340,7 @@ def _compile(circuit: Circuit, prime: int) -> tuple[list[tuple[int, int, int]], 
     nodes = circuit.nodes
     for op, a, b in zip(nodes.op, nodes.a, nodes.b):
         if op == CONST:
-            key = (CONST, a % prime, 0)
+            key = (CONST, a % PRIME, 0)
         elif op == VAR:
             key = (VAR, a, b)
         else:
@@ -355,9 +353,9 @@ def _compile(circuit: Circuit, prime: int) -> tuple[list[tuple[int, int, int]], 
     return program, slot_of[circuit.root]
 
 
-def eval_circuit(circuit: Circuit, assignment: Assignment, prime: int = PRIME) -> int:
-    """Value of the circuit polynomial at one point, mod prime (see eval_points)."""
-    return eval_points(circuit, [assignment], prime)[0]
+def eval_circuit(circuit: Circuit, assignment: Assignment) -> int:
+    """Value of the circuit polynomial at one point, mod PRIME (see eval_points)."""
+    return eval_points(circuit, [assignment])[0]
 
 
 def expand_bouquet(bouquet: Bouquet) -> SparsePoly:
@@ -371,9 +369,9 @@ def expand_bouquet(bouquet: Bouquet) -> SparsePoly:
     return total.scaled(bouquet.sign)
 
 
-def eval_bouquet(bouquet: Bouquet, assignment: Assignment, prime: int = PRIME) -> int:
-    """Value of sign * (sum of summands) at one point, mod prime (see eval_points)."""
-    return eval_points(bouquet, [assignment], prime)[0]
+def eval_bouquet(bouquet: Bouquet, assignment: Assignment) -> int:
+    """Value of sign * (sum of summands) at one point, mod PRIME (see eval_points)."""
+    return eval_points(bouquet, [assignment])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,23 +381,28 @@ def eval_bouquet(bouquet: Bouquet, assignment: Assignment, prime: int = PRIME) -
 REFERENCE_MAX_N = 8  # n! terms; 8! = 40320 is the desk-scale ceiling
 
 
+def _leibniz(n: int, coefficient) -> SparsePoly:
+    # sum over pi of coefficient(pi) * prod_i x[i, pi(i)]
+    terms: dict[Monomial, int] = {}
+    for pi in itertools.permutations(range(1, n + 1)):
+        terms[tuple(zip(range(1, n + 1), pi))] = coefficient(pi)
+    return SparsePoly(n, terms)
+
+
 def reference_det(n: int) -> SparsePoly:
     """Leibniz expansion of the n x n determinant: sum over pi of sgn(pi) prod x[i,pi(i)]."""
     if n > REFERENCE_MAX_N:
         raise TooLarge(f"reference determinant limited to n <= {REFERENCE_MAX_N}, got {n}")
-    terms: dict[Monomial, int] = {}
-    for pi in itertools.permutations(range(1, n + 1)):
-        mono = tuple((i, pi[i - 1]) for i in range(1, n + 1))
-        terms[mono] = sign_of_permutation(pi)
-    return SparsePoly(n, terms)
+    return _leibniz(n, sign_of_permutation)
 
 
-def det_mod(matrix: Sequence[Sequence[int]], prime: int = PRIME) -> int:
-    """Determinant of a square integer matrix mod prime, by Gaussian elimination.
+def det_mod(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix mod PRIME, by Gaussian elimination.
 
     O(n^3) field operations at any n, where reference_det is factorial: the
     value of the n x n determinant polynomial at the point x[r,c] = matrix[r-1][c-1].
     """
+    prime = PRIME
     rows = [[x % prime for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -426,11 +429,7 @@ def reference_perm(n: int) -> SparsePoly:
     """Permanent analogue: all n! products with coefficient +1."""
     if n > REFERENCE_MAX_N:
         raise TooLarge(f"reference permanent limited to n <= {REFERENCE_MAX_N}, got {n}")
-    terms: dict[Monomial, int] = {}
-    for pi in itertools.permutations(range(1, n + 1)):
-        mono = tuple((i, pi[i - 1]) for i in range(1, n + 1))
-        terms[mono] = 1
-    return SparsePoly(n, terms)
+    return _leibniz(n, lambda pi: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +454,14 @@ Verdict = Equivalent | Distinct
 
 
 def trial_point(
-    variables: Iterable[tuple[int, int]], seed: int, trial: int, prime: int = PRIME
+    variables: Iterable[tuple[int, int]], seed: int, trial: int
 ) -> dict[tuple[int, int], int]:
-    """Deterministic uniform sample in [0, prime-1] for each variable.
+    """Deterministic uniform sample in [0, PRIME-1] for each variable.
 
     Sub-seeded per (seed, trial) so trials are independent and reorderable.
     """
     rng = random.Random(f"{seed}:{trial}")
-    return {var: rng.randrange(prime) for var in sorted(variables)}
+    return {var: rng.randrange(PRIME) for var in sorted(variables)}
 
 
 def _sampled(doc: Circuit | Bouquet) -> tuple[int, set[tuple[int, int]]]:
@@ -479,23 +478,22 @@ def equiv_random(
     b: Circuit | Bouquet,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    prime: int = PRIME,
 ) -> Verdict:
     """Schwartz-Zippel identity test at `trials` seeded random points.
 
     Either side may be a circuit or a bouquet; each is evaluated at all the
     points in one `eval_points` call.  Returns Distinct with the first
     separating trial and point, or Equivalent with the per-trial error bound
-    d/prime where d is the larger degree.
+    d/PRIME where d is the larger degree.
     """
     if trials < 1:
         raise OracleError("trials must be >= 1")
     deg_a, vars_a = _sampled(a)
     deg_b, vars_b = _sampled(b)
     variables = vars_a | vars_b
-    points = [trial_point(variables, seed, t, prime) for t in range(trials)]
-    values = zip(eval_points(a, points, prime), eval_points(b, points, prime))
+    points = [trial_point(variables, seed, t) for t in range(trials)]
+    values = zip(eval_points(a, points), eval_points(b, points))
     for t, (va, vb) in enumerate(values):
         if va != vb:
             return Distinct(t, points[t], va, vb)
-    return Equivalent(trials, max(deg_a, deg_b) / prime)
+    return Equivalent(trials, max(deg_a, deg_b) / PRIME)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, RegularCircuit, regular
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, RegularCircuit, _is_int, regular
 
 __all__ = [
     "ParseError",
@@ -161,7 +161,7 @@ def bouquet_from_obj(obj: Any) -> Bouquet:
         if not isinstance(raw, dict):
             raise ParseError(f"summand {idx} is not an object")
         sigma = _require(raw, "sigma", list)
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in sigma):
+        if not all(_is_int(x) for x in sigma):
             raise ParseError(f"summand {idx}: sigma must be a list of ints")
         circuit = circuit_from_obj(_require(raw, "circuit", dict))
         if circuit.n != n:

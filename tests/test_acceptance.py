@@ -22,7 +22,6 @@ from smlc.circuit import (
     regular,
 )
 from smlc.generators import (
-    GenConfig,
     det_bouquet,
     distinct_perms,
     random_regular_circuit,
@@ -68,14 +67,7 @@ def test_criterion_1_reversal():
         for _ in range(200):
             n = rng.randint(1, 6)
             sigma = random_perm(n, rng)
-            rc = random_regular_circuit(
-                GenConfig(
-                    n=n,
-                    seed=rng.randrange(2**32),
-                    size_budget=rng.randint(2 * n - 1, 300),
-                ),
-                sigma,
-            )
+            rc = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 300))
             rev = reverse(rc)
             assert expand(rc.circuit).terms == expand(rev.circuit).terms
             assert len(rev.circuit.nodes) == len(rc.circuit.nodes)
@@ -270,10 +262,8 @@ def test_criterion_7_oracle_cross_checks():
         rng = random.Random(107)
         for _ in range(500):
             n = rng.randint(1, 5)
-            circuit = random_regular_circuit(
-                GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 60)),
-                random_perm(n, rng),
-            ).circuit
+            seed, budget = rng.randrange(2**32), rng.randint(2 * n - 1, 60)
+            circuit = random_regular_circuit(random_perm(n, rng), seed, budget).circuit
             point = trial_point(
                 [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)],
                 seed=rng.randrange(2**32),

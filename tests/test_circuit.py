@@ -28,8 +28,9 @@ from smlc.circuit import (
     stats,
     validate,
 )
-from smlc.generators import GenConfig, det_regular_circuit, random_regular_circuit
-from smlc.poly import expand, random_perm
+from smlc.generators import det_bouquet, det_regular_circuit, random_regular_circuit
+from smlc.passes import PassError, compose, project
+from smlc.poly import NotAPermutation, expand, random_perm
 from smlc.serialize import (
     ParseError,
     bouquet_from_obj,
@@ -37,6 +38,7 @@ from smlc.serialize import (
     circuit_from_obj,
     circuit_to_obj,
     dumps,
+    loads,
 )
 
 
@@ -99,8 +101,7 @@ def test_validate_is_deterministic():
 
 def test_infer_mul_identity_order():
     circuit = c(2, VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1))
-    order = infer_order(circuit, (1, 2))
-    assert order.intervals[2] == Interval(1, 2)
+    assert infer_order(circuit, (1, 2))[2] == Interval(1, 2)
 
 
 def test_infer_mul_reversed_order_is_wrong_adjacency():
@@ -112,9 +113,9 @@ def test_infer_mul_reversed_order_is_wrong_adjacency():
 
 def test_constant_factor_inherits_interval():
     circuit = c(1, ConstLeaf(3), VarLeaf(1, 1), Mul(0, 1))
-    order = infer_order(circuit, (1,))
-    assert order.intervals[2] == Interval(1, 1)
-    assert order.intervals[0] is None
+    intervals = infer_order(circuit, (1,))
+    assert intervals[2] == Interval(1, 1)
+    assert intervals[0] is None
 
 
 def test_gap_is_not_contiguous():
@@ -126,9 +127,9 @@ def test_gap_is_not_contiguous():
 
 def test_add_children_share_interval():
     circuit = c(2, VarLeaf(1, 1), VarLeaf(1, 2), Add(0, 1), VarLeaf(2, 1), Mul(2, 3))
-    order = infer_order(circuit, (1, 2))
-    assert order.intervals[2] == Interval(1, 1)
-    assert order.intervals[4] == Interval(1, 2)
+    intervals = infer_order(circuit, (1, 2))
+    assert intervals[2] == Interval(1, 1)
+    assert intervals[4] == Interval(1, 2)
 
 
 def test_regular_requires_prefix_root():
@@ -144,12 +145,9 @@ def test_regularity_soundness_on_random_circuits():
     for _ in range(40):
         n = rng.randint(1, 6)
         sigma = random_perm(n, rng)
-        rc = random_regular_circuit(
-            GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 80)),
-            sigma,
-        )
+        rc = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 80))
         sets = validate(rc.circuit)
-        for iv, index_set in zip(infer_order(rc.circuit, rc.sigma).intervals, sets):
+        for iv, index_set in zip(infer_order(rc.circuit, rc.sigma), sets):
             if iv is None:
                 assert index_set == frozenset()
             else:
@@ -206,8 +204,41 @@ def test_non_int_sigma_entry_is_not_a_permutation(sigma, monkeypatch, capsys):
     assert _check_regular_cli(monkeypatch, circuit, ",".join(map(repr, sigma))) == 2
 
 
+def _det2():
+    return det_bouquet(2, [(1, 2)], 0)
+
+
+@pytest.mark.parametrize(
+    ("make", "error"),
+    [
+        (lambda: det_bouquet(2, [(True, 2)], 0), NotAPermutation),
+        (lambda: compose(_det2(), (2, True)), NotAPermutation),
+        (lambda: project(_det2(), [True, 2]), PassError),
+        (lambda: Bouquet(2, _det2().summands, sign=True), ValueError),
+        (lambda: regular(c(2, VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1)), (True, 2)), CircuitError),
+        (lambda: regular(c(2, VarLeaf(True, 1), VarLeaf(2, 2), Mul(0, 1)), (1, 2)), VariableOutOfRange),
+        (lambda: validate(c(2, VarLeaf(1, 1), VarLeaf(2, True))), VariableOutOfRange),
+    ],
+    ids=["det_bouquet", "compose", "project", "sign", "sigma", "row", "col"],
+)
+def test_bool_is_not_an_int(make, error):
+    # True passes as 1 in-process but serializes as true, which the parser rejects
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_det2, lambda: compose(_det2(), (2, 1)), lambda: Bouquet(2, _det2().summands, sign=-1)],
+    ids=["det_bouquet", "compose", "sign"],
+)
+def test_written_bouquets_parse_back(make):
+    bouquet = make()
+    assert bouquet_from_obj(loads(dumps(bouquet_to_obj(bouquet)))) == bouquet
+
+
 def test_int_subclass_fields_stay_regular():
-    circuit = c(2, VarLeaf(Row(1), Row(1)), VarLeaf(True, 2), VarLeaf(2, 2), Mul(0, 2))
+    circuit = c(2, VarLeaf(Row(1), Row(1)), VarLeaf(Row(1), 2), VarLeaf(2, 2), Mul(0, 2))
     rc = regular(circuit, (Row(1), 2))
     assert (rc.sigma, rc.degree) == ((1, 2), 2)
     assert validate(circuit)[3] == frozenset({1, 2})

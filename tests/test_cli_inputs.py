@@ -2,10 +2,15 @@
 
 import io
 import json
+import math
+import random
+import tracemalloc
 
 import pytest
 
 from smlc import cli
+from smlc.generators import distinct_perms
+from smlc.poly import REFERENCE_MAX_N
 from smlc.serialize import dumps
 
 
@@ -52,3 +57,49 @@ def test_summand_grid_mismatch_is_a_parse_error(monkeypatch, capsys):
         "error": "ParseError",
         "detail": "summand 1: grid size 3 does not match bouquet n=2",
     }
+
+
+BIG = 10**6
+CONST = {"id": 0, "op": "const", "value": "1"}
+
+
+@pytest.mark.parametrize(
+    "args, doc, error, detail",
+    [
+        (
+            ["reduce", "--verify", "off"],
+            {"n": BIG, "summands": [{"sigma": [1], "circuit": {"n": BIG, "nodes": [CONST], "root": 0}}]},
+            "CircuitError",
+            f"sigma (1,) is not a permutation of [1..{BIG}]",
+        ),
+        (["gen", "det", "--n", str(BIG)], {}, "TooLarge", f"determinant generator limited to n <= 8, got {BIG}"),
+    ],
+)
+def test_oversized_grid_is_refused_in_constant_memory(args, doc, error, detail, monkeypatch, capsys):
+    # a list of all n rows would take 40 MB here
+    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(capsys.readouterr().out)) == (1, {"ok": False, "error": error, "detail": detail})
+    assert peak < 1_000_000, peak
+
+
+def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch, capsys):
+    real = math.factorial
+
+    def guarded(n):
+        assert n <= REFERENCE_MAX_N, f"factorial({n}) computed"
+        return real(n)
+
+    monkeypatch.setattr(math, "factorial", guarded)
+    code = cli.main(["gen", "bouquet", "--n", "1000", "--k", "2", "--seed", "1"])
+    out = {"ok": False, "error": "TooLarge", "detail": "determinant generator limited to n <= 8, got 1000"}
+    assert (code, json.loads(capsys.readouterr().out)) == (1, out)
+    # the bound stays exact: 3! orders exist, a seventh does not
+    assert len(set(distinct_perms(3, 6, random.Random(0)))) == 6
+    with pytest.raises(ValueError, match=r"cannot draw 7 distinct permutations of \[1..3\]"):
+        distinct_perms(3, 7, random.Random(0))

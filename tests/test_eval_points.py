@@ -18,7 +18,7 @@ from smlc.circuit import (
     regular,
     validate,
 )
-from smlc.generators import GenConfig, det_bouquet, distinct_perms, random_regular_circuit
+from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 from smlc.pipeline import VerificationFailed, reduce_to_single
 from smlc.poly import (
     PRIME,
@@ -35,39 +35,39 @@ props = settings(derandomize=True, deadline=None, max_examples=200)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def reference_eval(circuit, assignment, prime=PRIME):
+def reference_eval(circuit, assignment):
     """One isinstance dispatch per node, per point: the evaluator eval_points replaced."""
     values = []
     for node in circuit.nodes:
         if isinstance(node, ConstLeaf):
-            values.append(node.value % prime)
+            values.append(node.value % PRIME)
         elif isinstance(node, VarLeaf):
             key = (node.row, node.col)
             if key not in assignment:
                 raise MissingAssignment(node.row, node.col)
-            values.append(assignment[key] % prime)
+            values.append(assignment[key] % PRIME)
         elif isinstance(node, Add):
-            values.append((values[node.left] + values[node.right]) % prime)
+            values.append((values[node.left] + values[node.right]) % PRIME)
         else:
-            values.append(values[node.left] * values[node.right] % prime)
+            values.append(values[node.left] * values[node.right] % PRIME)
     return values[circuit.root]
 
 
-def reference_points(doc, points, prime=PRIME):
+def reference_points(doc, points):
     if isinstance(doc, Circuit):
-        return [reference_eval(doc, point, prime) for point in points]
+        return [reference_eval(doc, point) for point in points]
     out = []
     for point in points:
         total = 0
         for rc in doc.summands:
-            total = (total + reference_eval(rc.circuit, point, prime)) % prime
-        out.append(total * doc.sign % prime)
+            total = (total + reference_eval(rc.circuit, point)) % PRIME
+        out.append(total * doc.sign % PRIME)
     return out
 
 
-def outcome(evaluate, doc, points, prime):
+def outcome(evaluate, doc, points):
     try:
-        return "ok", evaluate(doc, points, prime)
+        return "ok", evaluate(doc, points)
     except MissingAssignment as exc:
         return MissingAssignment, str(exc)
 
@@ -90,7 +90,7 @@ big_ints = st.one_of(
 def regular_summands(draw, n):
     sigma = tuple(draw(st.permutations(range(1, n + 1))))
     budget = draw(st.integers(2 * n - 1, 60))
-    return random_regular_circuit(GenConfig(n=n, seed=draw(seeds), size_budget=budget), sigma)
+    return random_regular_circuit(sigma, draw(seeds), budget)
 
 
 @st.composite
@@ -161,7 +161,7 @@ def grid(n):
 
 @st.composite
 def points_for(draw, n, drop=False):
-    """Between 0 and 4 points over the whole grid, with values out of [0, prime)
+    """Between 0 and 4 points over the whole grid, with values out of [0, PRIME)
     too; with drop, one variable is missing from one point."""
     keys = grid(n)
     points = [
@@ -172,21 +172,17 @@ def points_for(draw, n, drop=False):
     return points
 
 
-primes = st.sampled_from((PRIME, 101, 2))
-
-
 @props
 @given(st.data())
 def test_eval_points_matches_reference(data):
     doc = data.draw(docs())
     points = data.draw(points_for(doc.n))
-    prime = data.draw(primes)
-    got = eval_points(doc, points, prime)
-    assert got == reference_points(doc, points, prime)
+    got = eval_points(doc, points)
+    assert got == reference_points(doc, points)
     if isinstance(doc, Circuit):
-        assert [eval_circuit(doc, p, prime) for p in points] == got
+        assert [eval_circuit(doc, p) for p in points] == got
     else:
-        assert [eval_bouquet(doc, p, prime) for p in points] == got
+        assert [eval_bouquet(doc, p) for p in points] == got
 
 
 @props
@@ -194,10 +190,19 @@ def test_eval_points_matches_reference(data):
 def test_missing_variable_names_the_same_leaf(data):
     doc = data.draw(docs())
     points = data.draw(points_for(doc.n, drop=True))
-    prime = data.draw(primes)
-    assert outcome(eval_points, doc, points, prime) == outcome(
-        reference_points, doc, points, prime
-    )
+    assert outcome(eval_points, doc, points) == outcome(reference_points, doc, points)
+
+
+def test_congruent_constants_share_gates():
+    # 1, PRIME + 1 and 1 - PRIME are one field element, so each scales x[1,1]
+    # through the same value-numbered product; PRIME + 2 is a different one
+    consts = (1, PRIME + 1, 1 - PRIME, PRIME + 2)
+    nodes = [ConstLeaf(v) for v in consts] + [VarLeaf(1, 1)]
+    nodes += [Mul(i, 4) for i in range(4)] + [Add(5, 6), Add(9, 7), Add(10, 8)]
+    circuit = Circuit(1, tuple(nodes), len(nodes) - 1)
+    points = [{(1, 1): v} for v in (3, PRIME - 1, -PRIME - 2, 2 * PRIME + 5)]
+    for doc in (circuit, Bouquet(1, (RegularCircuit(circuit, (1,), 0),), -1)):
+        assert eval_points(doc, points) == reference_points(doc, points)
 
 
 def _structure(circuit):

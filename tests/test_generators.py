@@ -7,7 +7,6 @@ import pytest
 
 from smlc.circuit import Mul, VarLeaf, validate
 from smlc.generators import (
-    GenConfig,
     NeedAtLeastOneTermPerBucket,
     det_bouquet,
     det_regular_circuit,
@@ -123,7 +122,7 @@ def test_bouquet_rejects_empty_order_list():
 
 def test_minimal_budget_is_left_comb():
     n = 4
-    rc = random_regular_circuit(GenConfig(n=n, seed=5, size_budget=2 * n - 1), (1, 2, 3, 4))
+    rc = random_regular_circuit((1, 2, 3, 4), 5, 2 * n - 1)
     nodes = rc.circuit.nodes
     assert len(nodes) == 2 * n - 1
     assert sum(isinstance(nd, Mul) for nd in nodes) == n - 1
@@ -132,9 +131,8 @@ def test_minimal_budget_is_left_comb():
 
 
 def test_random_circuit_deterministic_per_seed():
-    cfg = GenConfig(n=5, seed=123, size_budget=60)
-    a = random_regular_circuit(cfg, (2, 4, 1, 5, 3))
-    b = random_regular_circuit(cfg, (2, 4, 1, 5, 3))
+    a = random_regular_circuit((2, 4, 1, 5, 3), 123, 60)
+    b = random_regular_circuit((2, 4, 1, 5, 3), 123, 60)
     assert (a.circuit, a.sigma, a.degree) == (b.circuit, b.sigma, b.degree)
 
 
@@ -144,17 +142,17 @@ def test_random_circuit_always_valid_and_within_budget():
         n = rng.randint(1, 6)
         budget = rng.randint(2 * n - 1, 120)
         sigma = random_perm(n, rng)
-        rc = random_regular_circuit(GenConfig(n=n, seed=rng.randrange(2**32), size_budget=budget), sigma)
+        rc = random_regular_circuit(sigma, rng.randrange(2**32), budget)
         assert len(rc.circuit.nodes) <= budget
         assert rc.degree == n
         validate(rc.circuit)
 
 
-def test_genconfig_invariants():
-    with pytest.raises(ValueError):
-        GenConfig(n=0, seed=0, size_budget=10)
-    with pytest.raises(ValueError):
-        GenConfig(n=3, seed=0, size_budget=4)
+def test_random_regular_circuit_invariants():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_regular_circuit((), 0, 10)
+    with pytest.raises(ValueError, match="size_budget must be >= 5"):
+        random_regular_circuit((1, 2, 3), 0, 4)
 
 
 def test_sparse_term_bouquet_shape():
@@ -181,10 +179,6 @@ def test_sparse_term_bouquet_full_sample_is_determinant():
         (lambda: sparse_term_bouquet(3, [(1, 2, 3, 4)], 4, 0), "(1, 2, 3, 4) is not a permutation of [1..3]"),
         (lambda: det_bouquet(4, [(1, 2, 3)], 0), "(1, 2, 3) is not a permutation of [1..4]"),
         (lambda: det_regular_circuit(3, (1, 2, 3, 4)), "(1, 2, 3, 4) is not a permutation of [1..3]"),
-        (
-            lambda: random_regular_circuit(GenConfig(n=3, seed=0, size_budget=9), (1, 2)),
-            "(1, 2) is not a permutation of [1..3]",
-        ),
     ],
 )
 def test_order_of_wrong_length_names_the_grid(make, detail):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular
-from smlc.generators import GenConfig, det_bouquet, distinct_perms, random_regular_circuit
+from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 from smlc.passes import compose, merge_summands, project, reverse
 from smlc.poly import expand_bouquet, invert_perm
 from smlc.serialize import bouquet_from_obj, bouquet_to_obj, dumps, loads
@@ -23,8 +23,7 @@ def perms(n):
 
 @st.composite
 def regular_circuits(draw, n, sigma):
-    config = GenConfig(n=n, seed=draw(seeds), size_budget=draw(st.integers(2 * n - 1, 60)))
-    return random_regular_circuit(config, sigma)
+    return random_regular_circuit(sigma, draw(seeds), draw(st.integers(2 * n - 1, 60)))
 
 
 @st.composite

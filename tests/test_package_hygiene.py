@@ -1,0 +1,57 @@
+"""Package hygiene, read off the source with `ast`: every name a module
+exports exists, and no module keeps an import it does not use.
+
+Deleting a type or a helper tends to leave an `__all__` entry or an import
+behind; these two checks catch both.  `__init__.py` imports only to
+re-export, so it is exempt from the import check.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smlc"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if _exports(_tree(path))], ids=lambda path: path.name
+)
+def test_every_exported_name_resolves(path):
+    module = importlib.import_module(f"smlc.{path.stem}")
+    missing = [name for name in _exports(_tree(path)) if not hasattr(module, name)]
+    assert not missing, f"{path.name}: __all__ names {missing} that do not exist"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_no_unused_top_level_import(path):
+    tree = _tree(path)
+    imported = {}  # bound name -> line
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_exports(tree))
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -20,7 +20,6 @@ from smlc.circuit import (
     regular,
 )
 from smlc.generators import (
-    GenConfig,
     det_bouquet,
     det_regular_circuit,
     distinct_perms,
@@ -86,10 +85,7 @@ def test_reverse_random_circuits_preserve_everything():
     for _ in range(100):
         n = rng.randint(1, 6)
         sigma = random_perm(n, rng)
-        rc = random_regular_circuit(
-            GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 120)),
-            sigma,
-        )
+        rc = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 120))
         rev = reverse(rc)
         assert rev.sigma == tuple(reversed(sigma))
         assert len(rev.circuit.nodes) == len(rc.circuit.nodes)
@@ -352,8 +348,9 @@ def test_project_matches_polynomial_substitution_on_random_circuits():
         k = rng.randint(1, 2)
         summands = tuple(
             random_regular_circuit(
-                GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 80)),
-                random_perm(n, rng),
+                seed=rng.randrange(2**32),
+                size_budget=rng.randint(2 * n - 1, 80),
+                sigma=random_perm(n, rng),
             )
             for _ in range(k)
         )

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from smlc.circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, VarLeaf
-from smlc.generators import GenConfig, det_bouquet, det_regular_circuit, random_regular_circuit
+from smlc.generators import det_bouquet, det_regular_circuit, random_regular_circuit
 from smlc.poly import (
     PRIME,
     BudgetExceeded,
@@ -97,13 +97,11 @@ def test_expand_is_ring_homomorphism():
         split = rng.randint(1, n - 1)
         sigma = tuple(range(1, n + 1))
         left = random_regular_circuit(
-            GenConfig(n=split, seed=rng.randrange(2**32), size_budget=rng.randint(2 * split - 1, 40)),
-            sigma[:split],
+            sigma[:split], rng.randrange(2**32), rng.randint(2 * split - 1, 40)
         ).circuit
         right_rows = sigma[split:]
         right = random_regular_circuit(
-            GenConfig(n=n - split, seed=rng.randrange(2**32), size_budget=rng.randint(2 * (n - split) - 1, 40)),
-            tuple(range(1, n - split + 1)),
+            tuple(range(1, n - split + 1)), rng.randrange(2**32), rng.randint(2 * (n - split) - 1, 40)
         ).circuit
         # lift the right factor onto rows split+1..n so the product is disjoint
         lifted = tuple(
@@ -127,12 +125,8 @@ def test_expand_add_homomorphism():
     for _ in range(25):
         n = rng.randint(1, 4)
         sigma = random_perm(n, rng)
-        a = random_regular_circuit(
-            GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 40)), sigma
-        ).circuit
-        b = random_regular_circuit(
-            GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 40)), sigma
-        ).circuit
+        a = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 40)).circuit
+        b = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 40)).circuit
         offset = len(a.nodes)
         nodes = list(a.nodes) + [
             type(nd)(nd.left + offset, nd.right + offset) if isinstance(nd, (Add, Mul)) else nd
@@ -324,8 +318,7 @@ def test_eval_agrees_with_expand_on_random_circuits():
         n = rng.randint(1, 5)
         sigma = random_perm(n, rng)
         circuit = random_regular_circuit(
-            GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 60)),
-            sigma,
+            sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 60)
         ).circuit
         point = trial_point(
             [(r, cc) for r in range(1, n + 1) for cc in range(1, n + 1)],

@@ -7,17 +7,15 @@ import random
 from recheck import assert_bouquet_rechecks, assert_rechecks
 
 from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular
-from smlc.generators import GenConfig, det_bouquet, distinct_perms, random_regular_circuit
+from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 from smlc.passes import compose, merge_summands, project, reverse
 from smlc.pipeline import reduce_to_single
 from smlc.poly import random_perm
 
 
 def _random_rc(rng, n, sigma=None):
-    return random_regular_circuit(
-        GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 80)),
-        sigma or random_perm(n, rng),
-    )
+    seed, budget = rng.randrange(2**32), rng.randint(2 * n - 1, 80)
+    return random_regular_circuit(sigma or random_perm(n, rng), seed, budget)
 
 
 def _det_bouquets(seed, count):

@@ -22,7 +22,7 @@ from smlc.circuit import (
     infer_order,
     regular,
 )
-from smlc.generators import GenConfig, det_bouquet, distinct_perms, random_regular_circuit
+from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 
 sweeps = settings(derandomize=True, deadline=None, max_examples=400)
 
@@ -30,11 +30,10 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def named_path(circuit, sigma):
-    order = infer_order(circuit, sigma)
-    root_iv = order.intervals[circuit.root]
+    root_iv = infer_order(circuit, sigma)[circuit.root]
     if root_iv is not None and root_iv.start != 1:
         raise RootNotPrefix(root_iv.start, root_iv.length)
-    return order.sigma, 0 if root_iv is None else root_iv.length
+    return tuple(sigma), 0 if root_iv is None else root_iv.length
 
 
 def outcome(check, circuit, sigma):
@@ -65,8 +64,9 @@ def summands(draw):
     n = draw(st.integers(1, 5 if kind == "random" else 4))
     if kind == "random":
         sigma = tuple(draw(st.permutations(range(1, n + 1))))
-        config = GenConfig(n=n, seed=draw(seeds), size_budget=draw(st.integers(2 * n - 1, 60)))
-        circuit = random_regular_circuit(config, sigma).circuit
+        circuit = random_regular_circuit(
+            sigma, draw(seeds), draw(st.integers(2 * n - 1, 60))
+        ).circuit
     elif kind == "det":
         seed = draw(seeds)
         k = draw(st.integers(1, min(3, math.factorial(n))))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from smlc import circuit as circuit_module
 from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular, validate
-from smlc.generators import GenConfig, det_bouquet, distinct_perms, random_regular_circuit
+from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
 from smlc.poly import random_perm
@@ -47,8 +47,9 @@ def _random_bouquets():
     for n, k in ((4, 3), (6, 3), (8, 2)):
         summands = tuple(
             random_regular_circuit(
-                GenConfig(n=n, seed=rng.randrange(2**32), size_budget=rng.randint(2 * n - 1, 80)),
-                random_perm(n, rng),
+                seed=rng.randrange(2**32),
+                size_budget=rng.randint(2 * n - 1, 80),
+                sigma=random_perm(n, rng),
             )
             for _ in range(k)
         )
@@ -80,8 +81,8 @@ def projections(draw):
     its degree is below n and its rows are spread by a relabeling), and a
     random keep set."""
     m = draw(st.integers(1, 5))
-    config = GenConfig(n=m, seed=draw(seeds), size_budget=draw(st.integers(2 * m - 1, 60)))
-    rc = random_regular_circuit(config, draw(st.permutations(range(1, m + 1)).map(tuple)))
+    seed, budget = draw(seeds), draw(st.integers(2 * m - 1, 60))
+    rc = random_regular_circuit(draw(st.permutations(range(1, m + 1)).map(tuple)), seed, budget)
     n = m + draw(st.integers(0, 2))
     if n > m:
         wide = Circuit(n, rc.circuit.nodes, rc.circuit.root)
