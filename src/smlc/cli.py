@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Any
 
@@ -29,9 +28,8 @@ from .circuit import (
 )
 from .generators import (
     NeedAtLeastOneTermPerBucket,
-    det_bouquet,
     det_regular_circuit,
-    distinct_perms,
+    seeded_det_bouquet,
 )
 from .passes import PassError, compose, drop_last_index, merge_summands, project, reverse
 from .pipeline import VerificationFailed, reduce_to_single
@@ -105,10 +103,7 @@ def _cmd_gen_det(args) -> int:
 
 
 def _cmd_gen_bouquet(args) -> int:
-    rng = random.Random(args.seed)
-    sigmas = distinct_perms(args.n, args.k, rng)
-    b = det_bouquet(args.n, sigmas, args.seed)
-    return _emit(bouquet_to_obj(b))
+    return _emit(bouquet_to_obj(seeded_det_bouquet(args.n, args.k, args.seed)))
 
 
 def _cmd_validate(args) -> int:

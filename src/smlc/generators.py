@@ -43,6 +43,7 @@ __all__ = [
     "sparse_term_bouquet",
     "random_regular_circuit",
     "distinct_perms",
+    "seeded_det_bouquet",
 ]
 
 # Upper bound on the expanded term count of a random circuit, so generated
@@ -55,9 +56,21 @@ class NeedAtLeastOneTermPerBucket(Exception):
 
 
 def _check_grid(n: int) -> None:
-    # first, so a negative n never reaches math.factorial or the order checks
+    # first, so a negative n never reaches the order checks
     if n < 1:
         raise ValueError("n must be >= 1")
+
+
+def _check_perm_count(n: int, k: int) -> None:
+    # k > n! is refused; the running product of n! stops once it reaches k
+    _check_grid(n)
+    count = 1
+    for m in range(2, n + 1):
+        if count >= k:
+            return
+        count *= m
+    if k > count:
+        raise ValueError(f"cannot draw {k} distinct permutations of [1..{n}]")
 
 
 def _leibniz_signs(n: int) -> list[int]:
@@ -225,10 +238,7 @@ def sparse_term_bouquet(
 
 def distinct_perms(n: int, k: int, rng: random.Random) -> list[tuple[int, ...]]:
     """k pairwise distinct random permutations of [1..n]."""
-    _check_grid(n)
-    # n! >= n, so n! is computed only for n < k, which costs less than k draws
-    if k > n and k > math.factorial(n):
-        raise ValueError(f"cannot draw {k} distinct permutations of [1..{n}]")
+    _check_perm_count(n, k)
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     while len(out) < k:
@@ -237,6 +247,17 @@ def distinct_perms(n: int, k: int, rng: random.Random) -> list[tuple[int, ...]]:
             seen.add(pi)
             out.append(pi)
     return out
+
+
+def seeded_det_bouquet(n: int, k: int, seed: int) -> Bouquet:
+    """det_bouquet(n, distinct_perms(n, k, Random(seed)), seed), as `smlc gen bouquet` writes it.
+
+    k > n! is refused first, as in distinct_perms, and an n that det_bouquet
+    refuses (n > REFERENCE_MAX_N) gets no orders drawn.
+    """
+    _check_perm_count(n, k)
+    sigmas = distinct_perms(n, k, random.Random(seed)) if n <= REFERENCE_MAX_N else []
+    return det_bouquet(n, sigmas, seed)
 
 
 def random_regular_circuit(sigma: Sequence[int], seed: int, size_budget: int) -> RegularCircuit:

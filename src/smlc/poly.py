@@ -12,11 +12,13 @@ trusted only after they agree with these oracles.
 Evaluation (`eval_points`) compiles each circuit's flat node arrays once into
 a program in which structurally equal nodes share one slot, then sweeps that
 program once per point; `eval_circuit` and `eval_bouquet` are its one-point
-forms.
+forms.  The program's values are plain ints, reduced modulo PRIME only at the
+slots whose static bit bound would pass REDUCE_CEILING and once per point at
+the end; the results equal reduction at every operation.
 
 A monomial is a tuple of (row, col) pairs sorted by strictly increasing row;
 a polynomial maps monomials to nonzero integer coefficients.  Field elements
-are plain ints reduced modulo PRIME at every operation.
+are plain ints in [0, PRIME).
 """
 
 from __future__ import annotations
@@ -162,16 +164,6 @@ class SparsePoly:
             return SparsePoly.zero(self.n)
         return SparsePoly(self.n, {m: factor * c for m, c in self.terms.items()})
 
-    def eval_mod(self, assignment: Assignment) -> int:
-        prime = PRIME
-        total = 0
-        for mono, coeff in self.terms.items():
-            term = coeff % prime
-            for row, col in mono:
-                term = term * (assignment[(row, col)] % prime) % prime
-            total = (total + term) % prime
-        return total
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -293,9 +285,11 @@ def eval_points(doc: Circuit | Bouquet, points: Sequence[Assignment]) -> list[in
     Each circuit (every summand of a bouquet) is compiled once into a flat,
     value-numbered program (`_compile`), and the programs are swept once per
     point, in point order; a bouquet's value is sign times the sum of its
-    summands' values.  A variable the point does not assign raises
-    MissingAssignment, the first one in node order, as a node-by-node
-    evaluation would meet it.
+    summands' values.  Slots hold plain ints, reduced mod PRIME only where
+    `_compile` marked them, and each point's total is reduced once at the
+    end, so every result equals slot-by-slot modular evaluation.  A variable
+    the point does not assign raises MissingAssignment, the first one in node
+    order, as a node-by-node evaluation would meet it.
     """
     if isinstance(doc, Bouquet):
         circuits, sign = [rc.circuit for rc in doc.summands], doc.sign
@@ -311,18 +305,29 @@ def eval_points(doc: Circuit | Bouquet, points: Sequence[Assignment]) -> list[in
             append = values.append
             for op, a, b in program:
                 if op == MUL:
-                    append(values[a] * values[b] % prime)
+                    append(values[a] * values[b])
                 elif op == ADD:
-                    append((values[a] + values[b]) % prime)
+                    append(values[a] + values[b])
                 elif op == VAR:
                     if (a, b) not in point:
                         raise MissingAssignment(a, b)
                     append(point[a, b] % prime)
+                elif op == MUL_MOD:
+                    append(values[a] * values[b] % prime)
+                elif op == ADD_MOD:
+                    append((values[a] + values[b]) % prime)
                 else:
                     append(a)
             total += values[root]
         out.append(total % prime * sign % prime)
     return out
+
+
+# Bit ceiling of the evaluator's unreduced slots (see _compile); a reduced
+# value, like a variable's, is below 2**FIELD_BITS.
+REDUCE_CEILING = 1024
+FIELD_BITS = PRIME.bit_length()
+MUL_MOD, ADD_MOD = 4, 5  # reducing gates, past the circuit's opcodes
 
 
 def _compile(circuit: Circuit) -> tuple[list[tuple[int, int, int]], int]:
@@ -331,12 +336,21 @@ def _compile(circuit: Circuit) -> tuple[list[tuple[int, int, int]], int]:
     One pass over the node arrays, with the circuit's opcodes.  Nodes are
     value-numbered: each distinct (op, operands) gets one slot, so
     structurally equal nodes are computed once.  A gate's operands are the
-    slots of its children, a variable's are its row and col, and a constant's
-    is its value mod PRIME, so constants congruent mod PRIME share a slot.
+    slots of its children, a variable's are its row and col, and a constant
+    is keyed by its value mod PRIME, so constants congruent mod PRIME share a
+    slot; the slot holds the least-absolute residue, so -1 stays -1.
+
+    Each slot also gets a static bound b, |value| < 2**b at every point:
+    FIELD_BITS for a variable (point values are reduced on load), a
+    constant's bit length, the operands' sum for a product and their maximum
+    plus 1 for a sum.  A gate whose bound would pass REDUCE_CEILING becomes
+    a reducing slot (MUL_MOD, ADD_MOD) with bound FIELD_BITS.
     """
     memo: dict[tuple[int, int, int], int] = {}
     program: list[tuple[int, int, int]] = []
+    bits: list[int] = []  # slot -> static bound
     slot_of: list[int] = []  # node id -> slot
+    half = PRIME // 2
     nodes = circuit.nodes
     for op, a, b in zip(nodes.op, nodes.a, nodes.b):
         if op == CONST:
@@ -348,7 +362,22 @@ def _compile(circuit: Circuit) -> tuple[list[tuple[int, int, int]], int]:
         slot = memo.get(key)
         if slot is None:
             slot = memo[key] = len(program)
-            program.append(key)
+            if op == CONST:
+                value = key[1] - PRIME if key[1] > half else key[1]
+                program.append((CONST, value, 0))
+                bits.append(value.bit_length())
+            elif op == VAR:
+                program.append(key)
+                bits.append(FIELD_BITS)
+            else:
+                left, right = bits[key[1]], bits[key[2]]
+                bound = left + right if op == MUL else max(left, right) + 1
+                if bound > REDUCE_CEILING:
+                    program.append((MUL_MOD if op == MUL else ADD_MOD, key[1], key[2]))
+                    bound = FIELD_BITS
+                else:
+                    program.append(key)
+                bits.append(bound)
         slot_of.append(slot)
     return program, slot_of[circuit.root]
 

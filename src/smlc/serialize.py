@@ -173,8 +173,11 @@ def bouquet_from_obj(obj: Any) -> Bouquet:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical byte-stable JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical byte-stable JSON: sorted keys, compact separators.
+
+    Callers pass freshly built trees, which hold no cycle, so none is checked.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def loads(text: str) -> Any:

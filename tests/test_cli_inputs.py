@@ -73,6 +73,12 @@ CONST = {"id": 0, "op": "const", "value": "1"}
             f"sigma (1,) is not a permutation of [1..{BIG}]",
         ),
         (["gen", "det", "--n", str(BIG)], {}, "TooLarge", f"determinant generator limited to n <= 8, got {BIG}"),
+        (
+            ["gen", "bouquet", "--n", str(BIG), "--k", "2", "--seed", "1"],
+            {},
+            "TooLarge",
+            f"determinant generator limited to n <= 8, got {BIG}",
+        ),
     ],
 )
 def test_oversized_grid_is_refused_in_constant_memory(args, doc, error, detail, monkeypatch, capsys):
@@ -103,3 +109,31 @@ def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch, capsys):
     assert len(set(distinct_perms(3, 6, random.Random(0)))) == 6
     with pytest.raises(ValueError, match=r"cannot draw 7 distinct permutations of \[1..3\]"):
         distinct_perms(3, 7, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "n, k, error, detail",
+    [
+        # more orders than 9! exist: the count is refused before the size
+        (9, math.factorial(9) + 1, "ValueError", f"cannot draw {math.factorial(9) + 1} distinct permutations of [1..9]"),
+        # 9! orders exist, but none is drawn before n = 9 is refused
+        (9, math.factorial(9), "TooLarge", "determinant generator limited to n <= 8, got 9"),
+        (8, math.factorial(8) + 1, "ValueError", f"cannot draw {math.factorial(8) + 1} distinct permutations of [1..8]"),
+        (0, 1, "ValueError", "n must be >= 1"),
+        # the running product of n! stops at k, long before 10**6!
+        (BIG, 10**30, "TooLarge", f"determinant generator limited to n <= 8, got {BIG}"),
+    ],
+)
+def test_gen_bouquet_size_checks_come_before_any_draw(n, k, error, detail, monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("an order was drawn")
+
+    monkeypatch.setattr("smlc.generators.random_perm", no_draws)
+    tracemalloc.start()
+    try:
+        code = cli.main(["gen", "bouquet", "--n", str(n), "--k", str(k), "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(capsys.readouterr().out)) == (1, {"ok": False, "error": error, "detail": detail})
+    assert peak < 1_000_000, peak

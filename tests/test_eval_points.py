@@ -21,8 +21,12 @@ from smlc.circuit import (
 from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 from smlc.pipeline import VerificationFailed, reduce_to_single
 from smlc.poly import (
+    ADD_MOD,
+    CONST,
+    MUL_MOD,
     PRIME,
     MissingAssignment,
+    _compile,
     eval_bouquet,
     eval_circuit,
     eval_points,
@@ -203,6 +207,54 @@ def test_congruent_constants_share_gates():
     points = [{(1, 1): v} for v in (3, PRIME - 1, -PRIME - 2, 2 * PRIME + 5)]
     for doc in (circuit, Bouquet(1, (RegularCircuit(circuit, (1,), 0),), -1)):
         assert eval_points(doc, points) == reference_points(doc, points)
+
+
+# values at the edges of the field and outside it, for the ceiling tests
+EDGE_VALUES = (PRIME - 1, PRIME - 2, -1, -PRIME - 2, 3 * PRIME, 3 * PRIME - 1, -3 * PRIME + 1)
+
+
+def edge_points(keys):
+    rng = random.Random(len(keys))
+    return [{key: rng.choice(EDGE_VALUES) for key in keys} for _ in range(12)]
+
+
+def test_squaring_chain_is_reduced_below_the_ceiling():
+    # 40 squarings of x11 * (-1) would need 61 * 2**40 bits unreduced
+    nodes = [VarLeaf(1, 1), ConstLeaf(-1), Mul(0, 1)]
+    nodes += [Mul(len(nodes) - 1 + i, len(nodes) - 1 + i) for i in range(40)]
+    circuit = Circuit(1, tuple(nodes), len(nodes) - 1)
+    program, _ = _compile(circuit)
+    assert MUL_MOD in [op for op, _, _ in program]
+    points = edge_points([(1, 1)])
+    assert eval_points(circuit, points) == reference_points(circuit, points)
+
+
+def test_long_addition_chain_is_reduced_below_the_ceiling():
+    # x11 + x12 + (-1) + x11 + ... : 3,000 sums, each adding a bit to the bound
+    nodes = [VarLeaf(1, 1), VarLeaf(1, 2), ConstLeaf(-1)]
+    nodes.append(Add(0, 1))
+    for i in range(2999):
+        nodes.append(Add(len(nodes) - 1, i % 3))
+    circuit = Circuit(2, tuple(nodes), len(nodes) - 1)
+    program, _ = _compile(circuit)
+    assert ADD_MOD in [op for op, _, _ in program]
+    points = edge_points([(1, 1), (1, 2)])
+    for doc in (circuit, Bouquet(2, (RegularCircuit(circuit, (1, 2), 0),) * 2, -1)):
+        assert eval_points(doc, points) == reference_points(doc, points)
+
+
+def test_constants_congruent_to_minus_one_share_a_slot_holding_minus_one():
+    consts = (-1, PRIME - 1, 2 * PRIME - 1, -PRIME - 1)
+    nodes = [ConstLeaf(v) for v in consts] + [VarLeaf(1, 1)]
+    nodes += [Mul(i, 4) for i in range(4)] + [Add(5, 6), Add(9, 7), Add(10, 8)]
+    circuit = Circuit(1, tuple(nodes), len(nodes) - 1)
+    program, _ = _compile(circuit)
+    assert [slot for slot in program if slot[0] == CONST] == [(CONST, -1, 0)]
+    # the four products x11 * c are one slot, so the root is 4 * (-x11)
+    assert len(program) == 6
+    points = edge_points([(1, 1)])
+    assert eval_points(circuit, points) == reference_points(circuit, points)
+    assert eval_points(circuit, points) == [-4 * p[1, 1] % PRIME for p in points]
 
 
 def _structure(circuit):
