@@ -317,6 +317,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_permutation(seq: Sequence, n: int) -> bool:
+    """seq holds exactly 1..n as ints, not bools; length first, so a huge n costs nothing."""
+    return len(seq) == n and all(_is_int(v) for v in seq) and sorted(seq) == list(range(1, n + 1))
+
+
 def _bits(mask: int) -> list[int]:
     """0-based indices of the set bits of `mask`, low to high."""
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
@@ -338,14 +343,13 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     if not (0 <= root < len(ops)):
         raise BadChildRef(root, root)
     # row -> bit index under sigma; without one, row r is bit r-1.  Nothing
-    # per row of the grid is built without an order or (length first) for a
-    # sigma of the wrong length, so a huge n costs nothing to check.
+    # per row of the grid is built without an order or for a sigma that is
+    # not a permutation, so a huge n costs nothing to check.
     shift = None
-    if sigma is not None and len(sigma) == n and all(_is_int(row) for row in sigma):
-        if sorted(sigma) == list(range(1, n + 1)):
-            shift = [0] * (n + 1)
-            for p, row in enumerate(sigma):
-                shift[row] = p
+    if sigma is not None and _is_permutation(sigma, n):
+        shift = [0] * (n + 1)
+        for p, row in enumerate(sigma):
+            shift[row] = p
 
     masks: list[int] = []
     append = masks.append

@@ -162,9 +162,11 @@ def _cmd_reduce(args) -> int:
         b, verify=args.verify, seed=args.seed, trials=args.trials
     )
     if args.emit_transcript:
-        with open(args.emit_transcript, "w", encoding="utf-8") as fh:
-            fh.write(dumps(transcript.to_obj()))
-            fh.write("\n")
+        try:
+            with open(args.emit_transcript, "w", encoding="utf-8") as fh:
+                fh.write(dumps(transcript.to_obj()) + "\n")
+        except OSError as exc:  # a path that cannot be written is a usage error
+            return _fail(2, exc)
     return _emit(circuit_to_obj(single.circuit))
 
 

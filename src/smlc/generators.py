@@ -216,16 +216,10 @@ def sparse_term_bouquet(
     _check_grid(n)
     sigmas = [check_permutation(s, n) for s in sigmas]
     rng = random.Random(seed)
-    sample: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
     if n <= REFERENCE_MAX_N and terms >= math.factorial(n):
         sample = list(itertools.permutations(range(1, n + 1)))
     else:
-        while len(sample) < terms:
-            pi = random_perm(n, rng)
-            if pi not in seen:
-                seen.add(pi)
-                sample.append(pi)
+        sample = distinct_perms(n, terms, rng)
     buckets = _bucket_split(len(sample), len(sigmas), rng)
     summands = tuple(
         _det_terms_circuit(

@@ -150,17 +150,16 @@ class MonotoneResult:
         return len(self.positions)
 
 
-def _longest_run(seq: Sequence[int], decreasing: bool) -> list[int]:
-    # O(m^2) DP; strict improvement keeps the leftmost optimum, which makes
-    # both the chosen end and every back-pointer deterministic
+def _longest_run(seq: Sequence[int]) -> list[int]:
+    # a longest increasing run by O(m^2) DP; strict improvement keeps the
+    # leftmost optimum, so the chosen end and every back-pointer are fixed
     m = len(seq)
     best = [1] * m
     prev = [-1] * m
     for i in range(m):
         si = seq[i]
         for j in range(i):
-            better = seq[j] > si if decreasing else seq[j] < si
-            if better and best[j] + 1 > best[i]:
+            if seq[j] < si and best[j] + 1 > best[i]:
                 best[i] = best[j] + 1
                 prev[i] = j
     end = best.index(max(best))
@@ -188,8 +187,8 @@ def monotone_subsequence(seq: Sequence[int]) -> MonotoneResult:
             raise DuplicateEntries(value)
         seen.add(value)
 
-    inc = _longest_run(seq, decreasing=False)
-    dec = _longest_run(seq, decreasing=True)
+    inc = _longest_run(seq)
+    dec = _longest_run([-value for value in seq])  # decreasing in seq
     if len(inc) >= len(dec):
         chosen, direction = inc, Direction.INCREASING
     else:

@@ -41,7 +41,7 @@ import types
 from dataclasses import dataclass
 from typing import Any
 
-from .circuit import CONST, MUL, Bouquet, Circuit, Nodes, RegularCircuit
+from .circuit import CONST, MUL, Bouquet, Circuit, Nodes, RegularCircuit, _is_int
 from .circuit import bouquet_gate_count, gate_count
 from .passes import (
     DegreeTooSmall,
@@ -239,29 +239,31 @@ def reduce_to_single(
     intermediate bouquet up to degree 6 and silently tiers down to random
     evaluation above; "random" evaluates at every degree, against the
     determinant of each trial point's matrix by elimination mod PRIME.  No
-    degree goes unchecked; trials must be >= 1 unless verify is "off" (a
-    ValueError otherwise).  The caller promises the input computes the
-    determinant of degree n; with verify on, a broken promise (or a broken
-    pass) surfaces as VerificationFailed.
+    degree goes unchecked.  trials and seed must be ints, not bools, and
+    trials >= 1 unless verify is "off" (a ValueError otherwise).  The caller
+    promises the input computes the determinant of degree n; with verify on,
+    a broken promise (or a broken pass) surfaces as VerificationFailed.
     """
     if verify not in ("off", "random", "exact"):
         raise ValueError(f"unknown verify mode {verify!r}")
+    if not (_is_int(trials) and _is_int(seed)):
+        raise ValueError(f"trials and seed must be ints, got {trials!r} and {seed!r}")
     if verify != "off" and trials < 1:
         raise ValueError("trials must be >= 1")
 
     cur = bouquet
     steps: list[ReductionStep] = []
     verdicts: list[dict[str, Any]] = [_verify_step(cur, verify, 0, seed, trials)]
-    iteration = 0
     guarantee = cur.n
 
-    while distinct_orders(cur) > 1:
-        iteration += 1
+    while True:
         k_before = distinct_orders(cur)
         gates_before = bouquet_gate_count(cur)
-
         tau = _normalize_tau(cur)
         cur = merge_summands(cur if tau is None else compose(cur, tau))
+        if k_before <= 1:  # composing and merging keep the number of orders
+            break
+        iteration = len(steps) + 1
 
         ident = identity_perm(cur.n)
         target_idx = next(
@@ -272,9 +274,8 @@ def reduce_to_single(
         run = monotone_subsequence(cur.summands[target_idx].sigma)
         reversed_idx = None
         if run.direction is Direction.DECREASING:
-            flipped = reverse(cur.summands[target_idx])
             summands = list(cur.summands)
-            summands[target_idx] = flipped
+            summands[target_idx] = reverse(summands[target_idx])
             cur = Bouquet(cur.n, tuple(summands), cur.sign)
             reversed_idx = target_idx
         kept = tuple(sorted(run.values))
@@ -293,9 +294,6 @@ def reduce_to_single(
                 k_before_after=(k_before, distinct_orders(cur)),
             )
         )
-
-    final_tau = _normalize_tau(cur)
-    cur = merge_summands(cur if final_tau is None else compose(cur, final_tau))
 
     survivors = [rc for rc in cur.summands if not is_zero_summand(rc)]
     dropped = len(cur.summands) - len(survivors)
@@ -323,7 +321,7 @@ def reduce_to_single(
         final_gates=gate_count(single.circuit),
         epsilon_guarantee=1.0 / 2 ** (max(1, distinct_orders(bouquet)) - 1),
         es_guarantee=guarantee,
-        final_tau=final_tau,
+        final_tau=tau,
         zero_summands_dropped=dropped,
     )
     return single, transcript

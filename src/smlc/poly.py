@@ -17,8 +17,9 @@ slots whose static bit bound would pass REDUCE_CEILING and once per point at
 the end; the results equal reduction at every operation.
 
 A monomial is a tuple of (row, col) pairs sorted by strictly increasing row;
-a polynomial maps monomials to nonzero integer coefficients.  Field elements
-are plain ints in [0, PRIME).
+a polynomial (`SparsePoly`, a value whose one operation is the product) maps
+monomials to nonzero integer coefficients.  Field elements are plain ints in
+[0, PRIME).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, _is_int, validate, variables_of
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, _is_int, _is_permutation
+from .circuit import validate, variables_of
 
 # Fixed carrier for randomized identity testing.  Degree-d polynomials collide
 # at a uniform random point with probability at most d / PRIME per trial.
@@ -70,8 +72,7 @@ class MissingAssignment(OracleError):
 def check_permutation(pi: Iterable[int], n: int) -> tuple[int, ...]:
     """pi as a tuple, if it is a permutation of [1..n] (ints, not bools); else NotAPermutation."""
     pi = tuple(pi)
-    ints = all(_is_int(v) for v in pi)
-    if len(pi) != n or not ints or sorted(pi) != list(range(1, n + 1)):
+    if not _is_permutation(pi, n):
         raise NotAPermutation(pi, n)
     return pi
 
@@ -132,21 +133,6 @@ class SparsePoly:
     n: int
     terms: dict[Monomial, int] = field(default_factory=dict)
 
-    @classmethod
-    def zero(cls, n: int) -> "SparsePoly":
-        return cls(n, {})
-
-    @classmethod
-    def const(cls, n: int, value: int) -> "SparsePoly":
-        return cls(n, {(): value} if value else {})
-
-    @classmethod
-    def variable(cls, n: int, row: int, col: int) -> "SparsePoly":
-        return cls(n, {((row, col),): 1})
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        return SparsePoly(self.n, _add_into(dict(self.terms), other))
-
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
@@ -158,11 +144,6 @@ class SparsePoly:
                 else:
                     out.pop(mono, None)
         return SparsePoly(self.n, out)
-
-    def scaled(self, factor: int) -> "SparsePoly":
-        if factor == 0:
-            return SparsePoly.zero(self.n)
-        return SparsePoly(self.n, {m: factor * c for m, c in self.terms.items()})
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -234,22 +215,22 @@ def _expand(circuit: Circuit) -> SparsePoly:
     polys: list[SparsePoly | None] = [None] * len(ops)
     for vid, op, left, right in zip(range(len(ops)), ops, lefts, rights):
         if op == CONST:
-            result = SparsePoly.const(n, left)
+            result = SparsePoly(n, {(): left} if left else {})
         elif op == VAR:
-            result = SparsePoly.variable(n, left, right)
+            result = SparsePoly(n, {((left, right),): 1})
         else:
             a = polys[left]
             b = polys[right]
             remaining[left] -= 1
             remaining[right] -= 1
             if op == ADD:
-                result = _add_consuming(
-                    n,
-                    a,
-                    b,
-                    consume_a=remaining[left] == 0 and left != right,
-                    consume_b=remaining[right] == 0 and left != right,
-                )
+                # add into a dead operand's dict (the larger), else into a copy
+                dead_a = remaining[left] == 0 and left != right
+                dead_b = remaining[right] == 0 and left != right
+                if dead_b and not (dead_a and len(a) >= len(b)):
+                    a, b = b, a
+                base = a.terms if dead_a or dead_b else dict(a.terms)
+                result = SparsePoly(n, _add_into(base, b))
             else:
                 if len(a) * len(b) > term_budget:
                     raise BudgetExceeded(
@@ -264,19 +245,6 @@ def _expand(circuit: Circuit) -> SparsePoly:
             raise BudgetExceeded(f"{len(result)} terms exceed budget {term_budget}")
         polys[vid] = result
     return polys[circuit.root]
-
-
-def _add_consuming(
-    n: int, a: SparsePoly, b: SparsePoly, consume_a: bool, consume_b: bool
-) -> SparsePoly:
-    # reuse the dict of a dead operand, preferring the larger one
-    if consume_a and (not consume_b or len(a) >= len(b)):
-        base, other = a, b
-    elif consume_b:
-        base, other = b, a
-    else:
-        return a + b
-    return SparsePoly(n, _add_into(base.terms, other))
 
 
 def eval_points(doc: Circuit | Bouquet, points: Sequence[Assignment]) -> list[int]:
@@ -392,10 +360,12 @@ def expand_bouquet(bouquet: Bouquet) -> SparsePoly:
 
     The summands are already regular, so they are not validated again.
     """
-    total = SparsePoly.zero(bouquet.n)
+    terms: dict[Monomial, int] = {}
     for rc in bouquet.summands:
-        total = total + _expand(rc.circuit)
-    return total.scaled(bouquet.sign)
+        _add_into(terms, _expand(rc.circuit))
+    if bouquet.sign < 0:
+        terms = {mono: -coeff for mono, coeff in terms.items()}
+    return SparsePoly(bouquet.n, terms)
 
 
 def eval_bouquet(bouquet: Bouquet, assignment: Assignment) -> int:
@@ -515,8 +485,8 @@ def equiv_random(
     separating trial and point, or Equivalent with the per-trial error bound
     d/PRIME where d is the larger degree.
     """
-    if trials < 1:
-        raise OracleError("trials must be >= 1")
+    if not _is_int(trials) or trials < 1:
+        raise OracleError(f"trials must be an int >= 1, got {trials!r}")
     deg_a, vars_a = _sampled(a)
     deg_b, vars_b = _sampled(b)
     variables = vars_a | vars_b

@@ -71,9 +71,7 @@ def _require(obj: dict, key: str, kind: type) -> Any:
     if key not in obj:
         raise ParseError(f"missing field {key!r}")
     value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise ParseError(f"field {key!r}: expected {kind.__name__}, got bool")
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"field {key!r}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 

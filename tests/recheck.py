@@ -6,10 +6,15 @@ that claim here instead of in the library.
 
 `eval_mod` evaluates an expanded polynomial term by term, reducing mod PRIME
 at every operation, so it shares no code with `poly.eval_points`.
+
+`poly_add`, `poly_scaled` and `poly_mul` are the polynomial arithmetic the
+tests need, written term by term on `SparsePoly` values without any of
+`poly`'s code; `expand_nodes` builds a fresh polynomial at every node from
+them, a reference for `poly.expand`, which reuses the dicts of dead operands.
 """
 
-from smlc.circuit import regular
-from smlc.poly import PRIME
+from smlc.circuit import ADD, CONST, MUL, VAR, regular
+from smlc.poly import PRIME, SparsePoly
 
 
 def assert_rechecks(rc):
@@ -32,3 +37,47 @@ def eval_mod(poly, assignment):
             term = term * (assignment[(row, col)] % PRIME) % PRIME
         total = (total + term) % PRIME
     return total
+
+
+def _nonzero(n, terms):
+    return SparsePoly(n, {mono: coeff for mono, coeff in terms.items() if coeff})
+
+
+def poly_add(a, b):
+    terms = dict(a.terms)
+    for mono, coeff in b.terms.items():
+        terms[mono] = terms.get(mono, 0) + coeff
+    return _nonzero(a.n, terms)
+
+
+def poly_scaled(a, factor):
+    return _nonzero(a.n, {mono: factor * coeff for mono, coeff in a.terms.items()})
+
+
+def poly_mul(a, b):
+    """a * b over every pair of terms; the two monomials of a pair must use distinct rows."""
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            rows = [row for row, _ in ma + mb]
+            assert len(set(rows)) == len(rows), f"{ma} * {mb} reuses a row"
+            mono = tuple(sorted(ma + mb))
+            terms[mono] = terms.get(mono, 0) + ca * cb
+    return _nonzero(a.n, terms)
+
+
+def expand_nodes(circuit):
+    """The circuit's polynomial, one fresh SparsePoly per node, no operand reused."""
+    n, nodes = circuit.n, circuit.nodes
+    polys = []
+    for op, a, b in zip(nodes.op, nodes.a, nodes.b):
+        if op == CONST:
+            polys.append(_nonzero(n, {(): a}))
+        elif op == VAR:
+            polys.append(SparsePoly(n, {((a, b),): 1}))
+        elif op == ADD:
+            polys.append(poly_add(polys[a], polys[b]))
+        else:
+            assert op == MUL
+            polys.append(poly_mul(polys[a], polys[b]))
+    return polys[circuit.root]

@@ -13,7 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from recheck import eval_mod
+from recheck import eval_mod, poly_scaled
 
 from smlc.circuit import (
     Bouquet,
@@ -179,13 +179,13 @@ def _replay_expected_polynomial(input_bouquet, transcript):
     value = expand_bouquet(input_bouquet)
     for step in transcript.steps:
         if step.tau_applied:
-            value = _rename_rows(value, step.tau_applied).scaled(
-                sign_of_permutation(step.tau_applied)
+            value = poly_scaled(
+                _rename_rows(value, step.tau_applied), sign_of_permutation(step.tau_applied)
             )
         value = _project_poly(value, step.kept_indices)
     if transcript.final_tau:
-        value = _rename_rows(value, transcript.final_tau).scaled(
-            sign_of_permutation(transcript.final_tau)
+        value = poly_scaled(
+            _rename_rows(value, transcript.final_tau), sign_of_permutation(transcript.final_tau)
         )
     return value
 

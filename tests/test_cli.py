@@ -96,7 +96,17 @@ def test_reduce_emits_transcript(tmp_path):
         }
 
 
-def test_reduce_verification_failure_exits_3():
+def test_reduce_transcript_path_that_cannot_be_written_exits_2(tmp_path):
+    gen = run(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "7"])
+    path = tmp_path / "missing" / "transcript.json"
+    red = run(["reduce", "--verify", "off", "--emit-transcript", str(path)], stdin=gen.stdout)
+    assert red.returncode == 2
+    assert red.stderr == ""
+    (line,) = red.stdout.splitlines()
+    assert json.loads(line)["error"] == "FileNotFoundError"
+
+
+def test_reduce_verification_failure_exits_3(tmp_path):
     # a bouquet whose lone summand is a bare product, not a determinant
     doc = {
         "n": 2,
@@ -115,9 +125,14 @@ def test_reduce_verification_failure_exits_3():
             }
         ],
     }
-    red = run(["reduce", "--verify", "exact", "--seed", "0"], stdin=dumps(doc))
+    path = tmp_path / "transcript.json"
+    red = run(
+        ["reduce", "--verify", "exact", "--seed", "0", "--emit-transcript", str(path)],
+        stdin=dumps(doc),
+    )
     assert red.returncode == 3
     assert json.loads(red.stdout)["error"] == "VerificationFailed"
+    assert not path.exists()  # a failed reduction writes no transcript
 
 
 def test_reduce_verify_random_via_cli():

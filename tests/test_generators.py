@@ -167,6 +167,13 @@ def test_sparse_term_bouquet_shape():
     assert again == b
 
 
+def test_sparse_term_bouquet_refuses_more_terms_than_n_factorial():
+    # above REFERENCE_MAX_N the sample is drawn term by term, which could never
+    # find n! + 1 distinct terms; it is refused before any draw
+    with pytest.raises(ValueError, match="cannot draw 362881 distinct permutations"):
+        sparse_term_bouquet(9, [tuple(range(1, 10))], terms=math.factorial(9) + 1, seed=0)
+
+
 def test_sparse_term_bouquet_full_sample_is_determinant():
     b = sparse_term_bouquet(3, [(1, 2, 3), (3, 1, 2)], terms=6, seed=1)
     assert expand_bouquet(b).terms == reference_det(3).terms

@@ -1,9 +1,10 @@
 """Package hygiene, read off the source with `ast`: every name a module
-exports exists, and no module keeps an import it does not use.
+exports exists, no module keeps an import it does not use, and no private
+top-level helper outlives its last caller.
 
-Deleting a type or a helper tends to leave an `__all__` entry or an import
-behind; these two checks catch both.  `__init__.py` imports only to
-re-export, so it is exempt from the import check.
+Deleting a type or a helper tends to leave an `__all__` entry, an import or
+the helper it called behind; these checks catch all three.  `__init__.py`
+imports only to re-export, so it is exempt from the import check.
 """
 
 import ast
@@ -55,3 +56,36 @@ def test_no_unused_top_level_import(path):
     used.update(_exports(tree))
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree):
+    # top-level functions, classes and assignments named _x (dunders aside)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for t in targets for name in ast.walk(t) if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = sorted(
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in referenced
+    )
+    assert not dead, f"private helpers nothing in the package uses: {dead}"

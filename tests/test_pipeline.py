@@ -15,6 +15,8 @@ from smlc.pipeline import (
     trim_even,
 )
 from smlc.poly import (
+    OracleError,
+    equiv_random,
     expand,
     expand_bouquet,
     identity_perm,
@@ -190,6 +192,20 @@ def test_reduce_rejects_checks_without_trials(verify, trials):
         reduce_to_single(b, verify=verify, trials=trials)
     _, tr = reduce_to_single(b, verify="off", trials=trials)
     assert tr.trials == trials
+
+
+@pytest.mark.parametrize(
+    "bad", [{"trials": 2.5}, {"trials": "3"}, {"trials": True}, {"seed": True}, {"seed": 1.0}]
+)
+def test_trials_and_seed_must_be_ints(bad):
+    # both go into the transcript, and the CLI that replays it takes ints
+    b = det_bouquet(3, [(1, 2, 3), (3, 2, 1)], seed=10)
+    for verify in ("off", "random", "exact"):
+        with pytest.raises(ValueError, match="trials and seed must be ints"):
+            reduce_to_single(b, verify=verify, **bad)
+    if "trials" in bad:
+        with pytest.raises(OracleError, match="trials must be an int >= 1"):
+            equiv_random(b, b, trials=bad["trials"])
 
 
 def test_trim_even_degrees():

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from recheck import eval_mod
+from recheck import eval_mod, expand_nodes, poly_add, poly_mul
 
 from smlc.circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, VarLeaf
 from smlc.generators import det_bouquet, det_regular_circuit, random_regular_circuit
@@ -91,7 +91,7 @@ def test_expand_budget_exceeded():
 
 def test_expand_is_ring_homomorphism():
     # join two independently generated circuits under a fresh gate and compare
-    # against SparsePoly arithmetic
+    # against a product that shares no code with expand
     rng = random.Random(3)
     for _ in range(25):
         n = rng.randint(2, 5)
@@ -118,7 +118,42 @@ def test_expand_is_ring_homomorphism():
         product = Circuit(n, tuple(joined_nodes), len(joined_nodes) - 1)
         pl = expand(Circuit(n, left.nodes, left.root))
         pr = expand(Circuit(n, lifted, right.root))
-        assert expand(product).terms == (pl * pr).terms
+        assert expand(product).terms == poly_mul(pl, pr).terms
+
+
+X11, X12, X13 = VarLeaf(1, 1), VarLeaf(1, 2), VarLeaf(1, 3)
+
+
+@pytest.mark.parametrize(
+    "nodes, expected",
+    [
+        # one gate reads node 2 twice, so it must not add into node 2's dict
+        ((X11, X12, Add(0, 1), Add(2, 2)), {((1, 1),): 2, ((1, 2),): 2}),
+        # Adds 3 and 4 both read node 2: the first must leave it intact
+        ((X11, X12, Add(0, 1), Add(2, 0), Add(2, 1), Add(3, 4)), {((1, 1),): 3, ((1, 2),): 3}),
+        # node 2 dies at Add 4 and is smaller than the still-live node 3
+        (
+            (X11, X12, X13, Add(0, 1), Add(3, 2), Add(4, 3)),
+            {((1, 1),): 2, ((1, 2),): 2, ((1, 3),): 1},
+        ),
+        # a sum that cancels to zero
+        ((X11, ConstLeaf(-1), Mul(1, 0), Add(0, 2)), {}),
+    ],
+    ids=["add-v-v", "add-read-twice", "dead-smaller-than-live", "cancel"],
+)
+def test_expand_addition_in_place_matches_node_by_node_reference(nodes, expected):
+    circuit = c(3, *nodes)
+    assert expand(circuit).terms == expected
+    assert expand_nodes(circuit).terms == expected
+
+
+def test_expand_matches_node_by_node_reference_on_random_circuits():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        sigma = random_perm(n, rng)
+        rc = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 60))
+        assert expand(rc.circuit).terms == expand_nodes(rc.circuit).terms
 
 
 def test_expand_add_homomorphism():
@@ -135,7 +170,7 @@ def test_expand_add_homomorphism():
         ]
         nodes.append(Add(a.root, b.root + offset))
         total = Circuit(n, tuple(nodes), len(nodes) - 1)
-        assert expand(total).terms == (expand(a) + expand(b)).terms
+        assert expand(total).terms == poly_add(expand(a), expand(b)).terms
 
 
 # --- reference polynomials ------------------------------------------------
