@@ -34,7 +34,6 @@ from .passes import (
     reverse,
 )
 from .pipeline import (
-    ReductionStep,
     Transcript,
     VerificationFailed,
     normalize_first,

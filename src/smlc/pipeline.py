@@ -1,16 +1,17 @@
 """Iterative reduction of a bouquet to a single regular circuit.
 
 Given a sum of k regular summands computing a degree-n determinant, each
-iteration (1) relabels rows so the leading summand is ordered by the identity,
-(2) merges same-order summands, (3) picks the first non-identity summand,
-extracts an exact longest monotone run from its order (reversing the summand
-first if the run is decreasing), and (4) projects the whole bouquet onto the
-run's value set.  Every iteration turns one more summand into an
-identity-ordered block, so the number of distinct orders drops by at least
-one and at most k-1 iterations remain.  Since a monotone run in a length-m
-sequence has length at least ceil(sqrt(m)), the final degree is at least
-n^(1/2^(k-1)) when every run is at its floor; the transcript records both the
-running guarantee and the lengths actually achieved.
+iteration (1) relabels rows with `normalize_first` so the leading summand is
+ordered by the identity, (2) merges same-order summands, (3) picks the first
+non-identity summand, extracts an exact longest monotone run from its order
+(reversing the summand first if the run is decreasing), and (4) projects the
+whole bouquet onto the run's value set.  Every iteration turns one more
+summand into an identity-ordered block, so the number of distinct orders
+drops by at least one and at most k-1 iterations remain.  Since a monotone
+run in a length-m sequence has length at least ceil(sqrt(m)), the final
+degree is at least n^(1/2^(k-1)) when every run is at its floor; the
+transcript, kept as the JSON it is written as, records both the running
+guarantee and the lengths actually achieved.
 
 The driver can verify every intermediate bouquet against the determinant of
 the current degree d: exactly (term-by-term expansion against the reference
@@ -46,7 +47,6 @@ from .circuit import bouquet_gate_count, gate_count
 from .passes import (
     DegreeTooSmall,
     Direction,
-    MonotoneResult,
     compose,
     distinct_orders,
     drop_last_index,
@@ -69,7 +69,6 @@ from .poly import (
 )
 
 __all__ = [
-    "ReductionStep",
     "Transcript",
     "VerificationFailed",
     "normalize_first",
@@ -93,76 +92,29 @@ class VerificationFailed(Exception):
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    iteration: int
-    tau_applied: tuple[int, ...] | None
-    summand_reversed: int | None
-    subsequence: MonotoneResult
-    kept_indices: tuple[int, ...]
-    sizes_before_after: tuple[int, int]  # internal gate counts, pending sign included
-    k_before_after: tuple[int, int]  # distinct non-zero summand orders
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "iteration": self.iteration,
-            "tau_applied": list(self.tau_applied) if self.tau_applied else None,
-            "summand_reversed": self.summand_reversed,
-            "subsequence": {
-                "direction": self.subsequence.direction.value,
-                "positions": list(self.subsequence.positions),
-                "values": list(self.subsequence.values),
-            },
-            "kept_indices": list(self.kept_indices),
-            "sizes_before_after": list(self.sizes_before_after),
-            "k_before_after": list(self.k_before_after),
-        }
-
-
-@dataclass(frozen=True)
 class Transcript:
-    """Replayable record of one reduction run.
+    """Replayable record of one reduction run; its fields are the JSON keys it is written under.
 
-    Identical inputs and seed reproduce the transcript bit for bit.  The
-    epsilon guarantee is 1/2^(k-1) for k distinct input orders; es_guarantee
-    is that bound already instantiated (iterated ceil-sqrt of the input
+    Each step is the dict it is written as (built in `reduce_to_single`); its
+    sizes count internal gates, pending sign included, and its k counts
+    distinct non-zero orders.  Identical inputs and seed reproduce the
+    transcript bit for bit.  epsilon_guarantee is 1/2^(k_distinct-1);
+    es_guarantee is that bound instantiated (iterated ceil-sqrt of the input
     degree), and final_degree is never below it.
     """
 
-    n_input: int
-    k_input: int
-    k_distinct_input: int
-    verify: str
-    seed: int
-    trials: int
-    steps: tuple[ReductionStep, ...]
-    verdicts: tuple[dict[str, Any], ...]
+    config: dict[str, Any]
+    steps: list[dict[str, Any]]
+    verdicts: list[dict[str, Any]]
     final_degree: int
     final_gates: int
     epsilon_guarantee: float
     es_guarantee: int
-    final_tau: tuple[int, ...] | None
+    final_tau: list[int] | None
     zero_summands_dropped: int
 
     def to_obj(self) -> dict[str, Any]:
-        return {
-            "config": {
-                "n": self.n_input,
-                "k": self.k_input,
-                "k_distinct": self.k_distinct_input,
-                "verify": self.verify,
-                "seed": self.seed,
-                "trials": self.trials,
-                "pit_prime": str(PRIME),
-            },
-            "steps": [step.to_obj() for step in self.steps],
-            "verdicts": list(self.verdicts),
-            "final_degree": self.final_degree,
-            "final_gates": self.final_gates,
-            "epsilon_guarantee": self.epsilon_guarantee,
-            "es_guarantee": self.es_guarantee,
-            "final_tau": list(self.final_tau) if self.final_tau else None,
-            "zero_summands_dropped": self.zero_summands_dropped,
-        }
+        return dict(vars(self))
 
 
 def ceil_sqrt(m: int) -> int:
@@ -170,23 +122,21 @@ def ceil_sqrt(m: int) -> int:
     return c if c * c == m else c + 1
 
 
-def normalize_first(bouquet: Bouquet) -> Bouquet:
+def normalize_first(bouquet: Bouquet) -> tuple[Bouquet, tuple[int, ...] | None]:
     """Compose with the inverse of the leading order so it becomes the identity.
 
-    The leading order is taken from the first non-zero summand; a bouquet of
-    zeros has nothing to normalize.  Adds no nodes; an odd inverse flips the
-    pending bouquet sign, which counts as one gate in the size accounting.
+    Returns the composed bouquet and the tau it was composed with.  The
+    leading order is taken from the first non-zero summand; when it is
+    already the identity, or every summand is zero, there is nothing to
+    compose and the result is (bouquet, None).  Adds no nodes; an odd inverse
+    flips the pending bouquet sign, which counts as one gate in the size
+    accounting.
     """
-    tau = _normalize_tau(bouquet)
-    return bouquet if tau is None else compose(bouquet, tau)
-
-
-def _normalize_tau(bouquet: Bouquet) -> tuple[int, ...] | None:
-    # the tau normalize_first composes with, or None when there is nothing to do
     ref = next((rc for rc in bouquet.summands if not is_zero_summand(rc)), None)
     if ref is None or ref.sigma == identity_perm(bouquet.n):
-        return None
-    return invert_perm(ref.sigma)
+        return bouquet, None
+    tau = invert_perm(ref.sigma)
+    return compose(bouquet, tau), tau
 
 
 @functools.cache
@@ -252,15 +202,15 @@ def reduce_to_single(
         raise ValueError("trials must be >= 1")
 
     cur = bouquet
-    steps: list[ReductionStep] = []
-    verdicts: list[dict[str, Any]] = [_verify_step(cur, verify, 0, seed, trials)]
+    steps: list[dict[str, Any]] = []
+    verdicts = [_verify_step(cur, verify, 0, seed, trials)]
     guarantee = cur.n
 
     while True:
         k_before = distinct_orders(cur)
         gates_before = bouquet_gate_count(cur)
-        tau = _normalize_tau(cur)
-        cur = merge_summands(cur if tau is None else compose(cur, tau))
+        cur, tau = normalize_first(cur)
+        cur = merge_summands(cur)
         if k_before <= 1:  # composing and merging keep the number of orders
             break
         iteration = len(steps) + 1
@@ -278,20 +228,22 @@ def reduce_to_single(
             summands[target_idx] = reverse(summands[target_idx])
             cur = Bouquet(cur.n, tuple(summands), cur.sign)
             reversed_idx = target_idx
-        kept = tuple(sorted(run.values))
+        kept = sorted(run.values)
 
         cur = project(cur, kept)
         guarantee = ceil_sqrt(guarantee)
         verdicts.append(_verify_step(cur, verify, iteration, seed, trials))
         steps.append(
-            ReductionStep(
+            dict(
                 iteration=iteration,
-                tau_applied=tau,
+                tau_applied=None if tau is None else list(tau),
                 summand_reversed=reversed_idx,
-                subsequence=run,
+                subsequence=dict(
+                    direction=run.direction.value, positions=list(run.positions), values=list(run.values)
+                ),
                 kept_indices=kept,
-                sizes_before_after=(gates_before, bouquet_gate_count(cur)),
-                k_before_after=(k_before, distinct_orders(cur)),
+                sizes_before_after=[gates_before, bouquet_gate_count(cur)],
+                k_before_after=[k_before, distinct_orders(cur)],
             )
         )
 
@@ -308,20 +260,19 @@ def reduce_to_single(
             wrapped = Nodes(nodes.op + (CONST, MUL), nodes.a + (-1, size), nodes.b + (0, root))
             single = RegularCircuit(Circuit(cur.n, wrapped, size + 1), single.sigma, single.degree)
 
+    k_distinct = max(1, distinct_orders(bouquet))
     transcript = Transcript(
-        n_input=bouquet.n,
-        k_input=len(bouquet.summands),
-        k_distinct_input=max(1, distinct_orders(bouquet)),
-        verify=verify,
-        seed=seed,
-        trials=trials,
-        steps=tuple(steps),
-        verdicts=tuple(verdicts),
+        config=dict(
+            n=bouquet.n, k=len(bouquet.summands), k_distinct=k_distinct, verify=verify,
+            seed=seed, trials=trials, pit_prime=str(PRIME),
+        ),
+        steps=steps,
+        verdicts=verdicts,
         final_degree=cur.n,
         final_gates=gate_count(single.circuit),
-        epsilon_guarantee=1.0 / 2 ** (max(1, distinct_orders(bouquet)) - 1),
+        epsilon_guarantee=1.0 / 2 ** (k_distinct - 1),
         es_guarantee=guarantee,
-        final_tau=tau,
+        final_tau=None if tau is None else list(tau),
         zero_summands_dropped=dropped,
     )
     return single, transcript

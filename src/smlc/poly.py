@@ -483,10 +483,13 @@ def equiv_random(
     Either side may be a circuit or a bouquet; each is evaluated at all the
     points in one `eval_points` call.  Returns Distinct with the first
     separating trial and point, or Equivalent with the per-trial error bound
-    d/PRIME where d is the larger degree.
+    d/PRIME where d is the larger degree.  trials and seed must be ints, not
+    bools (an OracleError otherwise).
     """
     if not _is_int(trials) or trials < 1:
         raise OracleError(f"trials must be an int >= 1, got {trials!r}")
+    if not _is_int(seed):
+        raise OracleError(f"seed must be an int, got {seed!r}")
     deg_a, vars_a = _sampled(a)
     deg_b, vars_b = _sampled(b)
     variables = vars_a | vars_b

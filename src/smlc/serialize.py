@@ -15,9 +15,9 @@ documents written without it parse fine.
 
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
-are decimal strings so readers never face integer-width surprises.  Parsing a
-bouquet also checks that every summand is over the bouquet's grid, then runs
-`regular` on it against its sigma.
+are decimal strings (an optional "-", then ASCII digits) so readers never face
+integer-width surprises.  Parsing a bouquet also checks that every summand is
+over the bouquet's grid, then runs `regular` on it against its sigma.
 
 The parser writes each node straight into the three flat arrays of
 `circuit.Nodes` and builds no node objects.  Its loop reads the id, op and
@@ -120,6 +120,8 @@ def circuit_from_obj(obj: Any) -> Circuit:
             if type(text) is not str:
                 text = _require(raw, "value", str)
             try:
+                if not (text.isascii() and text.removeprefix("-").isdigit()):
+                    raise ValueError  # int() alone takes "+5", " 5", "1_000" and non-ASCII digits
                 left, right = int(text), 0
             except ValueError:
                 raise ParseError(f"node {idx}: bad decimal constant {text!r}") from None
@@ -181,5 +183,5 @@ def dumps(obj: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise ParseError(f"invalid JSON: {exc}") from None

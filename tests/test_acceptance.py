@@ -178,11 +178,10 @@ def _replay_expected_polynomial(input_bouquet, transcript):
     # merges do not change the value, compositions scale by the sign of tau
     value = expand_bouquet(input_bouquet)
     for step in transcript.steps:
-        if step.tau_applied:
-            value = poly_scaled(
-                _rename_rows(value, step.tau_applied), sign_of_permutation(step.tau_applied)
-            )
-        value = _project_poly(value, step.kept_indices)
+        tau = step["tau_applied"]
+        if tau:
+            value = poly_scaled(_rename_rows(value, tau), sign_of_permutation(tau))
+        value = _project_poly(value, step["kept_indices"])
     if transcript.final_tau:
         value = poly_scaled(
             _rename_rows(value, transcript.final_tau), sign_of_permutation(transcript.final_tau)
@@ -240,7 +239,7 @@ def test_criterion_6_k_monotonicity():
                     b = det_bouquet(n, distinct_perms(n, k, rng), seed=rng.randrange(2**32))
                     s_in = bouquet_gate_count(b)
                     single, tr = reduce_to_single(b, verify="exact", seed=3)
-                    for before, after in (s.k_before_after for s in tr.steps):
+                    for before, after in (s["k_before_after"] for s in tr.steps):
                         assert after <= before - 1
                     assert tr.epsilon_guarantee == 1 / 2 ** (k - 1)
                     assert tr.final_gates <= s_in + k

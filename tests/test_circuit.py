@@ -364,6 +364,11 @@ VAR = {"id": 0, "op": "var", "row": 1, "col": 1}
         (_doc({"id": 0, "op": "const", "value": "1.5"}), "node 0: bad decimal constant '1.5'"),
         (_doc({"id": 0, "op": "const", "value": 3}), "field 'value': expected str, got int"),
         (_doc({"id": 0, "op": "div", "left": 0, "right": 0}), "node 0: unknown op 'div'"),
+        # int() would take each of these, and the writer would respell it
+        (_doc({"id": 0, "op": "const", "value": "1_000"}), "node 0: bad decimal constant '1_000'"),
+        (_doc({"id": 0, "op": "const", "value": " 5"}), "node 0: bad decimal constant ' 5'"),
+        (_doc({"id": 0, "op": "const", "value": "+5"}), "node 0: bad decimal constant '+5'"),
+        (_doc({"id": 0, "op": "const", "value": "\u0663"}), "node 0: bad decimal constant '\u0663'"),
     ],
 )
 def test_parser_names_each_fault(doc, message):

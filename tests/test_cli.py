@@ -8,6 +8,7 @@ import pytest
 
 from smlc.generators import det_bouquet, det_regular_circuit
 from smlc.passes import compose, project
+from smlc.pipeline import reduce_to_single
 from smlc.poly import PRIME, expand, expand_bouquet, poly_to_text, reference_det, trial_point
 from smlc.serialize import (
     bouquet_from_obj,
@@ -96,6 +97,22 @@ def test_reduce_emits_transcript(tmp_path):
         }
 
 
+@pytest.mark.parametrize("verify", ["off", "random", "exact"])
+def test_emitted_transcript_is_the_in_process_record(tmp_path, verify):
+    gen = run(["gen", "bouquet", "--n", "5", "--k", "3", "--seed", "11"])
+    path = tmp_path / "transcript.json"
+    red = run(
+        ["reduce", "--verify", verify, "--seed", "4", "--trials", "3", "--emit-transcript", str(path)],
+        stdin=gen.stdout,
+    )
+    assert red.returncode == 0
+    bouquet = bouquet_from_obj(json.loads(gen.stdout))
+    single, transcript = reduce_to_single(bouquet, verify=verify, seed=4, trials=3)
+    assert transcript.steps  # the record covers at least one step
+    assert path.read_text() == dumps(transcript.to_obj()) + "\n"
+    assert red.stdout == dumps(circuit_to_obj(single.circuit)) + "\n"
+
+
 def test_reduce_transcript_path_that_cannot_be_written_exits_2(tmp_path):
     gen = run(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "7"])
     path = tmp_path / "missing" / "transcript.json"
@@ -144,9 +161,14 @@ def test_reduce_verify_random_via_cli():
 
 
 def test_parse_error_exits_2():
-    out = run(["stats"], stdin="this is not json")
-    assert out.returncode == 2
-    assert json.loads(out.stdout)["ok"] is False
+    nested = "[" * 3000 + "]" * 3000  # deeper than the JSON decoder recurses
+    cases = [("stats", "this is not json")] + [(verb, nested) for verb in ("validate", "reduce", "expand")]
+    for verb, text in cases:
+        out = run([verb], stdin=text)
+        assert out.returncode == 2, verb
+        (line,) = out.stdout.splitlines()
+        assert json.loads(line)["ok"] is False
+        assert json.loads(line)["error"] == "ParseError"
 
 
 def test_unknown_flag_rejected():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from smlc.circuit import Bouquet, Circuit, Mul, VarLeaf, bouquet_gate_count, regular
+from smlc.circuit import Bouquet, Circuit, ConstLeaf, Mul, VarLeaf, bouquet_gate_count, regular
 from smlc.generators import det_bouquet, det_regular_circuit, distinct_perms, sparse_term_bouquet
-from smlc.passes import DegreeTooSmall, Direction, distinct_orders
+from smlc.passes import DegreeTooSmall, compose, distinct_orders
 from smlc.pipeline import (
     VerificationFailed,
     ceil_sqrt,
@@ -20,6 +20,7 @@ from smlc.poly import (
     expand,
     expand_bouquet,
     identity_perm,
+    invert_perm,
     reference_det,
     sign_of_permutation,
 )
@@ -27,22 +28,37 @@ from smlc.poly import (
 
 def test_normalize_identity_is_noop():
     b = det_bouquet(3, [(1, 2, 3), (3, 1, 2)], seed=1)
-    assert normalize_first(b) == b
+    assert normalize_first(b) == (b, None)
 
 
 def test_normalize_makes_first_summand_identity():
     b = det_bouquet(3, [(2, 3, 1), (1, 3, 2)], seed=2)
-    out = normalize_first(b)
+    out, tau = normalize_first(b)
+    assert tau == (3, 1, 2)
     assert out.summands[0].sigma == (1, 2, 3)
     assert expand_bouquet(out).terms == reference_det(3).terms
     # (2,3,1) is even, so no pending sign
     assert out.sign == 1
 
 
+def test_normalize_returns_the_tau_it_composed_in():
+    b = det_bouquet(4, [(3, 1, 4, 2), (1, 2, 3, 4)], seed=16)
+    out, tau = normalize_first(b)
+    assert tau == invert_perm((3, 1, 4, 2))
+    assert out == compose(b, tau)
+
+
+def test_normalize_all_zero_bouquet_is_noop():
+    zero = Circuit(3, (ConstLeaf(0),), 0)
+    b = Bouquet(3, (regular(zero, (2, 3, 1)), regular(zero, (3, 1, 2))))
+    assert normalize_first(b) == (b, None)
+
+
 def test_normalize_odd_leading_order_flips_sign():
     b = det_bouquet(3, [(2, 1, 3), (1, 2, 3)], seed=3)
     assert sign_of_permutation((2, 1, 3)) == -1
-    out = normalize_first(b)
+    out, tau = normalize_first(b)
+    assert tau == (2, 1, 3)
     assert out.sign == -1
     assert bouquet_gate_count(out) == bouquet_gate_count(b) + 1
     assert expand_bouquet(out).terms == reference_det(3).terms
@@ -51,7 +67,7 @@ def test_normalize_odd_leading_order_flips_sign():
 def test_reduce_k1_flattens_and_keeps_degree():
     b = det_bouquet(4, [(3, 1, 4, 2)], seed=4)
     single, tr = reduce_to_single(b, verify="exact", seed=0)
-    assert tr.steps == ()
+    assert tr.steps == []
     assert tr.final_degree == 4
     assert single.sigma == (1, 2, 3, 4)
     assert expand(single.circuit).terms == reference_det(4).terms
@@ -71,8 +87,8 @@ def test_reduce_handles_decreasing_runs_via_reversal():
     b = det_bouquet(4, [(1, 2, 3, 4), (4, 3, 2, 1)], seed=6)
     single, tr = reduce_to_single(b, verify="exact", seed=0)
     step = tr.steps[0]
-    assert step.subsequence.direction is Direction.DECREASING
-    assert step.summand_reversed is not None
+    assert step["subsequence"]["direction"] == "decreasing"
+    assert step["summand_reversed"] is not None
     assert tr.final_degree == 4  # reversal turns the run increasing at full length
     assert expand(single.circuit).terms == reference_det(4).terms
 
@@ -84,7 +100,7 @@ def test_reduce_k3_monotone_k_and_size_accounting():
             b = det_bouquet(n, distinct_perms(n, k, rng), seed=rng.randrange(2**32))
             s_in = bouquet_gate_count(b)
             single, tr = reduce_to_single(b, verify="exact", seed=1)
-            ks = [s.k_before_after for s in tr.steps]
+            ks = [s["k_before_after"] for s in tr.steps]
             for before, after in ks:
                 assert after <= before - 1
             assert len(tr.steps) <= k - 1
@@ -98,7 +114,7 @@ def test_reduce_k4_still_exact():
     rng = random.Random(60)
     b = det_bouquet(5, distinct_perms(5, 4, rng), seed=14)
     single, tr = reduce_to_single(b, verify="exact", seed=2)
-    assert tr.k_distinct_input == 4
+    assert tr.config["k_distinct"] == 4
     assert expand(single.circuit).terms == reference_det(tr.final_degree).terms
     assert tr.final_degree >= tr.es_guarantee
 
@@ -108,8 +124,8 @@ def test_reduce_merges_duplicate_input_orders_first():
     # duplicate the non-identity summand: three summands, two distinct orders
     dup = Bouquet(3, (rc_a.summands[0], rc_a.summands[1], rc_a.summands[0]))
     single, tr = reduce_to_single(dup, verify="off", seed=0)
-    assert tr.k_input == 3
-    assert tr.k_distinct_input == 2
+    assert tr.config["k"] == 3
+    assert tr.config["k_distinct"] == 2
     assert len(tr.steps) <= 1
     # the duplicated summand doubles one bucket, so the sum is not the
     # determinant; structural assertions only
@@ -191,7 +207,7 @@ def test_reduce_rejects_checks_without_trials(verify, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         reduce_to_single(b, verify=verify, trials=trials)
     _, tr = reduce_to_single(b, verify="off", trials=trials)
-    assert tr.trials == trials
+    assert tr.config["trials"] == trials
 
 
 @pytest.mark.parametrize(
@@ -206,6 +222,9 @@ def test_trials_and_seed_must_be_ints(bad):
     if "trials" in bad:
         with pytest.raises(OracleError, match="trials must be an int >= 1"):
             equiv_random(b, b, trials=bad["trials"])
+    else:  # a bool or float seed would silently draw other points than the int
+        with pytest.raises(OracleError, match="seed must be an int"):
+            equiv_random(b, b, seed=bad["seed"])
 
 
 def test_trim_even_degrees():
