@@ -64,6 +64,7 @@ __all__ = [
     "stats",
     "gate_count",
     "variables_of",
+    "decimal",
 ]
 
 
@@ -317,6 +318,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def decimal(text: str) -> int:
+    """The int that an optional '-' and ASCII digits spell: the one integer rule for text."""
+    if not (isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _is_permutation(seq: Sequence, n: int) -> bool:
     """seq holds exactly 1..n as ints, not bools; length first, so a huge n costs nothing."""
     return len(seq) == n and all(_is_int(v) for v in seq) and sorted(seq) == list(range(1, n + 1))
@@ -337,6 +345,8 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     anywhere, and then a sigma that is not a permutation, come first.
     """
     n, nodes, root = circuit.n, circuit.nodes, circuit.root
+    if not _is_int(n):
+        raise CircuitError(f"grid size must be an int, got {n!r}")
     if n < 1:
         raise CircuitError(f"grid size must be positive, got {n}")
     ops, lefts, rights = nodes.op, nodes.a, nodes.b

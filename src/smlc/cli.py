@@ -6,20 +6,22 @@ instances, `reduce` emits the final single circuit (plus an optional
 transcript file), and the oracle verbs (validate, check-regular, stats,
 expand, eval, equiv) print machine-parsable result objects.
 
-Exit codes: 0 ok, 1 domain error (typing, regularity, oracle limits),
-2 parse or usage error, 3 semantic verification failure during reduce.
+Exit codes: 0 ok, 1 domain error (typing, regularity, oracle limits), 2 parse or
+usage error, 3 verification failure during reduce, 141 (128 + SIGPIPE) a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
 from .circuit import (
     Bouquet,
     CircuitError,
+    decimal,
     gate_count,
     infer_order,
     stats,
@@ -66,7 +68,7 @@ _DOMAIN_ERRORS = (
 
 def _perm(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(decimal, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -226,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate instances")
     gensub = gen.add_subparsers(dest="kind", required=True)
     gd = gensub.add_parser("det", help="determinant circuit, regular w.r.t. --sigma")
-    gd.add_argument("--n", type=int, required=True)
+    gd.add_argument("--n", type=decimal, required=True)
     gd.add_argument("--sigma", type=_perm, default=None, help="order, e.g. 3,1,4,2 (default identity)")
     gd.set_defaults(func=_cmd_gen_det)
     gb = gensub.add_parser("bouquet", help="k-summand determinant bouquet with random distinct orders")
-    gb.add_argument("--n", type=int, required=True)
-    gb.add_argument("--k", type=int, required=True)
-    gb.add_argument("--seed", type=int, required=True)
+    gb.add_argument("--n", type=decimal, required=True)
+    gb.add_argument("--k", type=decimal, required=True)
+    gb.add_argument("--seed", type=decimal, required=True)
     gb.set_defaults(func=_cmd_gen_bouquet)
 
     pv = sub.add_parser("validate", help="check set-multilinear typing of a circuit")
@@ -264,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rd = sub.add_parser("reduce", help="reduce a bouquet to a single regular circuit")
     rd.add_argument("--verify", choices=("off", "random", "exact"), default="exact")
-    rd.add_argument("--seed", type=int, default=0)
-    rd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    rd.add_argument("--seed", type=decimal, default=0)
+    rd.add_argument("--trials", type=decimal, default=DEFAULT_TRIALS)
     rd.add_argument("--emit-transcript", metavar="FILE", default=None)
     rd.set_defaults(func=_cmd_reduce)
 
@@ -273,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     px.set_defaults(func=_cmd_expand)
 
     pe = sub.add_parser("eval", help="evaluate a circuit at a seeded random point")
-    pe.add_argument("--seed", type=int, required=True)
+    pe.add_argument("--seed", type=decimal, required=True)
     pe.set_defaults(func=_cmd_eval)
 
     pq = sub.add_parser("equiv", help="randomized identity test between two documents")
-    pq.add_argument("--seed", type=int, required=True)
-    pq.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    pq.add_argument("--seed", type=decimal, required=True)
+    pq.add_argument("--trials", type=decimal, default=DEFAULT_TRIALS)
     pq.set_defaults(func=_cmd_equiv)
 
     return parser
@@ -295,13 +297,19 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "trials", 1) < 1:
         parser.error("--trials must be >= 1")
     try:
-        return args.func(args)
-    except ParseError as exc:
-        return _fail(2, exc)
-    except VerificationFailed as exc:
-        return _fail(3, exc)
-    except _DOMAIN_ERRORS as exc:
-        return _fail(1, exc)
+        try:
+            return args.func(args)
+        except ParseError as exc:
+            return _fail(2, exc)
+        except VerificationFailed as exc:
+            return _fail(3, exc)
+        except _DOMAIN_ERRORS as exc:
+            return _fail(1, exc)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

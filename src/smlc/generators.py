@@ -27,7 +27,7 @@ import random
 from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
-from .circuit import ADD, CONST, MUL, VAR, Bouquet, Builder, Circuit, RegularCircuit, regular
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Builder, Circuit, RegularCircuit, _is_int, regular
 from .poly import (
     REFERENCE_MAX_N,
     TooLarge,
@@ -55,15 +55,18 @@ class NeedAtLeastOneTermPerBucket(Exception):
     """Fewer terms than summands requested."""
 
 
-def _check_grid(n: int) -> None:
-    # first, so a negative n never reaches the order checks
+def _check_grid(n: int, **counts: int) -> None:
+    # ints first (JSON would write a bool n as true), then n >= 1, before any order check
+    for name, value in {"n": n, **counts}.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
 
 
 def _check_perm_count(n: int, k: int) -> None:
     # k > n! is refused; the running product of n! stops once it reaches k
-    _check_grid(n)
+    _check_grid(n, k=k)
     count = 1
     for m in range(2, n + 1):
         if count >= k:
@@ -213,7 +216,7 @@ def sparse_term_bouquet(
     circuit, so structural passes can be exercised at grid sizes where the
     full determinant would be astronomically large.
     """
-    _check_grid(n)
+    _check_grid(n, terms=terms)
     sigmas = [check_permutation(s, n) for s in sigmas]
     rng = random.Random(seed)
     if n <= REFERENCE_MAX_N and terms >= math.factorial(n):
@@ -266,7 +269,7 @@ def random_regular_circuit(sigma: Sequence[int], seed: int, size_budget: int) ->
     always afford the result.  Deterministic for a fixed seed.
     """
     n = len(sigma)
-    _check_grid(n)
+    _check_grid(n, size_budget=size_budget)
     if size_budget < 2 * n - 1:
         raise ValueError(f"size_budget must be >= {2 * n - 1}")
     sigma = check_permutation(sigma, n)

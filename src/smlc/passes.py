@@ -183,6 +183,8 @@ def monotone_subsequence(seq: Sequence[int]) -> MonotoneResult:
         raise PassError("sequence must be non-empty")
     seen: set[int] = set()
     for value in seq:
+        if not _is_int(value):
+            raise PassError(f"sequence entries must be ints, got {value!r}")
         if value in seen:
             raise DuplicateEntries(value)
         seen.add(value)

@@ -32,7 +32,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, RegularCircuit, _is_int, regular
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, RegularCircuit, regular
+from .circuit import _is_int, decimal
 
 __all__ = [
     "ParseError",
@@ -120,9 +121,7 @@ def circuit_from_obj(obj: Any) -> Circuit:
             if type(text) is not str:
                 text = _require(raw, "value", str)
             try:
-                if not (text.isascii() and text.removeprefix("-").isdigit()):
-                    raise ValueError  # int() alone takes "+5", " 5", "1_000" and non-ASCII digits
-                left, right = int(text), 0
+                left, right = decimal(text), 0
             except ValueError:
                 raise ParseError(f"node {idx}: bad decimal constant {text!r}") from None
         else:

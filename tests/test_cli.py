@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from smlc.generators import det_bouquet, det_regular_circuit
+from smlc.generators import det_bouquet, det_regular_circuit, seeded_det_bouquet
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
 from smlc.poly import PRIME, expand, expand_bouquet, poly_to_text, reference_det, trial_point
@@ -111,6 +111,27 @@ def test_emitted_transcript_is_the_in_process_record(tmp_path, verify):
     assert transcript.steps  # the record covers at least one step
     assert path.read_text() == dumps(transcript.to_obj()) + "\n"
     assert red.stdout == dumps(circuit_to_obj(single.circuit)) + "\n"
+
+
+@pytest.mark.parametrize("args", [["gen", "det", "--n", "7"], ["reverse"]], ids=" ".join)
+def test_closed_stdout_exits_141_quietly(args, tmp_path):
+    # both outputs outgrow a pipe's buffer, so the write itself meets the closed pipe
+    source = tmp_path / "b.json"
+    source.write_text(dumps(bouquet_to_obj(seeded_det_bouquet(6, 2, 1))) + "\n")
+    with source.open() as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "smlc", *args],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert (code, stderr) == (141, "")
 
 
 def test_reduce_transcript_path_that_cannot_be_written_exits_2(tmp_path):

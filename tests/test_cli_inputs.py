@@ -11,7 +11,7 @@ import pytest
 from smlc import cli
 from smlc.generators import distinct_perms
 from smlc.poly import REFERENCE_MAX_N
-from smlc.serialize import dumps
+from smlc.serialize import ParseError, circuit_from_obj, dumps
 
 
 def _main(monkeypatch, capsys, args, doc):
@@ -137,3 +137,47 @@ def test_gen_bouquet_size_checks_come_before_any_draw(n, k, error, detail, monke
         tracemalloc.stop()
     assert (code, json.loads(capsys.readouterr().out)) == (1, {"ok": False, "error": error, "detail": detail})
     assert peak < 1_000_000, peak
+
+
+# the constants test_parser_names_each_fault refuses, plus "" and a bool's spelling
+NOT_DECIMAL = ["1.5", "1_000", " 5", "+5", "\u0663", "", "True"]
+# every integer on argv; "{}" stands for the spelling under test
+INT_ARGS = [
+    ["gen", "det", "--n", "{}"],
+    ["gen", "bouquet", "--n", "{}", "--k", "2", "--seed", "1"],
+    ["gen", "bouquet", "--n", "3", "--k", "{}", "--seed", "1"],
+    ["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "{}"],
+    ["reduce", "--seed", "{}"],
+    ["reduce", "--trials", "{}"],
+    ["eval", "--seed", "{}"],
+    ["equiv", "--seed", "{}"],
+    ["equiv", "--seed", "1", "--trials", "{}"],
+    ["gen", "det", "--n", "3", "--sigma", "1,{}"],
+    ["check-regular", "--sigma", "1,{}"],
+    ["compose", "--tau", "1,{}"],
+    ["project", "--keep", "1,{}"],
+]
+
+
+def _wire_const(text):
+    return circuit_from_obj({"n": 1, "nodes": [{"id": 0, "op": "const", "value": text}], "root": 0})
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL, ids=ascii)
+@pytest.mark.parametrize("args", INT_ARGS, ids=" ".join)
+def test_every_integer_flag_follows_the_wire_rule(args, text, capsys):
+    # on the wire the spelling is a bad constant; on argv, a usage error
+    with pytest.raises(ParseError, match="bad decimal constant"):
+        _wire_const(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.replace("{}", text) for arg in args])
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
+
+
+@pytest.mark.parametrize("text", ["-1", "0", "007"])
+def test_canonical_spellings_mean_the_same_int_on_argv_and_wire(text, capsys):
+    value = _wire_const(text).nodes.a[0]
+    assert cli.main(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", text]) == 0
+    out = capsys.readouterr().out
+    assert cli.main(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", str(value)]) == 0
+    assert capsys.readouterr().out == out

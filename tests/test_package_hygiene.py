@@ -1,6 +1,7 @@
 """Package hygiene, read off the source with `ast`: every name a module
-exports exists, no module keeps an import it does not use, and no private
-top-level helper outlives its last caller.
+exports exists, no module keeps an import it does not use, no private
+top-level helper outlives its last caller, and text becomes an int only
+through `circuit.decimal`.
 
 Deleting a type or a helper tends to leave an `__all__` entry, an import or
 the helper it called behind; these checks catch all three.  `__init__.py`
@@ -89,3 +90,27 @@ def test_every_private_helper_is_referenced():
         if name not in referenced
     )
     assert not dead, f"private helpers nothing in the package uses: {dead}"
+
+
+def test_one_integer_rule_for_text():
+    # `circuit.decimal` is the one text-to-int rule: no other call of the
+    # builtin int, and no argparse option typed `int`
+    offenders = []
+    for path in MODULES:
+        tree = _tree(path)
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if path.name == "circuit.py" and isinstance(fn, ast.FunctionDef) and fn.name == "decimal"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "int":
+                offenders.append(f"{path.name}:{node.lineno}: int()")
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+                for kw in node.keywords:
+                    if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int":
+                        offenders.append(f"{path.name}:{node.lineno}: add_argument(type=int)")
+    assert not offenders, f"integers parsed outside circuit.decimal: {offenders}"
