@@ -20,8 +20,8 @@ from .circuit import (
 from .generators import (
     det_bouquet,
     det_regular_circuit,
+    dp_det_bouquet,
     random_regular_circuit,
-    sparse_term_bouquet,
 )
 from .passes import (
     Direction,
@@ -38,7 +38,6 @@ from .pipeline import (
     VerificationFailed,
     normalize_first,
     reduce_to_single,
-    trim_even,
 )
 from .poly import (
     PRIME,

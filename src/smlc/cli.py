@@ -73,6 +73,14 @@ def _perm(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _trials(text: str) -> int:
+    # below 1 is a usage error of the verb that takes it, like any other bad value
+    value = decimal(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _read_obj() -> Any:
     return loads(sys.stdin.read())
 
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     rd = sub.add_parser("reduce", help="reduce a bouquet to a single regular circuit")
     rd.add_argument("--verify", choices=("off", "random", "exact"), default="exact")
     rd.add_argument("--seed", type=decimal, default=0)
-    rd.add_argument("--trials", type=decimal, default=DEFAULT_TRIALS)
+    rd.add_argument("--trials", type=_trials, default=DEFAULT_TRIALS)
     rd.add_argument("--emit-transcript", metavar="FILE", default=None)
     rd.set_defaults(func=_cmd_reduce)
 
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("equiv", help="randomized identity test between two documents")
     pq.add_argument("--seed", type=decimal, required=True)
-    pq.add_argument("--trials", type=decimal, default=DEFAULT_TRIALS)
+    pq.add_argument("--trials", type=_trials, default=DEFAULT_TRIALS)
     pq.set_defaults(func=_cmd_equiv)
 
     return parser
@@ -294,8 +302,6 @@ def _fail(code: int, exc: Exception) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        parser.error("--trials must be >= 1")
     try:
         try:
             return args.func(args)

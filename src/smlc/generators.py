@@ -1,16 +1,14 @@
 """Instance generators: determinant circuits, random regular circuits, bouquets.
 
-Determinant circuits are built term by term from the Leibniz sum, so they are
-factorial-sized and capped at n <= 8.  That is fine for an oracle-checked
-toolkit: the transformations under test are size-preserving up to a constant,
-so exercising them on small exact instances is what matters.  The Leibniz
-path also makes the inputs of all three benchmark workloads, whose
-determinism digests and `final_gates` compare across changes only while the
-same nodes come out in the same order; that is why it stays beside any
-smaller construction.
+Leibniz determinant circuits (`det_bouquet`) are built from the n! signed
+terms, so they are capped at n <= 8.  They make the inputs of all three
+benchmark workloads, whose digests and `final_gates` compare across changes
+only while the same nodes come out in the same order; that is why they stay
+beside Nisan's subset DP (`dp_det_bouquet`), which has about n * 2^n gates
+and goes up to n = 16, where the reduction does real work.
 
-The terms are emitted in bulk from a leaf table and one table of all n!
-signs (`_det_terms_circuit`, `_leibniz_signs`).  Leaves are numbered where
+The Leibniz terms are emitted in bulk from a leaf table and one table of all
+n! signs (`_det_terms_circuit`, `_leibniz_signs`).  Leaves are numbered where
 they are first used, and that numbering is part of the output: the wire
 bytes and every digest over them depend on it, and
 `tests/test_generator_bytes.py` pins them.
@@ -25,7 +23,7 @@ import itertools
 import math
 import random
 from operator import getitem, itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, Bouquet, Builder, Circuit, RegularCircuit, _is_int, regular
 from .poly import (
@@ -40,11 +38,13 @@ __all__ = [
     "NeedAtLeastOneTermPerBucket",
     "det_regular_circuit",
     "det_bouquet",
-    "sparse_term_bouquet",
+    "dp_det_bouquet",
     "random_regular_circuit",
     "distinct_perms",
     "seeded_det_bouquet",
 ]
+
+DP_MAX_N = 16  # a subset-DP summand at n = 16 has about a million gates
 
 # Upper bound on the expanded term count of a random circuit, so generated
 # instances always stay within the default exact-oracle budget.
@@ -56,12 +56,14 @@ class NeedAtLeastOneTermPerBucket(Exception):
 
 
 def _check_grid(n: int, **counts: int) -> None:
-    # ints first (JSON would write a bool n as true), then n >= 1, before any order check
-    for name, value in {"n": n, **counts}.items():
+    # ints first (JSON would write a bool n as true), then each >= 1, n first; before any order check
+    sizes = {"n": n, **counts}
+    for name, value in sizes.items():
         if not _is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
 
 
 def _check_perm_count(n: int, k: int) -> None:
@@ -164,21 +166,33 @@ def det_regular_circuit(n: int, sigma: Iterable[int]) -> RegularCircuit:
     return det_bouquet(n, [sigma], 0).summands[0]
 
 
-def _bucket_split(
-    count: int, k: int, rng: random.Random
-) -> list[list[int]]:
-    # random assignment of `count` items to k buckets, resampled until none is
-    # empty; a single bucket takes everything and draws no random numbers
-    if count < k:
-        raise NeedAtLeastOneTermPerBucket(f"{count} terms cannot fill {k} buckets")
-    if k == 1:
-        return [list(range(count))]
-    while True:
-        buckets: list[list[int]] = [[] for _ in range(k)]
-        for idx in range(count):
+def _split_orders(
+    n: int, sigmas: Sequence[Iterable[int]], seed: int, limit: int, count: Callable[[int], int]
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Check a bouquet's grid and orders, and split count(n) terms into one bucket per order.
+
+    In this order: n is an int >= 1 and at most limit, each order is a permutation,
+    there is one, there are no more orders than terms, and no two are equal.  Each
+    term goes to a random bucket, redrawn until none is empty; one order draws nothing.
+    """
+    _check_grid(n)
+    if n > limit:
+        raise TooLarge(f"determinant generator limited to n <= {limit}, got {n}")
+    sigmas = [check_permutation(s, n) for s in sigmas]
+    if not sigmas:
+        raise ValueError("a determinant bouquet needs at least one summand order in sigmas")
+    k, terms = len(sigmas), count(n)
+    if terms < k:
+        raise NeedAtLeastOneTermPerBucket(f"{terms} terms cannot fill {k} buckets")
+    if len(set(sigmas)) != k:
+        raise ValueError("summand orders must be pairwise distinct")
+    rng = random.Random(seed)
+    buckets = [list(range(terms))]
+    while len(buckets) < k or not all(buckets):
+        buckets = [[] for _ in range(k)]
+        for idx in range(terms):
             buckets[rng.randrange(k)].append(idx)
-        if all(buckets):
-            return buckets
+    return sigmas, buckets
 
 
 def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
@@ -187,17 +201,8 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     The summands' expansions sum to the determinant polynomial; summand i is
     regular w.r.t. sigmas[i].  det_regular_circuit is the single-order case.
     """
-    _check_grid(n)
-    if n > REFERENCE_MAX_N:
-        raise TooLarge(f"determinant generator limited to n <= {REFERENCE_MAX_N}, got {n}")
-    sigmas = [check_permutation(s, n) for s in sigmas]
-    if not sigmas:
-        raise ValueError("det_bouquet needs at least one summand order in sigmas")
+    sigmas, buckets = _split_orders(n, sigmas, seed, REFERENCE_MAX_N, math.factorial)
     perms = list(itertools.permutations(range(1, n + 1)))
-    # more orders than terms is refused here, before the distinct check
-    buckets = _bucket_split(len(perms), len(sigmas), random.Random(seed))
-    if len(set(sigmas)) != len(sigmas):
-        raise ValueError("summand orders must be pairwise distinct")
     signs = _leibniz_signs(n)
     summands = tuple(
         _det_terms_circuit(n, sigma, [perms[i] for i in bucket], [signs[i] for i in bucket])
@@ -206,31 +211,39 @@ def det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
     return Bouquet(n=n, summands=summands)
 
 
-def sparse_term_bouquet(
-    n: int, sigmas: Sequence[Iterable[int]], terms: int, seed: int
-) -> Bouquet:
-    """Bouquet summing a random sample of `terms` distinct signed determinant terms.
+def dp_det_bouquet(n: int, sigmas: Sequence[Iterable[int]], seed: int) -> Bouquet:
+    """det_n as one subset-DP summand per order (Nisan, STOC 1991), for n <= DP_MAX_N.
 
-    Large-n stress fodder: the result is NOT the determinant polynomial (it is
-    a strict sub-sum for terms < n!), but every summand is a genuine regular
-    circuit, so structural passes can be exercised at grid sizes where the
-    full determinant would be astronomically large.
+    Row 1's n columns are split as det_bouquet splits its terms, after its
+    checks and before any node is built, so at most n orders fit.  Summand i
+    places the rows in sigmas[i] order, row 1 in bucket i only.  A state is
+    the set of used columns, as a bitmask; its node sums the signed placements
+    reaching it.  Column c multiplies by x[row, c], negated when an odd number
+    of used columns exceed c (the column sequence's inversions); sgn(sigma)
+    goes once on position 1.  Each product is (state) * (literal): regular.
     """
-    _check_grid(n, terms=terms)
-    sigmas = [check_permutation(s, n) for s in sigmas]
-    rng = random.Random(seed)
-    if n <= REFERENCE_MAX_N and terms >= math.factorial(n):
-        sample = list(itertools.permutations(range(1, n + 1)))
-    else:
-        sample = distinct_perms(n, terms, rng)
-    buckets = _bucket_split(len(sample), len(sigmas), rng)
-    summands = tuple(
-        _det_terms_circuit(
-            n, sigma, [sample[i] for i in bucket], [sign_of_permutation(sample[i]) for i in bucket]
-        )
-        for sigma, bucket in zip(sigmas, buckets)
-    )
-    return Bouquet(n=n, summands=summands)
+    summands = []
+    for sigma, bucket in zip(*_split_orders(n, sigmas, seed, DP_MAX_N, lambda n: n)):
+        b = Builder()
+        negated = sign_of_permutation(sigma) < 0
+        layer = {0: -1}  # used columns (bit c - 1 for column c) -> node id; -1 before the first row
+        for row in sigma:
+            nxt: dict[int, int] = {}
+            for used, acc in layer.items():
+                for c in bucket if row == 1 else range(n):
+                    if used >> c & 1:
+                        continue
+                    literal = b.leaf(VAR, row, c + 1)
+                    if negated if acc < 0 else (used >> c).bit_count() % 2:
+                        # leaf hash-conses any triple: one negated literal per (row, column)
+                        literal = b.leaf(MUL, b.leaf(CONST, -1), literal)
+                    term = literal if acc < 0 else b.emit(MUL, acc, literal)
+                    state = used | 1 << c
+                    nxt[state] = term if state not in nxt else b.emit(ADD, nxt[state], term)
+            layer = nxt
+        (root,) = layer.values()
+        summands.append(regular(Circuit(n, b.nodes(), root), sigma))
+    return Bouquet(n=n, summands=tuple(summands))
 
 
 def distinct_perms(n: int, k: int, rng: random.Random) -> list[tuple[int, ...]]:

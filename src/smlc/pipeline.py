@@ -28,10 +28,6 @@ values are compared in trial order.
 A failed check raises VerificationFailed: some pass broke semantics, the
 strongest possible error.  With verification on, at least one trial is
 required, so no verdict can be recorded ok without an evaluation.
-
-The even-degree trim (`trim_even`) drops one final index when the degree is
-odd and returns the even-degree circuit, the input a determinant-to-permanent
-conversion would take.
 """
 
 from __future__ import annotations
@@ -45,11 +41,9 @@ from typing import Any
 from .circuit import CONST, MUL, Bouquet, Circuit, Nodes, RegularCircuit, _is_int
 from .circuit import bouquet_gate_count, gate_count
 from .passes import (
-    DegreeTooSmall,
     Direction,
     compose,
     distinct_orders,
-    drop_last_index,
     is_zero_summand,
     merge_summands,
     monotone_subsequence,
@@ -73,7 +67,6 @@ __all__ = [
     "VerificationFailed",
     "normalize_first",
     "reduce_to_single",
-    "trim_even",
     "ceil_sqrt",
 ]
 
@@ -277,15 +270,3 @@ def reduce_to_single(
     )
     return single, transcript
 
-
-def trim_even(rc: RegularCircuit) -> RegularCircuit:
-    """The even-degree circuit: rc itself at even degree, else rc with its last index dropped.
-
-    The input is a single regular circuit computing the determinant of its
-    grid size d >= 2; the result computes the determinant of degree d or d-1,
-    whichever is even.
-    """
-    d = rc.circuit.n
-    if d < 2:
-        raise DegreeTooSmall(d)
-    return rc if d % 2 == 0 else drop_last_index(Bouquet(d, (rc,))).summands[0]

@@ -11,10 +11,24 @@ at every operation, so it shares no code with `poly.eval_points`.
 tests need, written term by term on `SparsePoly` values without any of
 `poly`'s code; `expand_nodes` builds a fresh polynomial at every node from
 them, a reference for `poly.expand`, which reuses the dicts of dead operands.
+
+`assert_computes_det` checks that a circuit or bouquet computes the
+determinant of its grid size: exactly against the Leibniz reference where
+that exists, and above it at seeded points against elimination mod PRIME.
 """
 
-from smlc.circuit import ADD, CONST, MUL, VAR, regular
-from smlc.poly import PRIME, SparsePoly
+from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, regular
+from smlc.poly import (
+    PRIME,
+    REFERENCE_MAX_N,
+    SparsePoly,
+    det_mod,
+    eval_points,
+    expand,
+    expand_bouquet,
+    reference_det,
+    trial_point,
+)
 
 
 def assert_rechecks(rc):
@@ -26,6 +40,19 @@ def assert_rechecks(rc):
 def assert_bouquet_rechecks(bouquet):
     for rc in bouquet.summands:
         assert_rechecks(rc)
+
+
+def assert_computes_det(doc, seed, trials=3):
+    """doc computes det_d, d its grid size: exactly up to REFERENCE_MAX_N, else at seeded points."""
+    d = doc.n
+    if d <= REFERENCE_MAX_N:
+        poly = expand_bouquet(doc) if isinstance(doc, Bouquet) else expand(doc)
+        assert poly.terms == reference_det(d).terms
+        return
+    indices = range(1, d + 1)
+    points = [trial_point([(r, c) for r in indices for c in indices], seed, t) for t in range(trials)]
+    matrices = [[[point[r, c] for c in indices] for r in indices] for point in points]
+    assert eval_points(doc, points) == [det_mod(matrix) for matrix in matrices]
 
 
 def eval_mod(poly, assignment):

@@ -13,7 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from recheck import eval_mod, poly_scaled
+from recheck import assert_computes_det, eval_mod, poly_scaled
 
 from smlc.circuit import (
     Bouquet,
@@ -26,8 +26,8 @@ from smlc.circuit import (
 from smlc.generators import (
     det_bouquet,
     distinct_perms,
+    dp_det_bouquet,
     random_regular_circuit,
-    sparse_term_bouquet,
 )
 from smlc.passes import (
     compose,
@@ -35,7 +35,7 @@ from smlc.passes import (
     project,
     reverse,
 )
-from smlc.pipeline import ceil_sqrt, reduce_to_single, trim_even
+from smlc.pipeline import ceil_sqrt, reduce_to_single
 from smlc.poly import (
     SparsePoly,
     eval_circuit,
@@ -189,13 +189,24 @@ def _replay_expected_polynomial(input_bouquet, transcript):
     return value
 
 
+# (n, k, runs, verify, trials) for the large-n half of criterion 5: every
+# step is verified up to n = 12 and on one run at n = 16; the unverified run
+# at n = 16 still gets its output checked
+LARGE_N_PLAN = [
+    (9, 2, 5, "random", 20),
+    (9, 3, 5, "random", 20),
+    (12, 2, 2, "random", 20),
+    (12, 3, 2, "random", 20),
+    (16, 2, 1, "random", 2),
+    (16, 3, 1, "off", 20),
+]
+
+
 def test_criterion_5_end_to_end():
-    # Full exact verification is only possible where the input determinant can
-    # be built at all (n=4 here: factorial-sized bouquets).  At n=9 and n=16 a
-    # genuine determinant bouquet is out of reach, and a sparse signed sub-sum
-    # is NOT a valid determinant input, so those runs assert the transcript
-    # degree bound plus an exact polynomial-level replay of every pipeline
-    # substitution on the sparse input.
+    # Exact verification of every step at n=4, on Leibniz bouquets.  At n=9,
+    # 12 and 16 the inputs are subset-DP determinant bouquets, and every
+    # output must compute the determinant of its final degree: exactly up to
+    # degree 8, else at seeded points by elimination mod PRIME.
     with criterion("5 end-to-end reduction", 120):
         rng = random.Random(105)
         for seed in range(20):
@@ -205,27 +216,42 @@ def test_criterion_5_end_to_end():
             assert d >= 2  # ceil(sqrt(4))
             assert expand(single.circuit).terms == reference_det(d).terms
             assert all(v["ok"] for v in tr.verdicts)
-            assert trim_even(single).circuit.n == d - d % 2
 
-        for n in (9, 16):
-            bound = ceil_sqrt(n)
-            for seed in range(20):
-                b = sparse_term_bouquet(
-                    n, distinct_perms(n, 2, rng), terms=5000, seed=2000 + seed
-                )
-                single, tr = reduce_to_single(b, verify="off", seed=seed)
-                assert tr.final_degree >= bound
-                assert tr.final_degree >= tr.es_guarantee
-                replayed = _replay_expected_polynomial(b, tr)
-                assert expand(single.circuit).terms == replayed.terms
-                if tr.final_degree >= 2:
-                    d = tr.final_degree
-                    assert trim_even(single).circuit.n == d - d % 2
+        for n, k, runs, verify, trials in LARGE_N_PLAN:
+            bound = n
+            for _ in range(k - 1):
+                bound = ceil_sqrt(bound)
+            for seed in range(runs):
+                b = dp_det_bouquet(n, distinct_perms(n, k, rng), seed=2000 + seed)
+                single, tr = reduce_to_single(b, verify=verify, seed=seed, trials=trials)
+                assert tr.final_degree >= tr.es_guarantee >= bound >= 2
+                assert all(v["ok"] is (None if verify == "off" else True) for v in tr.verdicts)
+                # det_d with d >= 2 is not constant, so no run compares 0 with 0
+                assert_computes_det(single.circuit, seed)
         print(
-            "[5 note] n in {9,16}: exact determinant verification is infeasible "
-            "(factorial-sized inputs); asserted instead: transcript degree bound "
-            "and exact polynomial replay of all recorded substitutions"
+            "[5 note] n in {9,12,16}: subset-DP determinant bouquets; every output "
+            "computes det of its final degree (exact up to degree 8, else det_mod at "
+            "seeded points)"
         )
+
+
+def test_replay_on_dp_sub_sums():
+    # A DP bouquet without its first summand is not a determinant, so the
+    # pipeline's verdicts cannot check it; the polynomial-level replay of
+    # every recorded substitution can.  Most such sub-sums keep a live
+    # output, so the replay compares polynomials, not 0 with 0.
+    rng = random.Random(107)
+    live = 0
+    runs = 100
+    for run in range(runs):
+        n = rng.randint(4, 7)
+        b = dp_det_bouquet(n, distinct_perms(n, 3, rng), seed=run)
+        sub = Bouquet(n, b.summands[1:])
+        single, tr = reduce_to_single(sub, verify="off", seed=run)
+        output = expand(single.circuit)
+        assert output.terms == _replay_expected_polynomial(sub, tr).terms
+        live += any(output.terms)  # some monomial is not the empty one
+    assert live >= 3 * runs // 4, f"only {live} of {runs} replays are non-constant"
 
 
 # --- 6. k-monotonicity and size accounting --------------------------------------

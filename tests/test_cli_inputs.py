@@ -109,6 +109,8 @@ def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch, capsys):
     assert len(set(distinct_perms(3, 6, random.Random(0)))) == 6
     with pytest.raises(ValueError, match=r"cannot draw 7 distinct permutations of \[1..3\]"):
         distinct_perms(3, 7, random.Random(0))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        distinct_perms(3, 0, random.Random(0))
 
 
 @pytest.mark.parametrize(
@@ -120,6 +122,8 @@ def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch, capsys):
         (9, math.factorial(9), "TooLarge", "determinant generator limited to n <= 8, got 9"),
         (8, math.factorial(8) + 1, "ValueError", f"cannot draw {math.factorial(8) + 1} distinct permutations of [1..8]"),
         (0, 1, "ValueError", "n must be >= 1"),
+        (3, 0, "ValueError", "k must be >= 1"),
+        (3, -1, "ValueError", "k must be >= 1"),
         # the running product of n! stops at k, long before 10**6!
         (BIG, 10**30, "TooLarge", f"determinant generator limited to n <= 8, got {BIG}"),
     ],
@@ -181,3 +185,21 @@ def test_canonical_spellings_mean_the_same_int_on_argv_and_wire(text, capsys):
     out = capsys.readouterr().out
     assert cli.main(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", str(value)]) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reduce", "--trials", "0"],
+        ["reduce", "--verify", "off", "--trials", "0"],
+        ["equiv", "--seed", "1", "--trials", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_trials_below_one_is_the_verbs_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith(f"usage: smlc {args[0]} ")
+    assert "argument --trials: must be >= 1" in err

@@ -19,7 +19,7 @@ from smlc.generators import (
     det_bouquet,
     det_regular_circuit,
     distinct_perms,
-    sparse_term_bouquet,
+    dp_det_bouquet,
 )
 from smlc.poly import sign_of_permutation
 from smlc.serialize import bouquet_to_obj, circuit_to_obj, dumps
@@ -80,10 +80,11 @@ DETERMINANTS = {
     (4, 7, 1, 6, 2, 5, 3): "a306ceedf5071b9797745be8654a9df71cf106074717a394fd7fef4f2dc2c859",
 }
 
-# (n, k, terms, seed) -> digest of sparse_term_bouquet(n, distinct_perms(n, k, Random(seed)), terms, seed)
-SPARSE = {
-    (9, 2, 200, 1): "f618b7229ceaf88603109b430e74eba7e28861ac6df9ca7c8135f77ba5c2f993",
-    (16, 3, 100, 2): "7a296321611d12cdd81e447aca875d5e53adf59dc93a425d3005fdfb6b3800c4",
+# (n, k, seed) -> digest of dp_det_bouquet(n, distinct_perms(n, k, Random(seed)), seed)
+DP_BOUQUETS = {
+    (5, 2, 1): "a4fb626d54a3a216150eb25bdf1f8be0002686f6991fe179a69f7af81d05fda1",
+    (9, 3, 2): "66032be60baf4db4860d1decb277a3ccb684da16013ece431d1e75fafcb5cd59",
+    (12, 2, 3): "aa6f120f1c81df785822b690f556e97703b7486e4abe97831f2cb560218760c3",
 }
 
 # The det8-cli-off benchmark input for seed 1: the benchmark's order pattern,
@@ -109,10 +110,10 @@ def test_det_regular_circuit_bytes_are_pinned(sigma):
     assert _digest(circuit_to_obj(rc.circuit)) == DETERMINANTS[sigma]
 
 
-@pytest.mark.parametrize(("n", "k", "terms", "seed"), list(SPARSE))
-def test_sparse_term_bouquet_bytes_are_pinned(n, k, terms, seed):
-    bouquet = sparse_term_bouquet(n, distinct_perms(n, k, random.Random(seed)), terms, seed)
-    assert _digest(bouquet_to_obj(bouquet)) == SPARSE[n, k, terms, seed]
+@pytest.mark.parametrize(("n", "k", "seed"), list(DP_BOUQUETS))
+def test_dp_det_bouquet_bytes_are_pinned(n, k, seed):
+    bouquet = dp_det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed)
+    assert _digest(bouquet_to_obj(bouquet)) == DP_BOUQUETS[n, k, seed]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -4,15 +4,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from recheck import assert_computes_det
 
 from smlc.circuit import Mul, VarLeaf, validate
 from smlc.generators import (
+    DP_MAX_N,
     NeedAtLeastOneTermPerBucket,
     det_bouquet,
     det_regular_circuit,
     distinct_perms,
+    dp_det_bouquet,
     random_regular_circuit,
-    sparse_term_bouquet,
 )
 from smlc.poly import NotAPermutation, TooLarge, expand, expand_bouquet, random_perm, reference_det
 
@@ -74,13 +78,16 @@ def test_bouquet_sums_for_all_small_shapes():
 def test_bouquet_needs_one_term_per_bucket():
     with pytest.raises(NeedAtLeastOneTermPerBucket):
         det_bouquet(2, [(1, 2), (2, 1), (1, 2)], seed=0)
+    # the DP splits row 1's n columns, so it takes at most n orders
     with pytest.raises(NeedAtLeastOneTermPerBucket):
-        sparse_term_bouquet(5, [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)], terms=1, seed=0)
+        dp_det_bouquet(3, distinct_perms(3, 4, random.Random(0)), seed=0)
+    assert len(dp_det_bouquet(3, distinct_perms(3, 3, random.Random(0)), seed=0).summands) == 3
 
 
-def test_bouquet_rejects_duplicate_orders():
-    with pytest.raises(ValueError):
-        det_bouquet(3, [(1, 2, 3), (1, 2, 3)], seed=0)
+@pytest.mark.parametrize("make", [det_bouquet, dp_det_bouquet])
+def test_bouquet_rejects_duplicate_orders(make):
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        make(3, [(1, 2, 3), (1, 2, 3)], seed=0)
 
 
 @pytest.mark.parametrize(
@@ -88,9 +95,9 @@ def test_bouquet_rejects_duplicate_orders():
     [
         lambda: det_regular_circuit(0, ()),
         lambda: det_bouquet(0, [()], seed=0),
-        lambda: sparse_term_bouquet(0, [()], terms=1, seed=0),
+        lambda: dp_det_bouquet(0, [()], seed=0),
     ],
-    ids=["det_regular_circuit", "det_bouquet", "sparse_term_bouquet"],
+    ids=["det_regular_circuit", "det_bouquet", "dp_det_bouquet"],
 )
 def test_determinant_generators_reject_empty_grid(build):
     with pytest.raises(ValueError, match="n must be >= 1"):
@@ -103,10 +110,10 @@ def test_determinant_generators_reject_empty_grid(build):
     [
         lambda n: det_regular_circuit(n, ()),
         lambda n: det_bouquet(n, [(1,)], seed=0),
-        lambda n: sparse_term_bouquet(n, [()], terms=1, seed=0),
+        lambda n: dp_det_bouquet(n, [()], seed=0),
         lambda n: distinct_perms(n, 1, random.Random(0)),
     ],
-    ids=["det_regular_circuit", "det_bouquet", "sparse_term_bouquet", "distinct_perms"],
+    ids=["det_regular_circuit", "det_bouquet", "dp_det_bouquet", "distinct_perms"],
 )
 def test_generators_reject_negative_grid_first(build, n):
     # before the order length check, and before math.factorial sees n
@@ -115,9 +122,10 @@ def test_generators_reject_negative_grid_first(build, n):
     assert str(err.value) == "n must be >= 1"
 
 
-def test_bouquet_rejects_empty_order_list():
+@pytest.mark.parametrize("make", [det_bouquet, dp_det_bouquet])
+def test_bouquet_rejects_empty_order_list(make):
     with pytest.raises(ValueError, match="sigmas"):
-        det_bouquet(2, [], seed=0)
+        make(2, [], seed=0)
 
 
 def test_minimal_budget_is_left_comb():
@@ -155,35 +163,47 @@ def test_random_regular_circuit_invariants():
         random_regular_circuit((1, 2, 3), 0, 4)
 
 
-def test_sparse_term_bouquet_shape():
-    rng = random.Random(37)
-    sigmas = distinct_perms(9, 2, rng)
-    b = sparse_term_bouquet(9, sigmas, terms=50, seed=3)
-    poly = expand_bouquet(b)
-    assert len(poly) == 50
-    assert all(coeff in (1, -1) for coeff in poly.terms.values())
-    # deterministic per seed
-    again = sparse_term_bouquet(9, sigmas, terms=50, seed=3)
-    assert again == b
+@st.composite
+def _orders(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(3, n)))
+    order = st.permutations(range(1, n + 1)).map(tuple)
+    return n, draw(st.lists(order, min_size=k, max_size=k, unique=True))
 
 
-def test_sparse_term_bouquet_refuses_more_terms_than_n_factorial():
-    # above REFERENCE_MAX_N the sample is drawn term by term, which could never
-    # find n! + 1 distinct terms; it is refused before any draw
-    with pytest.raises(ValueError, match="cannot draw 362881 distinct permutations"):
-        sparse_term_bouquet(9, [tuple(range(1, 10))], terms=math.factorial(9) + 1, seed=0)
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_orders(), st.integers(0, 2**32))
+def test_dp_bouquet_sums_to_the_determinant(orders, seed):
+    n, sigmas = orders
+    b = dp_det_bouquet(n, sigmas, seed)
+    assert [rc.sigma for rc in b.summands] == sigmas
+    assert all(rc.degree == n for rc in b.summands)
+    assert expand_bouquet(b).terms == reference_det(n).terms
 
 
-def test_sparse_term_bouquet_full_sample_is_determinant():
-    b = sparse_term_bouquet(3, [(1, 2, 3), (3, 1, 2)], terms=6, seed=1)
-    assert expand_bouquet(b).terms == reference_det(3).terms
+@pytest.mark.parametrize(("n", "k"), [(9, 1), (9, 3), (12, 2)])
+def test_dp_bouquet_is_the_determinant_beyond_the_reference(n, k):
+    b = dp_det_bouquet(n, distinct_perms(n, k, random.Random(n + k)), seed=k)
+    assert_computes_det(b, seed=5)
+    if k == 1:
+        assert_computes_det(b.summands[0].circuit, seed=5)
+
+
+def test_dp_bouquet_refuses_a_large_grid_before_building(monkeypatch):
+    def nothing(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("smlc.generators.check_permutation", nothing)
+    monkeypatch.setattr("smlc.generators.Builder", nothing)
+    with pytest.raises(TooLarge, match=f"limited to n <= {DP_MAX_N}, got 17"):
+        dp_det_bouquet(DP_MAX_N + 1, [tuple(range(1, DP_MAX_N + 2))], seed=0)
 
 
 @pytest.mark.parametrize(
     ("make", "detail"),
     [
         (lambda: det_bouquet(3, [(1, 2, 3, 4)], 0), "(1, 2, 3, 4) is not a permutation of [1..3]"),
-        (lambda: sparse_term_bouquet(3, [(1, 2, 3, 4)], 4, 0), "(1, 2, 3, 4) is not a permutation of [1..3]"),
+        (lambda: dp_det_bouquet(3, [(1, 2, 3, 4)], 0), "(1, 2, 3, 4) is not a permutation of [1..3]"),
         (lambda: det_bouquet(4, [(1, 2, 3)], 0), "(1, 2, 3) is not a permutation of [1..4]"),
         (lambda: det_regular_circuit(3, (1, 2, 3, 4)), "(1, 2, 3, 4) is not a permutation of [1..3]"),
     ],

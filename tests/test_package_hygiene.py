@@ -1,10 +1,11 @@
 """Package hygiene, read off the source with `ast`: every name a module
-exports exists, no module keeps an import it does not use, no private
-top-level helper outlives its last caller, and text becomes an int only
-through `circuit.decimal`.
+exports exists, every exported function has a caller outside its module, no
+module keeps an import it does not use, no private top-level helper outlives
+its last caller, and text becomes an int only through `circuit.decimal`.
 
 Deleting a type or a helper tends to leave an `__all__` entry, an import or
-the helper it called behind; these checks catch all three.  `__init__.py`
+the helper it called behind, and deleting the last caller of a function
+leaves its export behind; these checks catch all four.  `__init__.py`
 imports only to re-export, so it is exempt from the import check.
 """
 
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smlc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "smlc"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -38,6 +40,34 @@ def test_every_exported_name_resolves(path):
     module = importlib.import_module(f"smlc.{path.stem}")
     missing = [name for name in _exports(_tree(path)) if not hasattr(module, name)]
     assert not missing, f"{path.name}: __all__ names {missing} that do not exist"
+
+
+def _referenced(tree):
+    # names read, and attributes looked up, anywhere in the tree
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_function_has_a_caller_outside_its_module():
+    # searched: the package's other modules (not __init__.py), the tests and the benchmark
+    sources = [path for root in ("src", "tests", "perfbench") for path in (ROOT / root).rglob("*.py")]
+    references = {path: _referenced(_tree(path)) for path in sources if path.name != "__init__.py"}
+    stale = []
+    for path in MODULES:
+        tree = _tree(path)
+        exported = set(_exports(tree))
+        outside = set().union(*(names for other, names in references.items() if other != path))
+        stale += [
+            f"{path.name}: {node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported - outside
+        ]
+    assert not stale, f"exported functions nothing outside their module calls: {stale}"
 
 
 @pytest.mark.parametrize(
@@ -76,13 +106,7 @@ def _private_definitions(tree):
 
 def test_every_private_helper_is_referenced():
     trees = {path.name: _tree(path) for path in MODULES}
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    referenced = set().union(*map(_referenced, trees.values()))
     dead = sorted(
         f"{module}: {name} (line {line})"
         for module, tree in trees.items()

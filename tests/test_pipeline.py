@@ -1,18 +1,18 @@
-"""End-to-end reduction: normalization, iteration, transcripts, trimming."""
+"""End-to-end reduction: normalization, iteration, transcripts."""
 
 import random
 
 import pytest
+from recheck import assert_computes_det
 
 from smlc.circuit import Bouquet, Circuit, ConstLeaf, Mul, VarLeaf, bouquet_gate_count, regular
-from smlc.generators import det_bouquet, det_regular_circuit, distinct_perms, sparse_term_bouquet
-from smlc.passes import DegreeTooSmall, compose, distinct_orders
+from smlc.generators import det_bouquet, distinct_perms, dp_det_bouquet
+from smlc.passes import compose, distinct_orders
 from smlc.pipeline import (
     VerificationFailed,
     ceil_sqrt,
     normalize_first,
     reduce_to_single,
-    trim_even,
 )
 from smlc.poly import (
     OracleError,
@@ -169,12 +169,12 @@ def test_reduce_rejects_negated_determinant(n, verify):
 
 @pytest.mark.parametrize("verify", ["random", "exact"])
 def test_reduce_checks_degrees_beyond_the_factorial_reference(verify):
-    # a sampled sub-sum of the degree-9 determinant is not a determinant, and
-    # no degree is too large for the elimination oracle to say so
+    # a DP bouquet without its first summand is not the degree-9 determinant,
+    # and no degree is too large for the elimination oracle to say so
     rng = random.Random(59)
-    b = sparse_term_bouquet(9, distinct_perms(9, 2, rng), terms=200, seed=13)
+    b = dp_det_bouquet(9, distinct_perms(9, 3, rng), seed=13)
     with pytest.raises(VerificationFailed) as err:
-        reduce_to_single(b, verify=verify, seed=0, trials=2)
+        reduce_to_single(Bouquet(9, b.summands[1:]), verify=verify, seed=0, trials=2)
     assert err.value.step == 0
 
 
@@ -184,13 +184,14 @@ def test_reduce_verify_off_records_nothing_checked():
     assert all(v["mode"] == "off" for v in tr.verdicts)
 
 
-def test_reduce_sparse_inputs_structurally():
+def test_reduce_large_dp_bouquet():
     rng = random.Random(58)
-    b = sparse_term_bouquet(12, distinct_perms(12, 2, rng), terms=300, seed=11)
+    b = dp_det_bouquet(12, distinct_perms(12, 2, rng), seed=11)
     single, tr = reduce_to_single(b, verify="off", seed=0)
     assert distinct_orders(Bouquet(tr.final_degree, (single,))) <= 1
     assert tr.final_degree >= ceil_sqrt(12)
     assert single.sigma == identity_perm(tr.final_degree)
+    assert_computes_det(single.circuit, seed=0)
 
 
 def test_reduce_rejects_unknown_verify_mode():
@@ -225,27 +226,6 @@ def test_trials_and_seed_must_be_ints(bad):
     else:  # a bool or float seed would silently draw other points than the int
         with pytest.raises(OracleError, match="seed must be an int"):
             equiv_random(b, b, seed=bad["seed"])
-
-
-def test_trim_even_degrees():
-    rc4 = det_regular_circuit(4, (1, 2, 3, 4))
-    assert trim_even(rc4) is rc4
-
-    rc2 = det_regular_circuit(2, (1, 2))
-    assert trim_even(rc2) is rc2
-
-
-def test_trim_odd_degree_drops_one():
-    rc3 = det_regular_circuit(3, (1, 2, 3))
-    res = trim_even(rc3)
-    assert res.circuit.n == 2
-    assert expand(res.circuit).terms == reference_det(2).terms
-
-
-def test_trim_degree_too_small():
-    rc1 = det_regular_circuit(1, (1,))
-    with pytest.raises(DegreeTooSmall):
-        trim_even(rc1)
 
 
 def test_ceil_sqrt():
