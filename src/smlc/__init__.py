@@ -6,7 +6,6 @@ from .circuit import (
     Circuit,
     CircuitError,
     ConstLeaf,
-    Interval,
     Mul,
     RegularCircuit,
     VarLeaf,
@@ -24,8 +23,6 @@ from .generators import (
     random_regular_circuit,
 )
 from .passes import (
-    Direction,
-    MonotoneResult,
     compose,
     drop_last_index,
     merge_summands,

@@ -27,7 +27,8 @@ factor.
 One left-to-right sweep, `_sweep`, checks both on int bitmasks in position
 space, typing errors anywhere before regularity errors.  `validate`,
 `infer_order`, `regular` (the check at trust boundaries: parsing and the
-generators) and `stats` are views over it.
+generators) and `stats` are views over it.  `infer_order` and `stats` return
+plain tuples and dicts, the values `smlc check-regular` and `smlc stats` write.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ __all__ = [
     "Mul",
     "Node",
     "Circuit",
-    "Interval",
     "RegularCircuit",
     "Bouquet",
-    "CircuitStats",
     "bouquet_gate_count",
     "CircuitError",
     "BadChildRef",
@@ -251,14 +250,6 @@ class Builder:
 
 
 @dataclass(frozen=True, slots=True)
-class Interval:
-    """Contiguous run of positions in sigma-order, 1-based inclusive start."""
-
-    start: int
-    length: int
-
-
-@dataclass(frozen=True, slots=True)
 class RegularCircuit:
     """A circuit, the order sigma it is regular for, and its degree.
 
@@ -304,13 +295,6 @@ class Bouquet:
                 raise ValueError(
                     f"summand grid size {rc.circuit.n} does not match bouquet n={self.n}"
                 )
-
-
-@dataclass(frozen=True, slots=True)
-class CircuitStats:
-    size: int
-    depth: int
-    degree: int
 
 
 def _is_int(value) -> bool:
@@ -418,17 +402,18 @@ def validate(circuit: Circuit) -> tuple[frozenset[int], ...]:
     return _per_mask(_sweep(circuit, None), lambda mask: frozenset(p + 1 for p in _bits(mask)))
 
 
-def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> tuple[Interval | None, ...]:
+def infer_order(circuit: Circuit, sigma: tuple[int, ...]) -> tuple[tuple[int, int] | None, ...]:
     """The unique interval of every node w.r.t. sigma (None for empty), or fail.
 
     sigma is given as 1-based images (sigma[p-1] is the row at position p).
     Typing errors come first, then a sigma that is not a permutation (an entry
     that is not an int included), then NotContiguous / WrongAdjacency at the
     first product whose factors are not adjacent runs, left child first.  A
-    node's interval is the lowest set bit and the bit count of its mask.
+    node's interval is the pair (start, length) of the contiguous positions it
+    covers, start 1-based: the lowest set bit and the bit count of its mask.
     """
     masks = _sweep(circuit, tuple(sigma))
-    return _per_mask(masks, lambda m: Interval((m & -m).bit_length(), m.bit_count()) if m else None)
+    return _per_mask(masks, lambda m: ((m & -m).bit_length(), m.bit_count()) if m else None)
 
 
 def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
@@ -445,14 +430,15 @@ def regular(circuit: Circuit, sigma: tuple[int, ...]) -> RegularCircuit:
     return RegularCircuit(circuit, sigma, mask.bit_count())
 
 
-def stats(circuit: Circuit) -> CircuitStats:
-    """Size (all nodes), depth (edges on the longest leaf-to-root path), degree."""
+def stats(circuit: Circuit) -> dict[str, int]:
+    """{"size": all nodes, "depth": edges on the longest leaf-to-root path, "degree", "gates"}."""
     degree = _sweep(circuit, None)[circuit.root].bit_count()
     nodes = circuit.nodes
     depths: list[int] = []
     for op, left, right in zip(nodes.op, nodes.a, nodes.b):
         depths.append(1 + max(depths[left], depths[right]) if op < VAR else 0)
-    return CircuitStats(size=len(nodes), depth=depths[circuit.root], degree=degree)
+    size, depth, gates = len(nodes), depths[circuit.root], gate_count(circuit)
+    return {"size": size, "depth": depth, "degree": degree, "gates": gates}
 
 
 def gate_count(circuit: Circuit) -> int:

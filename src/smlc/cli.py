@@ -22,7 +22,6 @@ from .circuit import (
     Bouquet,
     CircuitError,
     decimal,
-    gate_count,
     infer_order,
     stats,
     validate,
@@ -124,24 +123,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check_regular(args) -> int:
     circuit = _read_circuit()
-    intervals = [
-        None if iv is None else [iv.start, iv.length] for iv in infer_order(circuit, args.sigma)
-    ]
+    intervals = infer_order(circuit, args.sigma)
     return _emit({"ok": True, "sigma": list(args.sigma), "intervals": intervals})
 
 
 def _cmd_stats(args) -> int:
-    circuit = _read_circuit()
-    st = stats(circuit)
-    return _emit(
-        {
-            "ok": True,
-            "size": st.size,
-            "depth": st.depth,
-            "degree": st.degree,
-            "gates": gate_count(circuit),
-        }
-    )
+    return _emit({"ok": True, **stats(_read_circuit())})
 
 
 def _cmd_reverse(args) -> int:

@@ -46,6 +46,13 @@ __all__ = [
 
 DP_MAX_N = 16  # a subset-DP summand at n = 16 has about a million gates
 
+# Random splits of the terms that `_split_orders` tries before it repairs the
+# last one.  With k buckets close to the number of terms almost every draw
+# leaves a bucket empty (k = terms = 24 succeeds with probability 24!/24^24),
+# so the draws are capped.  Every split the tests and the benchmark pin took at
+# most 10 draws.
+SPLIT_DRAWS = 100
+
 # Upper bound on the expanded term count of a random circuit, so generated
 # instances always stay within the default exact-oracle budget.
 _EXPANSION_GUARD = 50_000
@@ -173,7 +180,9 @@ def _split_orders(
 
     In this order: n is an int >= 1 and at most limit, each order is a permutation,
     there is one, there are no more orders than terms, and no two are equal.  Each
-    term goes to a random bucket, redrawn until none is empty; one order draws nothing.
+    term goes to a random bucket, redrawn until none is empty, at most SPLIT_DRAWS
+    times; then the last draw's buckets with spare terms fill its empty ones.  One
+    order draws nothing.
     """
     _check_grid(n)
     if n > limit:
@@ -188,10 +197,16 @@ def _split_orders(
         raise ValueError("summand orders must be pairwise distinct")
     rng = random.Random(seed)
     buckets = [list(range(terms))]
-    while len(buckets) < k or not all(buckets):
+    for _ in range(SPLIT_DRAWS if k > 1 else 0):
         buckets = [[] for _ in range(k)]
         for idx in range(terms):
             buckets[rng.randrange(k)].append(idx)
+        if all(buckets):
+            break
+    empty = [bucket for bucket in buckets if not bucket]
+    for bucket in buckets:
+        while empty and len(bucket) > 1:
+            empty.pop().append(bucket.pop())
     return sigmas, buckets
 
 

@@ -20,7 +20,8 @@ The passes:
                       flips when t is odd (on an alternating-sign polynomial
                       the row relabeling flips the whole sum).
   monotone_subsequence  exact longest increasing/decreasing subsequence with
-                      a deterministic tie-break.
+                      a deterministic tie-break, as the dict the transcript
+                      records.
   project             restrict to a kept row subset by 0/1 substitution,
                       constant-fold, and rank-rename rows/columns to 1..|A|.
   merge_summands      join summands that share an order under addition gates.
@@ -29,9 +30,7 @@ The passes:
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, AddMismatch, Bouquet, Builder, Circuit, Nodes
 from .circuit import RegularCircuit, RootNotPrefix, _is_int
@@ -43,8 +42,6 @@ from .poly import (
 )
 
 __all__ = [
-    "Direction",
-    "MonotoneResult",
     "PassError",
     "DuplicateEntries",
     "EmptyKeepSet",
@@ -135,21 +132,6 @@ def compose(bouquet: Bouquet, tau: Iterable[int]) -> Bouquet:
 # Monotone subsequences
 # ---------------------------------------------------------------------------
 
-class Direction(enum.Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-
-
-@dataclass(frozen=True, slots=True)
-class MonotoneResult:
-    positions: tuple[int, ...]  # 1-based indices into the input sequence
-    direction: Direction
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
 def _longest_run(seq: Sequence[int]) -> list[int]:
     # a longest increasing run by O(m^2) DP; strict improvement keeps the
     # leftmost optimum, so the chosen end and every back-pointer are fixed
@@ -171,12 +153,14 @@ def _longest_run(seq: Sequence[int]) -> list[int]:
     return out
 
 
-def monotone_subsequence(seq: Sequence[int]) -> MonotoneResult:
+def monotone_subsequence(seq: Sequence[int]) -> dict[str, Any]:
     """Longest strictly monotone subsequence of a sequence of distinct integers.
 
     Computes both the longest increasing and the longest decreasing
     subsequence exactly and returns the longer one, preferring increasing on
-    ties.  For input length m the result has length at least ceil(sqrt(m)).
+    ties, as {"direction": "increasing" | "decreasing", "positions": 1-based
+    indices into seq, "values": the entries there}.  For input length m it
+    has at least ceil(sqrt(m)) positions.
     """
     seq = list(seq)
     if not seq:
@@ -191,15 +175,9 @@ def monotone_subsequence(seq: Sequence[int]) -> MonotoneResult:
 
     inc = _longest_run(seq)
     dec = _longest_run([-value for value in seq])  # decreasing in seq
-    if len(inc) >= len(dec):
-        chosen, direction = inc, Direction.INCREASING
-    else:
-        chosen, direction = dec, Direction.DECREASING
-    return MonotoneResult(
-        positions=tuple(i + 1 for i in chosen),
-        direction=direction,
-        values=tuple(seq[i] for i in chosen),
-    )
+    chosen, direction = (inc, "increasing") if len(inc) >= len(dec) else (dec, "decreasing")
+    positions = [i + 1 for i in chosen]
+    return {"direction": direction, "positions": positions, "values": [seq[i] for i in chosen]}
 
 
 # ---------------------------------------------------------------------------

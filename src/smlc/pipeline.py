@@ -41,7 +41,6 @@ from typing import Any
 from .circuit import CONST, MUL, Bouquet, Circuit, Nodes, RegularCircuit, _is_int
 from .circuit import bouquet_gate_count, gate_count
 from .passes import (
-    Direction,
     compose,
     distinct_orders,
     is_zero_summand,
@@ -89,11 +88,12 @@ class Transcript:
     """Replayable record of one reduction run; its fields are the JSON keys it is written under.
 
     Each step is the dict it is written as (built in `reduce_to_single`); its
-    sizes count internal gates, pending sign included, and its k counts
-    distinct non-zero orders.  Identical inputs and seed reproduce the
-    transcript bit for bit.  epsilon_guarantee is 1/2^(k_distinct-1);
-    es_guarantee is that bound instantiated (iterated ceil-sqrt of the input
-    degree), and final_degree is never below it.
+    subsequence is the dict `monotone_subsequence` returned, its sizes count
+    internal gates, pending sign included, and its k counts distinct non-zero
+    orders.  Identical inputs and seed reproduce the transcript bit for bit.
+    epsilon_guarantee is 1/2^(k_distinct-1); es_guarantee is that bound
+    instantiated (iterated ceil-sqrt of the input degree), and final_degree
+    is never below it.
     """
 
     config: dict[str, Any]
@@ -216,12 +216,12 @@ def reduce_to_single(
         )
         run = monotone_subsequence(cur.summands[target_idx].sigma)
         reversed_idx = None
-        if run.direction is Direction.DECREASING:
+        if run["direction"] == "decreasing":
             summands = list(cur.summands)
             summands[target_idx] = reverse(summands[target_idx])
             cur = Bouquet(cur.n, tuple(summands), cur.sign)
             reversed_idx = target_idx
-        kept = sorted(run.values)
+        kept = sorted(run["values"])
 
         cur = project(cur, kept)
         guarantee = ceil_sqrt(guarantee)
@@ -231,9 +231,7 @@ def reduce_to_single(
                 iteration=iteration,
                 tau_applied=None if tau is None else list(tau),
                 summand_reversed=reversed_idx,
-                subsequence=dict(
-                    direction=run.direction.value, positions=list(run.positions), values=list(run.values)
-                ),
+                subsequence=run,
                 kept_indices=kept,
                 sizes_before_after=[gates_before, bouquet_gate_count(cur)],
                 k_before_after=[k_before, distinct_orders(cur)],

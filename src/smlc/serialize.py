@@ -182,5 +182,7 @@ def dumps(obj: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+    # JSONDecodeError is a ValueError, as is an integer past int's digit limit;
+    # too deep a nesting recurses
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None

@@ -116,12 +116,12 @@ def _dp_monotone_optimum(seq):
 def test_criterion_3_monotone_subsequences():
     with criterion("3 monotone subsequences", 10):
         for pi in itertools.permutations(range(1, 6)):
-            assert len(monotone_subsequence(pi)) >= 3
+            assert len(monotone_subsequence(pi)["positions"]) >= 3
         rng = random.Random(103)
         for _ in range(1000):
             m = rng.randint(1, 64)
             seq = rng.sample(range(8 * m), m)
-            assert len(monotone_subsequence(seq)) == _dp_monotone_optimum(seq)
+            assert len(monotone_subsequence(seq)["positions"]) == _dp_monotone_optimum(seq)
 
 
 # --- 4. projection ------------------------------------------------------------

@@ -1,8 +1,10 @@
 """CLI surface: pipes, exit codes, and agreement with in-process calls."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,12 +23,21 @@ from smlc.serialize import (
 from test_poly import over_budget_circuit
 
 
-def run(args, stdin=""):
+# the child `python -m smlc` imports the package from this checkout's src,
+# installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = dict(os.environ)
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+
+
+def run(args, stdin="", timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "smlc", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
+        timeout=timeout,
     )
 
 
@@ -36,6 +47,15 @@ def test_gen_det_expand_golden():
     out = run(["expand"], stdin=gen.stdout)
     assert out.returncode == 0
     assert out.stdout.rstrip("\n") == "1 x[1,1] x[2,2]\n-1 x[1,2] x[2,1]"
+
+
+def test_gen_bouquet_with_one_term_per_order_ends():
+    # 24 orders share the 4! terms: redrawing until no bucket is empty takes ~2e9 draws
+    gen = run(["gen", "bouquet", "--n", "4", "--k", "24", "--seed", "1"], timeout=60)
+    assert gen.returncode == 0
+    bouquet = bouquet_from_obj(json.loads(gen.stdout))
+    assert len(bouquet.summands) == 24
+    assert expand_bouquet(bouquet).terms == reference_det(4).terms
 
 
 def test_gen_det_stats():
@@ -125,6 +145,7 @@ def test_closed_stdout_exits_141_quietly(args, tmp_path):
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=CHILD_ENV,
         )
         assert len(proc.stdout.read(50)) == 50
         proc.stdout.close()

@@ -62,6 +62,34 @@ def test_summand_grid_mismatch_is_a_parse_error(monkeypatch, capsys):
 BIG = 10**6
 CONST = {"id": 0, "op": "const", "value": "1"}
 
+# an integer literal past Python's default limit of 4,300 digits for int(str)
+LONG_INT = "1" * 5000
+LONG_CIRCUIT = '{"n": %s, "nodes": [], "root": 0}' % LONG_INT
+LONG_BOUQUET = '{"n": 1, "sign": %s, "summands": [{"sigma": [1], "circuit": %s}]}' % (
+    LONG_INT,
+    dumps({"n": 1, "nodes": [CONST], "root": 0}),
+)
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["validate"], LONG_CIRCUIT),
+        (["stats"], LONG_CIRCUIT),
+        (["check-regular", "--sigma", "1"], LONG_CIRCUIT),
+        (["reverse"], LONG_BOUQUET),
+        (["reduce", "--verify", "off"], LONG_BOUQUET),
+        (["expand"], LONG_BOUQUET),
+    ],
+    ids=["validate", "stats", "check-regular", "reverse", "reduce", "expand"],
+)
+def test_overlong_integer_is_a_parse_error(args, text, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = cli.main(args)
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["ok"], out["error"]) == (2, False, "ParseError")
+    assert out["detail"].startswith("invalid JSON: ")
+
 
 @pytest.mark.parametrize(
     "args, doc, error, detail",

@@ -1,5 +1,6 @@
 """Generators: determinant circuits, bouquets, random regular circuits."""
 
+import itertools
 import math
 import random
 
@@ -11,12 +12,14 @@ from recheck import assert_computes_det
 from smlc.circuit import Mul, VarLeaf, validate
 from smlc.generators import (
     DP_MAX_N,
+    SPLIT_DRAWS,
     NeedAtLeastOneTermPerBucket,
     det_bouquet,
     det_regular_circuit,
     distinct_perms,
     dp_det_bouquet,
     random_regular_circuit,
+    seeded_det_bouquet,
 )
 from smlc.poly import NotAPermutation, TooLarge, expand, expand_bouquet, random_perm, reference_det
 
@@ -82,6 +85,34 @@ def test_bouquet_needs_one_term_per_bucket():
     with pytest.raises(NeedAtLeastOneTermPerBucket):
         dp_det_bouquet(3, distinct_perms(3, 4, random.Random(0)), seed=0)
     assert len(dp_det_bouquet(3, distinct_perms(3, 3, random.Random(0)), seed=0).summands) == 3
+
+
+@pytest.mark.parametrize(("n", "k"), [(4, 24), (5, 120)])
+def test_bouquet_with_one_term_per_order_is_the_determinant(n, k):
+    # a random split fills k buckets with k terms with probability k!/k^k
+    b = seeded_det_bouquet(n, k, seed=1)
+    assert len(b.summands) == k
+    assert all(len(expand(rc.circuit)) == 1 for rc in b.summands)
+    assert expand_bouquet(b).terms == reference_det(n).terms
+
+
+def test_dp_bouquet_with_one_column_per_order_is_the_determinant():
+    sigmas = distinct_perms(7, 7, random.Random(7))
+    assert expand_bouquet(dp_det_bouquet(7, sigmas, seed=7)).terms == reference_det(7).terms
+
+
+def test_split_stops_drawing_after_split_draws(monkeypatch):
+    draws = []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr("smlc.generators.random.Random", Counting)
+    b = det_bouquet(4, list(itertools.permutations(range(1, 5))), seed=1)
+    assert len(draws) == SPLIT_DRAWS * 24
+    assert expand_bouquet(b).terms == reference_det(4).terms
 
 
 @pytest.mark.parametrize("make", [det_bouquet, dp_det_bouquet])

@@ -1,9 +1,9 @@
 """The one checker (`circuit._sweep`) against an independent reference.
 
-The reference is the frozenset typing check and the `Interval` propagation
+The reference is the frozenset typing check and the (start, length) propagation
 that `validate` and `infer_order` were before they became views of one
 bitmask sweep, plus the root check of `regular`.  `regular`,
-`infer_order`, `validate` and `stats(...).degree` must equal it
+`infer_order`, `validate` and `stats(...)["degree"]` must equal it
 in value, or raise the same exception class with the same message.
 """
 
@@ -18,7 +18,6 @@ from smlc.circuit import (
     Circuit,
     CircuitError,
     ConstLeaf,
-    Interval,
     Mul,
     MulOverlap,
     NotContiguous,
@@ -68,7 +67,7 @@ def ref_validate(circuit):
 
 
 def _end(iv):
-    return iv.start + iv.length - 1
+    return iv[0] + iv[1] - 1
 
 
 def ref_infer_order(circuit, sigma):
@@ -84,7 +83,7 @@ def ref_infer_order(circuit, sigma):
         if isinstance(node, ConstLeaf):
             intervals.append(None)
         elif isinstance(node, VarLeaf):
-            intervals.append(Interval(position[node.row], 1))
+            intervals.append((position[node.row], 1))
         elif isinstance(node, Add):
             intervals.append(intervals[node.left])
         else:
@@ -93,9 +92,9 @@ def ref_infer_order(circuit, sigma):
                 intervals.append(ri)
             elif ri is None:
                 intervals.append(li)
-            elif _end(li) + 1 == ri.start:
-                intervals.append(Interval(li.start, li.length + ri.length))
-            elif _end(ri) + 1 == li.start:
+            elif _end(li) + 1 == ri[0]:
+                intervals.append((li[0], li[1] + ri[1]))
+            elif _end(ri) + 1 == li[0]:
                 raise WrongAdjacency(vid)
             else:
                 raise NotContiguous(vid, sets[vid])
@@ -105,9 +104,9 @@ def ref_infer_order(circuit, sigma):
 def ref_regular(circuit, sigma):
     sigma, intervals = ref_infer_order(circuit, sigma)
     root_iv = intervals[circuit.root]
-    if root_iv is not None and root_iv.start != 1:
-        raise RootNotPrefix(root_iv.start, root_iv.length)
-    return sigma, 0 if root_iv is None else root_iv.length
+    if root_iv is not None and root_iv[0] != 1:
+        raise RootNotPrefix(*root_iv)
+    return sigma, 0 if root_iv is None else root_iv[1]
 
 
 # a row or col just past the grid, which the derandomized draws may miss
@@ -125,7 +124,7 @@ def test_every_view_agrees_with_the_reference(case):
         (via_regular, ref_regular),
         (infer_order, lambda c, s: ref_infer_order(c, s)[1]),
         (lambda c, s: validate(c), lambda c, s: ref_validate(c)),
-        (lambda c, s: stats(c).degree, lambda c, s: len(ref_validate(c)[c.root])),
+        (lambda c, s: stats(c)["degree"], lambda c, s: len(ref_validate(c)[c.root])),
     )
     for view, reference in views:
         assert outcome(view, *case) == outcome(reference, *case)

@@ -28,7 +28,6 @@ from smlc.generators import (
 )
 from smlc.passes import (
     DegreeTooSmall,
-    Direction,
     DuplicateEntries,
     EmptyKeepSet,
     PassError,
@@ -109,13 +108,13 @@ def test_decreasing_run_becomes_increasing_after_reversal():
         n = rng.randint(2, 10)
         sigma = random_perm(n, rng)
         run = monotone_subsequence(sigma)
-        if run.direction is Direction.INCREASING:
+        if run["direction"] == "increasing":
             continue
         flipped = tuple(reversed(sigma))
-        positions = [n + 1 - p for p in reversed(run.positions)]
+        positions = [n + 1 - p for p in reversed(run["positions"])]
         values = [flipped[p - 1] for p in positions]
         assert values == sorted(values)
-        assert len(values) == len(run)
+        assert len(values) == len(run["positions"])
 
 
 # --- compose ---------------------------------------------------------------
@@ -189,23 +188,28 @@ def test_compose_rejects_non_permutation():
 
 def test_monotone_increasing_input():
     run = monotone_subsequence((1, 2, 3))
-    assert run.direction is Direction.INCREASING
-    assert run.positions == (1, 2, 3)
-    assert run.values == (1, 2, 3)
+    assert run["direction"] == "increasing"
+    assert run["positions"] == [1, 2, 3]
+    assert run["values"] == [1, 2, 3]
 
 
 def test_monotone_mixed_input_prefers_increasing_tie():
     run = monotone_subsequence((3, 1, 4, 2))
-    assert len(run) == 2 == oracle_longest_monotone_len((3, 1, 4, 2))
-    assert run.direction is Direction.INCREASING
-    assert run.values == (3, 4)
-    assert run.positions == (1, 3)
+    assert len(run["positions"]) == 2 == oracle_longest_monotone_len((3, 1, 4, 2))
+    assert run["direction"] == "increasing"
+    assert run["values"] == [3, 4]
+    assert run["positions"] == [1, 3]
 
 
 def test_monotone_decreasing_input():
     run = monotone_subsequence((5, 4, 3, 2, 1))
-    assert run.direction is Direction.DECREASING
-    assert len(run) == 5
+    assert run["direction"] == "decreasing"
+    assert len(run["positions"]) == 5
+
+
+def test_monotone_rejects_empty_sequence():
+    with pytest.raises(PassError, match="sequence must be non-empty"):
+        monotone_subsequence([])
 
 
 def test_monotone_rejects_duplicates():
@@ -215,7 +219,7 @@ def test_monotone_rejects_duplicates():
 
 def test_monotone_all_length5_permutations_reach_three():
     for pi in itertools.permutations(range(1, 6)):
-        assert len(monotone_subsequence(pi)) >= 3
+        assert len(monotone_subsequence(pi)["positions"]) >= 3
 
 
 def test_monotone_matches_oracle_on_random_sequences():
@@ -224,11 +228,11 @@ def test_monotone_matches_oracle_on_random_sequences():
         m = rng.randint(1, 64)
         seq = rng.sample(range(10 * m), m)
         run = monotone_subsequence(seq)
-        assert len(run) == oracle_longest_monotone_len(seq)
+        assert len(run["positions"]) == oracle_longest_monotone_len(seq)
         # returned subsequence really is monotone at the claimed positions
-        vals = [seq[p - 1] for p in run.positions]
-        assert list(run.values) == vals
-        ordered = sorted(vals, reverse=run.direction is Direction.DECREASING)
+        vals = [seq[p - 1] for p in run["positions"]]
+        assert run["values"] == vals
+        ordered = sorted(vals, reverse=run["direction"] == "decreasing")
         assert vals == ordered
 
 
@@ -239,7 +243,7 @@ def test_monotone_floor_guarantee():
     for _ in range(200):
         m = rng.randint(1, 50)
         seq = rng.sample(range(1000), m)
-        assert len(monotone_subsequence(seq)) >= math.isqrt(m - 1) + 1
+        assert len(monotone_subsequence(seq)["positions"]) >= math.isqrt(m - 1) + 1
 
 
 # --- project ----------------------------------------------------------------

@@ -31,9 +31,9 @@ seeds = st.integers(0, 2**32 - 1)
 
 def named_path(circuit, sigma):
     root_iv = infer_order(circuit, sigma)[circuit.root]
-    if root_iv is not None and root_iv.start != 1:
-        raise RootNotPrefix(root_iv.start, root_iv.length)
-    return tuple(sigma), 0 if root_iv is None else root_iv.length
+    if root_iv is not None and root_iv[0] != 1:
+        raise RootNotPrefix(*root_iv)
+    return tuple(sigma), 0 if root_iv is None else root_iv[1]
 
 
 def outcome(check, circuit, sigma):
