@@ -12,7 +12,8 @@ and `b`.  Node v is a product or sum (`op[v]` MUL or ADD) of the nodes
 (CONST, with `b[v]` = 0).  The parser, the generators, the checker, the
 passes and the oracles read and write only these arrays.  The node classes
 `ConstLeaf`, `VarLeaf`, `Add` and `Mul` are a view: `Circuit` converts them
-once (`Nodes.of`), and indexing or iterating `circuit.nodes` builds them.
+once (`Nodes.of`), and iterating `circuit.nodes` builds them; nodes are
+read from the arrays, never by indexing `circuit.nodes`.
 
 Typing assigns each node v its index set I_v (the set of rows it covers):
 constants cover nothing, a variable leaf covers its row, addition requires
@@ -34,7 +35,7 @@ plain tuples and dicts, the values `smlc check-regular` and `smlc stats` write.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "MUL", "ADD", "VAR", "CONST",  # opcodes
@@ -159,14 +160,13 @@ def _node(op: int, a, b) -> Node:
 
 
 @dataclass(frozen=True, slots=True)
-class Nodes(Sequence):
-    """A circuit's nodes as three parallel tuples, and a sequence of node objects.
+class Nodes:
+    """A circuit's nodes as three parallel tuples.
 
     Node v is `op[v]` with operands `a[v]` and `b[v]` (see the module
-    docstring).  `len` reads the arrays; indexing and iteration build node
-    objects on demand, and nothing inside the package does either.  Equality
-    and hashing compare the arrays; a tuple of node objects equals the nodes
-    it converts to.
+    docstring).  `len` reads the arrays; iteration builds node objects on
+    demand, and nothing inside the package iterates.  There is no indexing:
+    node v is read from the arrays.  Equality and hashing compare the arrays.
     """
 
     op: tuple[int, ...]
@@ -194,18 +194,8 @@ class Nodes(Sequence):
     def __len__(self) -> int:
         return len(self.op)
 
-    def __getitem__(self, index: int) -> Node:
-        return _node(self.op[index], self.a[index], self.b[index])
-
     def __iter__(self):
         return map(_node, self.op, self.a, self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, Nodes):
-            return (self.op, self.a, self.b) == (other.op, other.a, other.b)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,7 +272,7 @@ class Bouquet:
     """
 
     n: int
-    summands: tuple[RegularCircuit, ...] = field()
+    summands: tuple[RegularCircuit, ...]
     sign: int = 1
 
     def __post_init__(self):

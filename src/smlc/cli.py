@@ -27,22 +27,18 @@ from .circuit import (
     validate,
     variables_of,
 )
-from .generators import (
-    NeedAtLeastOneTermPerBucket,
-    det_regular_circuit,
-    seeded_det_bouquet,
-)
+from .generators import det_regular_circuit, seeded_det_bouquet
 from .passes import PassError, compose, drop_last_index, merge_summands, project, reverse
 from .pipeline import VerificationFailed, reduce_to_single
 from .poly import (
     DEFAULT_TRIALS,
-    Distinct,
     OracleError,
     PRIME,
     equiv_random,
     eval_circuit,
     expand,
     expand_bouquet,
+    point_to_obj,
     poly_to_text,
     trial_point,
 )
@@ -54,14 +50,6 @@ from .serialize import (
     circuit_to_obj,
     dumps,
     loads,
-)
-
-_DOMAIN_ERRORS = (
-    CircuitError,
-    PassError,
-    OracleError,
-    NeedAtLeastOneTermPerBucket,
-    ValueError,
 )
 
 
@@ -186,7 +174,7 @@ def _cmd_eval(args) -> int:
             "ok": True,
             "seed": args.seed,
             "prime": str(PRIME),
-            "point": {f"{r},{c}": str(v) for (r, c), v in sorted(point.items())},
+            "point": point_to_obj(point),
             "value": str(value),
         }
     )
@@ -197,20 +185,7 @@ def _cmd_equiv(args) -> int:
     if not (isinstance(doc, dict) and "a" in doc and "b" in doc):
         raise ParseError('equiv expects {"a": <circuit|bouquet>, "b": <circuit|bouquet>}')
     verdict = equiv_random(_read_doc(doc["a"]), _read_doc(doc["b"]), args.trials, args.seed)
-    if isinstance(verdict, Distinct):
-        return _emit(
-            {
-                "ok": True,
-                "verdict": "distinct",
-                "trial": verdict.trial,
-                "witness": {f"{r},{c}": str(v) for (r, c), v in sorted(verdict.witness.items())},
-                "value_a": str(verdict.value_a),
-                "value_b": str(verdict.value_b),
-            }
-        )
-    return _emit(
-        {"ok": True, "verdict": "equivalent", "trials": args.trials, "prime": str(PRIME)}
-    )
+    return _emit({"ok": True, **verdict})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(2, exc)
         except VerificationFailed as exc:
             return _fail(3, exc)
-        except _DOMAIN_ERRORS as exc:
+        except (CircuitError, PassError, OracleError, ValueError) as exc:
             return _fail(1, exc)
         finally:
             sys.stdout.flush()

@@ -58,7 +58,7 @@ SPLIT_DRAWS = 100
 _EXPANSION_GUARD = 50_000
 
 
-class NeedAtLeastOneTermPerBucket(Exception):
+class NeedAtLeastOneTermPerBucket(ValueError):
     """Fewer terms than summands requested."""
 
 

@@ -4,10 +4,11 @@ Everything here is deliberately brute force: exact sparse expansion over
 arbitrary-precision integers, evaluation at many points, Leibniz-sum
 reference determinant/permanent polynomials, the determinant of a concrete
 matrix by Gaussian elimination, permutation sign, and a seeded
-Schwartz-Zippel equivalence test (exact equivalence is equality of two
-expansions' terms).  Every modular computation is over one field, the
-integers mod the fixed 61-bit Mersenne prime PRIME = 2^61 - 1.  Passes are
-trusted only after they agree with these oracles.
+Schwartz-Zippel equivalence test whose verdict is the dict `smlc equiv`
+writes (exact equivalence is equality of two expansions' terms).  Every
+modular computation is over one field, the integers mod the fixed 61-bit
+Mersenne prime PRIME = 2^61 - 1.  Passes are trusted only after they agree
+with these oracles.
 
 Evaluation (`eval_points`) compiles each circuit's flat node arrays once into
 a program in which structurally equal nodes share one slot, then sweeps that
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, _is_int, _is_permutation
 from .circuit import validate, variables_of
@@ -435,23 +436,6 @@ def reference_perm(n: int) -> SparsePoly:
 # Equivalence checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Equivalent:
-    trials: int
-    per_trial_bound: float  # Schwartz-Zippel failure probability per trial
-
-
-@dataclass(frozen=True, slots=True)
-class Distinct:
-    trial: int  # index of the first separating trial
-    witness: dict[tuple[int, int], int]
-    value_a: int
-    value_b: int
-
-
-Verdict = Equivalent | Distinct
-
-
 def trial_point(
     variables: Iterable[tuple[int, int]], seed: int, trial: int
 ) -> dict[tuple[int, int], int]:
@@ -463,13 +447,18 @@ def trial_point(
     return {var: rng.randrange(PRIME) for var in sorted(variables)}
 
 
-def _sampled(doc: Circuit | Bouquet) -> tuple[int, set[tuple[int, int]]]:
-    # (degree, variables); a bouquet's summands are already regular, but a
-    # raw circuit comes from outside and is validated here
+def point_to_obj(point: Assignment) -> dict[str, str]:
+    """A point as `smlc eval` and `smlc equiv` write it: "r,c" keys, decimal-string values."""
+    return {f"{r},{c}": str(v) for (r, c), v in sorted(point.items())}
+
+
+def _sampled(doc: Circuit | Bouquet) -> set[tuple[int, int]]:
+    # a bouquet's summands are already regular, but a raw circuit comes from
+    # outside and is validated here
     if isinstance(doc, Bouquet):
-        variables = set().union(*(variables_of(rc.circuit) for rc in doc.summands))
-        return max(rc.degree for rc in doc.summands), variables
-    return len(validate(doc)[doc.root]), variables_of(doc)
+        return set().union(*(variables_of(rc.circuit) for rc in doc.summands))
+    validate(doc)
+    return variables_of(doc)
 
 
 def equiv_random(
@@ -477,25 +466,30 @@ def equiv_random(
     b: Circuit | Bouquet,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-) -> Verdict:
+) -> dict[str, Any]:
     """Schwartz-Zippel identity test at `trials` seeded random points.
 
     Either side may be a circuit or a bouquet; each is evaluated at all the
-    points in one `eval_points` call.  Returns Distinct with the first
-    separating trial and point, or Equivalent with the per-trial error bound
-    d/PRIME where d is the larger degree.  trials and seed must be ints, not
-    bools (an OracleError otherwise).
+    points in one `eval_points` call.  Returns the verdict `smlc equiv` writes:
+    {"verdict": "distinct", "trial", "witness", "value_a", "value_b"} for the
+    first separating trial and its point, else {"verdict": "equivalent",
+    "trials", "prime"}; field elements are decimal strings.  trials and seed
+    must be ints, not bools (an OracleError otherwise).
     """
     if not _is_int(trials) or trials < 1:
         raise OracleError(f"trials must be an int >= 1, got {trials!r}")
     if not _is_int(seed):
         raise OracleError(f"seed must be an int, got {seed!r}")
-    deg_a, vars_a = _sampled(a)
-    deg_b, vars_b = _sampled(b)
-    variables = vars_a | vars_b
+    variables = _sampled(a) | _sampled(b)
     points = [trial_point(variables, seed, t) for t in range(trials)]
     values = zip(eval_points(a, points), eval_points(b, points))
     for t, (va, vb) in enumerate(values):
         if va != vb:
-            return Distinct(t, points[t], va, vb)
-    return Equivalent(trials, max(deg_a, deg_b) / PRIME)
+            return {
+                "verdict": "distinct",
+                "trial": t,
+                "witness": point_to_obj(points[t]),
+                "value_a": str(va),
+                "value_b": str(vb),
+            }
+    return {"verdict": "equivalent", "trials": trials, "prime": str(PRIME)}

@@ -8,10 +8,19 @@ from pathlib import Path
 
 import pytest
 
+from smlc.circuit import Bouquet
 from smlc.generators import det_bouquet, det_regular_circuit, seeded_det_bouquet
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
-from smlc.poly import PRIME, expand, expand_bouquet, poly_to_text, reference_det, trial_point
+from smlc.poly import (
+    PRIME,
+    equiv_random,
+    expand,
+    expand_bouquet,
+    poly_to_text,
+    reference_det,
+    trial_point,
+)
 from smlc.serialize import (
     bouquet_from_obj,
     bouquet_to_obj,
@@ -393,6 +402,21 @@ def test_equiv_circuit_vs_bouquet_equivalent_output():
     assert out.stdout == dumps(
         {"ok": True, "verdict": "equivalent", "trials": 5, "prime": str(PRIME)}
     ) + "\n"
+
+
+@pytest.mark.parametrize("verdict", ["equivalent", "distinct"])
+def test_equiv_writes_the_in_process_verdict(verdict):
+    # `smlc equiv` writes `equiv_random`'s dict after "ok": true, whichever the verdict
+    bouquet = seeded_det_bouquet(3, 3, 2)
+    if verdict == "distinct":
+        bouquet = Bouquet(3, bouquet.summands, -bouquet.sign)
+    det = det_regular_circuit(3, (2, 3, 1)).circuit
+    doc = dumps({"a": bouquet_to_obj(bouquet), "b": circuit_to_obj(det)})
+    out = run(["equiv", "--seed", "6", "--trials", "5"], stdin=doc)
+    assert out.returncode == 0
+    written = json.loads(out.stdout)
+    assert written.pop("ok") is True and written["verdict"] == verdict
+    assert written == equiv_random(bouquet, det, trials=5, seed=6)
 
 
 def test_reverse_below_full_degree_exits_1():

@@ -39,14 +39,13 @@ x11, x12, x21, x22 = VarLeaf(1, 1), VarLeaf(1, 2), VarLeaf(2, 1), VarLeaf(2, 2)
 def _count_views(monkeypatch):
     """Record every call that builds node objects from a `Nodes`."""
     calls = []
-    for name in ("__getitem__", "__iter__"):
-        method = getattr(Nodes, name)
+    method = Nodes.__iter__
 
-        def counted(self, *args, _method=method, _name=name):
-            calls.append(_name)
-            return _method(self, *args)
+    def counted(self):
+        calls.append("__iter__")
+        return method(self)
 
-        monkeypatch.setattr(Nodes, name, counted)
+    monkeypatch.setattr(Nodes, "__iter__", counted)
     return calls
 
 
@@ -61,15 +60,14 @@ def test_parser_and_reduction_build_no_node_objects(monkeypatch, verify):
         circuit_to_obj(single.circuit)
         assert len(single.circuit.nodes) > 0
     assert calls == []
-    single.circuit.nodes[0]  # the counter does see a view access
-    assert calls == ["__getitem__"]
+    next(iter(single.circuit.nodes))  # the counter does see a view access
+    assert calls == ["__iter__"]
 
 
 def test_node_view_reads_like_a_tuple():
     nodes = (x11, x22, ConstLeaf(-1), Mul(0, 1), Mul(2, 3))
     circuit = Circuit(2, nodes, 4)
-    assert circuit.nodes == nodes and tuple(circuit.nodes) == nodes
-    assert circuit.nodes[-1] == Mul(2, 3) and len(circuit.nodes) == 5
+    assert tuple(circuit.nodes) == nodes and len(circuit.nodes) == 5
     assert (circuit.nodes.op, circuit.nodes.a, circuit.nodes.b) == (
         (2, 2, 3, 0, 0),
         (1, 2, -1, 0, 2),

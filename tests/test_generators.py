@@ -26,7 +26,7 @@ from smlc.poly import NotAPermutation, TooLarge, expand, expand_bouquet, random_
 
 def test_det_n1_is_single_leaf():
     rc = det_regular_circuit(1, (1,))
-    assert rc.circuit.nodes == (VarLeaf(1, 1),)
+    assert tuple(rc.circuit.nodes) == (VarLeaf(1, 1),)
 
 
 def test_det_identity_matches_reference():

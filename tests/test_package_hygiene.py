@@ -5,8 +5,9 @@ its last caller, and text becomes an int only through `circuit.decimal`.
 
 Deleting a type or a helper tends to leave an `__all__` entry, an import or
 the helper it called behind, and deleting the last caller of a function
-leaves its export behind; these checks catch all four.  `__init__.py`
-imports only to re-export, so it is exempt from the import check.
+leaves its export behind; these checks catch all four.  Every name has one
+spelling, in its submodule: `__init__.py` is its docstring alone, and the
+tests and the benchmark import from the top-level package only submodules.
 """
 
 import ast
@@ -42,6 +43,25 @@ def test_every_exported_name_resolves(path):
     assert not missing, f"{path.name}: __all__ names {missing} that do not exist"
 
 
+def test_package_init_is_its_docstring():
+    body = _tree(PACKAGE / "__init__.py").body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr), "__init__.py binds names"
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def test_tests_and_benchmark_import_only_submodules_from_the_package():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+        for root in ("tests", "perfbench")
+        for path in (ROOT / root).rglob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.module == "smlc" and not node.level
+        for alias in node.names
+        if not (PACKAGE / f"{alias.name}.py").exists()
+    ]
+    assert not offenders, f"names imported from smlc rather than its submodules: {offenders}"
+
+
 def _referenced(tree):
     # names read, and attributes looked up, anywhere in the tree
     names = set()
@@ -54,9 +74,9 @@ def _referenced(tree):
 
 
 def test_every_exported_function_has_a_caller_outside_its_module():
-    # searched: the package's other modules (not __init__.py), the tests and the benchmark
+    # searched: the package's other modules, the tests and the benchmark
     sources = [path for root in ("src", "tests", "perfbench") for path in (ROOT / root).rglob("*.py")]
-    references = {path: _referenced(_tree(path)) for path in sources if path.name != "__init__.py"}
+    references = {path: _referenced(_tree(path)) for path in sources}
     stale = []
     for path in MODULES:
         tree = _tree(path)
@@ -70,9 +90,7 @@ def test_every_exported_function_has_a_caller_outside_its_module():
     assert not stale, f"exported functions nothing outside their module calls: {stale}"
 
 
-@pytest.mark.parametrize(
-    "path", [path for path in MODULES if path.name != "__init__.py"], ids=lambda path: path.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_top_level_import(path):
     tree = _tree(path)
     imported = {}  # bound name -> line

@@ -76,7 +76,7 @@ def test_reverse_two_leaf_product():
     circuit = Circuit(2, (VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1)), 2)
     out = reverse(regular(circuit, (1, 2)))
     assert out.sigma == (2, 1)
-    assert out.circuit.nodes[2] == Mul(1, 0)
+    assert tuple(out.circuit.nodes)[2] == Mul(1, 0)
     assert expand(circuit).terms == expand(out.circuit).terms
 
 

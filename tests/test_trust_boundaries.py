@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smlc import circuit as circuit_module
-from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular, validate
+from smlc.circuit import CONST, Bouquet, Circuit, regular, validate
 from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
@@ -103,7 +103,7 @@ def test_project_carries_the_inferred_order_and_degree():
         out = project(Bouquet(rc.circuit.n, (rc,)), keep).summands[0]
         again = regular(out.circuit, out.sigma)
         assert (out.sigma, out.degree) == (again.sigma, again.degree)
-        folded.append(isinstance(out.circuit.nodes[out.circuit.root], ConstLeaf))
+        folded.append(out.circuit.nodes.op[out.circuit.root] == CONST)
 
     check()
     # both lemma cases occur: roots folded to a constant, and surviving roots
