@@ -54,7 +54,7 @@ DP_MAX_N = 16  # a subset-DP summand at n = 16 has about a million gates
 SPLIT_DRAWS = 100
 
 # Upper bound on the expanded term count of a random circuit, so generated
-# instances always stay within the default exact-oracle budget.
+# instances always stay within the exact oracle's fixed poly.TERM_BUDGET.
 _EXPANSION_GUARD = 50_000
 
 

@@ -25,6 +25,9 @@ terms are built once per degree and shared, read-only, by every later step.
 The bouquet is evaluated at all of a step's trial points in one `eval_points`
 call, which compiles each summand once and sweeps it once per point; the
 values are compared in trial order.
+Every check after step 0 also re-runs `regular` on each non-zero summand,
+so a pass that breaks a summand's (sigma, degree) but not its value still
+fails; step 0's input passed `regular` at the parser or generator already.
 A failed check raises VerificationFailed: some pass broke semantics, the
 strongest possible error.  With verification on, at least one trial is
 required, so no verdict can be recorded ok without an evaluation.
@@ -38,8 +41,8 @@ import types
 from dataclasses import dataclass
 from typing import Any
 
-from .circuit import CONST, MUL, Bouquet, Circuit, Nodes, RegularCircuit, _is_int
-from .circuit import bouquet_gate_count, gate_count
+from .circuit import CONST, MUL, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, _is_int
+from .circuit import bouquet_gate_count, gate_count, regular
 from .passes import (
     compose,
     distinct_orders,
@@ -148,6 +151,15 @@ def _verify_step(
     if mode == "off":
         return {"step": step, "mode": "off", "ok": None}
     d = bouquet.n
+    for i, rc in enumerate(bouquet.summands if step else ()):
+        if is_zero_summand(rc):
+            continue
+        try:
+            degree = regular(rc.circuit, rc.sigma).degree
+        except CircuitError as exc:
+            raise VerificationFailed(step, f"summand {i} is not regular w.r.t. its order: {exc}")
+        if degree != rc.degree:
+            raise VerificationFailed(step, f"summand {i} has degree {degree}, recorded {rc.degree}")
     if mode == "exact" and d <= EXACT_VERIFY_MAX:
         if expand_bouquet(bouquet).terms != _det_terms(d):
             raise VerificationFailed(step, f"expansion differs from degree-{d} determinant")

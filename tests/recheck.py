@@ -1,23 +1,26 @@
-"""Test helpers that recheck library results by an independent route.
+"""What the tests share: independent references, strategies and a CLI driver.
 
-`compose`, `reverse`, `merge_summands` and `project` build their results
-from the input's (sigma, degree) without calling `regular`.  The tests check
-that claim here instead of in the library.
-
-`eval_mod` evaluates an expanded polynomial term by term, reducing mod PRIME
-at every operation, so it shares no code with `poly.eval_points`.
-
-`poly_add`, `poly_scaled` and `poly_mul` are the polynomial arithmetic the
-tests need, written term by term on `SparsePoly` values without any of
-`poly`'s code; `expand_nodes` builds a fresh polynomial at every node from
-them, a reference for `poly.expand`, which reuses the dicts of dead operands.
-
-`assert_computes_det` checks that a circuit or bouquet computes the
-determinant of its grid size: exactly against the Leibniz reference where
-that exists, and above it at seeded points against elimination mod PRIME.
+The passes carry (sigma, degree) over without calling `regular`, and only a
+verified reduction re-runs it, after each step; `assert_rechecks` checks
+that claim on what the passes return.  `eval_mod`, `poly_add`, `poly_scaled`,
+`poly_mul` and `expand_nodes` work term by term on `SparsePoly` values with
+none of `poly`'s code.  `assert_computes_det` checks that a circuit or
+bouquet computes the determinant of its grid size: exactly against the
+Leibniz reference where that exists, above it at seeded points against
+elimination mod PRIME.
 """
 
-from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, regular
+import io
+import math
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+from hypothesis import strategies as st
+
+from smlc import cli
+from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, regular
+from smlc.generators import random_regular_circuit, seeded_det_bouquet
 from smlc.poly import (
     PRIME,
     REFERENCE_MAX_N,
@@ -42,6 +45,11 @@ def assert_bouquet_rechecks(bouquet):
         assert_rechecks(rc)
 
 
+def grid(n):
+    """Every (row, col) of the n x n grid, row by row."""
+    return [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+
+
 def assert_computes_det(doc, seed, trials=3):
     """doc computes det_d, d its grid size: exactly up to REFERENCE_MAX_N, else at seeded points."""
     d = doc.n
@@ -50,7 +58,7 @@ def assert_computes_det(doc, seed, trials=3):
         assert poly.terms == reference_det(d).terms
         return
     indices = range(1, d + 1)
-    points = [trial_point([(r, c) for r in indices for c in indices], seed, t) for t in range(trials)]
+    points = [trial_point(grid(d), seed, t) for t in range(trials)]
     matrices = [[[point[r, c] for c in indices] for r in indices] for point in points]
     assert eval_points(doc, points) == [det_mod(matrix) for matrix in matrices]
 
@@ -108,3 +116,93 @@ def expand_nodes(circuit):
             assert op == MUL
             polys.append(poly_mul(polys[a], polys[b]))
     return polys[circuit.root]
+
+
+def c(n, *nodes, root=None):
+    """A circuit over n rows from node objects; its root is the last node unless given."""
+    return Circuit(n=n, nodes=tuple(nodes), root=len(nodes) - 1 if root is None else root)
+
+
+def project_terms(poly, keep):
+    """The terms of poly after projection onto keep, as a substitution: dropped
+    rows pin their diagonal variable to 1 and the rest of their row and column
+    to 0; kept rows and columns are renamed by rank."""
+    keep_set = set(keep)
+    rank = {v: i + 1 for i, v in enumerate(sorted(keep_set))}
+    out = {}
+    for mono, coeff in poly.terms.items():
+        renamed = []
+        dead = False
+        for r, c in mono:
+            if r in keep_set and c in keep_set:
+                renamed.append((rank[r], rank[c]))
+            elif r not in keep_set and c == r:
+                continue
+            else:
+                dead = True
+                break
+        if dead:
+            continue
+        key = tuple(sorted(renamed))
+        out[key] = out.get(key, 0) + coeff
+    return {m: c for m, c in out.items() if c}
+
+
+def longest_monotone_len(seq):
+    """Length of the longest increasing or decreasing subsequence, by a quadratic DP."""
+    best = 1
+    for sign in (1, -1):
+        vals = [sign * x for x in seq]
+        dp = [1] * len(vals)
+        for i in range(len(vals)):
+            for j in range(i):
+                if vals[j] < vals[i]:
+                    dp[i] = max(dp[i], dp[j] + 1)
+        best = max(best, max(dp))
+    return best
+
+
+def det_of_matrix(matrix):
+    """Determinant of a square integer matrix, summed over the Leibniz reference terms."""
+    total = 0
+    for mono, coeff in reference_det(len(matrix)).terms.items():
+        for r, col in mono:
+            coeff *= matrix[r - 1][col - 1]
+        total += coeff
+    return total
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def perms(n):
+    return st.permutations(range(1, n + 1)).map(tuple)
+
+
+@st.composite
+def regular_circuits(draw, n, sigma=None):
+    """A random full-degree regular circuit over n rows, w.r.t. sigma or a drawn order."""
+    sigma = sigma or draw(perms(n))
+    return random_regular_circuit(sigma, draw(seeds), draw(st.integers(2 * n - 1, 60)))
+
+
+@st.composite
+def det_bouquets(draw, n):
+    """A Leibniz determinant bouquet over n rows with 1 to 3 distinct orders."""
+    k = draw(st.integers(1, min(3, math.factorial(n))))
+    return seeded_det_bouquet(n, k, draw(seeds))
+
+
+CliRun = namedtuple("CliRun", "code out err")
+
+
+def run_cli(args, stdin=""):
+    """`smlc ARGS` in-process with stdin read from a string: its exit code,
+    stdout and stderr; argparse's SystemExit is read as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())

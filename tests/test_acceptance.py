@@ -13,7 +13,15 @@ import random
 import time
 from contextlib import contextmanager
 
-from recheck import assert_computes_det, eval_mod, poly_scaled
+from recheck import (
+    assert_computes_det,
+    det_of_matrix,
+    eval_mod,
+    grid,
+    longest_monotone_len,
+    poly_scaled,
+    project_terms,
+)
 
 from smlc.circuit import (
     Bouquet,
@@ -38,9 +46,12 @@ from smlc.passes import (
 from smlc.pipeline import ceil_sqrt, reduce_to_single
 from smlc.poly import (
     SparsePoly,
+    compose_perms,
     eval_circuit,
     expand,
     expand_bouquet,
+    identity_perm,
+    invert_perm,
     random_perm,
     reference_det,
     sign_of_permutation,
@@ -74,6 +85,7 @@ def test_criterion_1_reversal():
             assert expand(rc.circuit).terms == expand(rev.circuit).terms
             assert len(rev.circuit.nodes) == len(rc.circuit.nodes)
             assert rev.sigma == tuple(reversed(sigma))
+            assert reverse(rev).circuit == rc.circuit  # involution, gate for gate
 
 
 # --- 2. composition ---------------------------------------------------------
@@ -99,20 +111,6 @@ def test_criterion_2_composition():
 
 # --- 3. monotone subsequences -------------------------------------------------
 
-def _dp_monotone_optimum(seq):
-    # independent quadratic scorer, length only
-    best = 0
-    for flip in (False, True):
-        dp = [1] * len(seq)
-        for i in range(len(seq)):
-            for j in range(i):
-                cmp = seq[j] > seq[i] if flip else seq[j] < seq[i]
-                if cmp and dp[j] >= dp[i]:
-                    dp[i] = dp[j] + 1
-        best = max(best, max(dp))
-    return best
-
-
 def test_criterion_3_monotone_subsequences():
     with criterion("3 monotone subsequences", 10):
         for pi in itertools.permutations(range(1, 6)):
@@ -121,7 +119,12 @@ def test_criterion_3_monotone_subsequences():
         for _ in range(1000):
             m = rng.randint(1, 64)
             seq = rng.sample(range(8 * m), m)
-            assert len(monotone_subsequence(seq)["positions"]) == _dp_monotone_optimum(seq)
+            run = monotone_subsequence(seq)
+            assert len(run["positions"]) == longest_monotone_len(seq)
+            # the values are the sequence's at the positions, in the run's direction
+            values = [seq[p - 1] for p in run["positions"]]
+            assert run["values"] == values
+            assert values == sorted(values, reverse=run["direction"] == "decreasing")
 
 
 # --- 4. projection ------------------------------------------------------------
@@ -151,28 +154,6 @@ def _rename_rows(poly, tau):
     return SparsePoly(poly.n, {m: c for m, c in terms.items() if c})
 
 
-def _project_poly(poly, keep):
-    keep_set = set(keep)
-    rank = {v: i + 1 for i, v in enumerate(sorted(keep_set))}
-    out = {}
-    for mono, coeff in poly.terms.items():
-        renamed = []
-        dead = False
-        for r, c in mono:
-            if r in keep_set and c in keep_set:
-                renamed.append((rank[r], rank[c]))
-            elif r not in keep_set and c == r:
-                continue  # pinned diagonal variable, factor 1
-            else:
-                dead = True
-                break
-        if dead:
-            continue
-        key = tuple(sorted(renamed))
-        out[key] = out.get(key, 0) + coeff
-    return SparsePoly(len(keep_set), {m: c for m, c in out.items() if c})
-
-
 def _replay_expected_polynomial(input_bouquet, transcript):
     # polynomial-level replay of every recorded substitution; reversals and
     # merges do not change the value, compositions scale by the sign of tau
@@ -181,7 +162,8 @@ def _replay_expected_polynomial(input_bouquet, transcript):
         tau = step["tau_applied"]
         if tau:
             value = poly_scaled(_rename_rows(value, tau), sign_of_permutation(tau))
-        value = _project_poly(value, step["kept_indices"])
+        keep = step["kept_indices"]
+        value = SparsePoly(len(keep), project_terms(value, keep))
     if transcript.final_tau:
         value = poly_scaled(
             _rename_rows(value, transcript.final_tau), sign_of_permutation(transcript.final_tau)
@@ -267,22 +249,14 @@ def test_criterion_6_k_monotonicity():
                     single, tr = reduce_to_single(b, verify="exact", seed=3)
                     for before, after in (s["k_before_after"] for s in tr.steps):
                         assert after <= before - 1
+                    assert len(tr.steps) <= k - 1
+                    assert tr.final_degree >= tr.es_guarantee
                     assert tr.epsilon_guarantee == 1 / 2 ** (k - 1)
                     assert tr.final_gates <= s_in + k
                     assert expand(single.circuit).terms == reference_det(tr.final_degree).terms
 
 
 # --- 7. oracle cross-checks --------------------------------------------------------
-
-def _det_at(matrix, det_poly):
-    total = 0
-    for mono, coeff in det_poly.terms.items():
-        term = coeff
-        for r, c in mono:
-            term *= matrix[r - 1][c - 1]
-        total += term
-    return total
-
 
 def test_criterion_7_oracle_cross_checks():
     with criterion("7 oracle cross-checks", 30):
@@ -291,37 +265,35 @@ def test_criterion_7_oracle_cross_checks():
             n = rng.randint(1, 5)
             seed, budget = rng.randrange(2**32), rng.randint(2 * n - 1, 60)
             circuit = random_regular_circuit(random_perm(n, rng), seed, budget).circuit
-            point = trial_point(
-                [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)],
-                seed=rng.randrange(2**32),
-                trial=0,
-            )
+            point = trial_point(grid(n), seed=rng.randrange(2**32), trial=0)
             assert eval_circuit(circuit, point) == eval_mod(expand(circuit), point)
 
         for _ in range(200):
             n = rng.randint(1, 8)
             tau, sigma = random_perm(n, rng), random_perm(n, rng)
             composed = tuple(tau[s - 1] for s in sigma)
+            assert compose_perms(tau, sigma) == composed
+            assert compose_perms(invert_perm(tau), tau) == identity_perm(n)
             assert sign_of_permutation(composed) == sign_of_permutation(
                 tau
             ) * sign_of_permutation(sigma)
 
-        det4 = reference_det(4)
         for _ in range(200):
-            a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-            bm = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+            n = rng.randint(2, 5)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            bm = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             ab = [
-                [sum(a[i][t] * bm[t][j] for t in range(4)) for j in range(4)]
-                for i in range(4)
+                [sum(a[i][t] * bm[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
             ]
-            assert _det_at(ab, det4) == _det_at(a, det4) * _det_at(bm, det4)
+            assert det_of_matrix(ab) == det_of_matrix(a) * det_of_matrix(bm)
 
         for _ in range(200):
             n = rng.randint(1, 6)
             pi = random_perm(n, rng)
             matrix = [[1 if pi[i] == j + 1 else 0 for j in range(n)] for i in range(n)]
-            assert _det_at(matrix, reference_det(n)) in (1, -1)
-            assert _det_at(matrix, reference_det(n)) == sign_of_permutation(pi)
+            # choosing column pi(i) in every row i is the only nonzero product
+            assert det_of_matrix(matrix) == sign_of_permutation(pi)
 
 
 # --- 8. negative control -------------------------------------------------------------

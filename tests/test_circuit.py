@@ -1,17 +1,15 @@
 """Typing validation, interval inference, stats, and serialization round-trips."""
 
-import io
 import random
 
 import pytest
+from recheck import c, run_cli
 
-from smlc import cli
 from smlc.circuit import (
     Add,
     AddMismatch,
     BadChildRef,
     Bouquet,
-    Circuit,
     CircuitError,
     ConstLeaf,
     Mul,
@@ -39,10 +37,6 @@ from smlc.serialize import (
     dumps,
     loads,
 )
-
-
-def c(n, *nodes, root=None):
-    return Circuit(n=n, nodes=tuple(nodes), root=len(nodes) - 1 if root is None else root)
 
 
 # --- validate -------------------------------------------------------------
@@ -171,37 +165,30 @@ class Row(int):
     pass
 
 
-def _check_regular_cli(monkeypatch, circuit, sigma_text):
-    # the wire parser and the --sigma option reject the same fields: exit 2
-    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(circuit_to_obj(circuit))))
-    try:
-        return cli.main(["check-regular", "--sigma", sigma_text])
-    except SystemExit as exc:  # argparse usage error
-        return exc.code
-
-
 @pytest.mark.parametrize(
     ("row", "col"), [(1.5, 1), (1.0, 1), ("1", 1), (1, 1.0), (1, 2.5), (1, "2")]
 )
-def test_non_int_variable_field_is_out_of_range(row, col, monkeypatch, capsys):
+def test_non_int_variable_field_is_out_of_range(row, col):
     circuit = c(2, VarLeaf(row, col), VarLeaf(2, 2), Mul(0, 1))
     detail = f"node 0: variable x[{row},{col}] outside [1..2]^2"
     for check in (validate, lambda cc: infer_order(cc, (1, 2)), lambda cc: regular(cc, (1, 2))):
         with pytest.raises(VariableOutOfRange) as err:
             check(circuit)
         assert str(err.value) == detail
-    assert _check_regular_cli(monkeypatch, circuit, "1,2") == 2
+    # the wire parser and the --sigma option reject the same fields: exit 2
+    assert run_cli(["check-regular", "--sigma", "1,2"], dumps(circuit_to_obj(circuit))).code == 2
 
 
 @pytest.mark.parametrize("sigma", [(1.0, 2), (1, 2.0), ("1", 2), (2, 1.5)])
-def test_non_int_sigma_entry_is_not_a_permutation(sigma, monkeypatch, capsys):
+def test_non_int_sigma_entry_is_not_a_permutation(sigma):
     circuit = c(2, VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1))
     detail = f"sigma {sigma} is not a permutation of [1..2]"
     for check in (infer_order, regular):
         with pytest.raises(CircuitError) as err:
             check(circuit, sigma)
         assert str(err.value) == detail
-    assert _check_regular_cli(monkeypatch, circuit, ",".join(map(repr, sigma))) == 2
+    args = ["check-regular", "--sigma", ",".join(map(repr, sigma))]
+    assert run_cli(args, dumps(circuit_to_obj(circuit))).code == 2
 
 
 def _det2():

@@ -1,4 +1,9 @@
-"""CLI surface: pipes, exit codes, and agreement with in-process calls."""
+"""CLI surface: pipes, exit codes, and agreement with in-process calls.
+
+Every test drives `cli.main` in-process through `recheck.run_cli`, except the
+two whose behaviour is the process boundary: the exit status and streams of
+`python -m smlc`, and the quiet exit 141 on a closed stdout.
+"""
 
 import json
 import os
@@ -7,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from recheck import run_cli
 
 from smlc.circuit import Bouquet
 from smlc.generators import det_bouquet, det_regular_circuit, seeded_det_bouquet
@@ -38,79 +44,109 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CHILD_ENV = dict(os.environ)
 CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
+# a bouquet whose lone summand is a bare product, not a determinant
+NOT_A_DET = {
+    "n": 2,
+    "summands": [
+        {
+            "sigma": [1, 2],
+            "circuit": {
+                "n": 2,
+                "nodes": [
+                    {"id": 0, "op": "var", "row": 1, "col": 1},
+                    {"id": 1, "op": "var", "row": 2, "col": 1},
+                    {"id": 2, "op": "mul", "left": 0, "right": 1},
+                ],
+                "root": 2,
+            },
+        }
+    ],
+}
 
-def run(args, stdin="", timeout=None):
-    return subprocess.run(
-        [sys.executable, "-m", "smlc", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
-        timeout=timeout,
+# exit status -> (args, stdin, error named on stdout) of a command that ends with it
+EXIT_CASES = {
+    0: (["gen", "det", "--n", "2"], "", None),
+    1: (["gen", "det", "--n", "9"], "", "TooLarge"),
+    2: (["merge", "--frobnicate"], "{}", None),
+    3: (["reduce", "--verify", "exact"], dumps(NOT_A_DET), "VerificationFailed"),
+}
+
+
+@pytest.mark.parametrize("status", sorted(EXIT_CASES))
+def test_python_m_smlc_exits_with_the_in_process_status(status):
+    args, stdin, error = EXIT_CASES[status]
+    proc = subprocess.run(
+        [sys.executable, "-m", "smlc", *args], input=stdin, capture_output=True, text=True, env=CHILD_ENV
     )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(args, stdin)
+    assert proc.returncode == status
+    if status == 2:  # a usage error writes argparse's usage, and nothing on stdout
+        assert proc.stderr.startswith("usage: smlc ") and proc.stdout == ""
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout).get("error") == error
 
 
 def test_gen_det_expand_golden():
-    gen = run(["gen", "det", "--n", "2", "--sigma", "1,2"])
-    assert gen.returncode == 0
-    out = run(["expand"], stdin=gen.stdout)
-    assert out.returncode == 0
-    assert out.stdout.rstrip("\n") == "1 x[1,1] x[2,2]\n-1 x[1,2] x[2,1]"
+    gen = run_cli(["gen", "det", "--n", "2", "--sigma", "1,2"])
+    assert gen.code == 0
+    res = run_cli(["expand"], stdin=gen.out)
+    assert res.code == 0
+    assert res.out.rstrip("\n") == "1 x[1,1] x[2,2]\n-1 x[1,2] x[2,1]"
 
 
 def test_gen_bouquet_with_one_term_per_order_ends():
     # 24 orders share the 4! terms: redrawing until no bucket is empty takes ~2e9 draws
-    gen = run(["gen", "bouquet", "--n", "4", "--k", "24", "--seed", "1"], timeout=60)
-    assert gen.returncode == 0
-    bouquet = bouquet_from_obj(json.loads(gen.stdout))
+    gen = run_cli(["gen", "bouquet", "--n", "4", "--k", "24", "--seed", "1"])
+    assert gen.code == 0
+    bouquet = bouquet_from_obj(json.loads(gen.out))
     assert len(bouquet.summands) == 24
     assert expand_bouquet(bouquet).terms == reference_det(4).terms
 
 
 def test_gen_det_stats():
-    gen = run(["gen", "det", "--n", "3"])
-    st = run(["stats"], stdin=gen.stdout)
-    doc = json.loads(st.stdout)
+    gen = run_cli(["gen", "det", "--n", "3"])
+    st = run_cli(["stats"], stdin=gen.out)
+    doc = json.loads(st.out)
     assert doc["ok"] is True
     assert doc["degree"] == 3
 
 
 def test_validate_reports_index_sets():
-    gen = run(["gen", "det", "--n", "2"])
-    out = run(["validate"], stdin=gen.stdout)
-    doc = json.loads(out.stdout)
+    gen = run_cli(["gen", "det", "--n", "2"])
+    res = run_cli(["validate"], stdin=gen.out)
+    doc = json.loads(res.out)
     assert doc["ok"] is True
     assert doc["index_sets"][-1] == [1, 2]
 
 
 def test_check_regular_mismatch_exits_1():
-    gen = run(["gen", "det", "--n", "2", "--sigma", "1,2"])
-    ok = run(["check-regular", "--sigma", "1,2"], stdin=gen.stdout)
-    assert ok.returncode == 0
-    bad = run(["check-regular", "--sigma", "2,1"], stdin=gen.stdout)
-    assert bad.returncode == 1
-    doc = json.loads(bad.stdout)
+    gen = run_cli(["gen", "det", "--n", "2", "--sigma", "1,2"])
+    ok = run_cli(["check-regular", "--sigma", "1,2"], stdin=gen.out)
+    assert ok.code == 0
+    bad = run_cli(["check-regular", "--sigma", "2,1"], stdin=gen.out)
+    assert bad.code == 1
+    doc = json.loads(bad.out)
     assert doc["ok"] is False
     assert doc["error"] in ("NotContiguous", "WrongAdjacency")
 
 
 def test_gen_bouquet_reduce_exact():
-    gen = run(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "7"])
-    assert gen.returncode == 0
-    red = run(["reduce", "--verify", "exact", "--seed", "7"], stdin=gen.stdout)
-    assert red.returncode == 0
-    circuit = circuit_from_obj(json.loads(red.stdout))
+    gen = run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "7"])
+    assert gen.code == 0
+    red = run_cli(["reduce", "--verify", "exact", "--seed", "7"], stdin=gen.out)
+    assert red.code == 0
+    circuit = circuit_from_obj(json.loads(red.out))
     assert expand(circuit).terms == reference_det(circuit.n).terms
 
 
 def test_reduce_emits_transcript(tmp_path):
-    gen = run(["gen", "bouquet", "--n", "4", "--k", "2", "--seed", "3"])
+    gen = run_cli(["gen", "bouquet", "--n", "4", "--k", "2", "--seed", "3"])
     path = tmp_path / "transcript.json"
-    red = run(
+    red = run_cli(
         ["reduce", "--verify", "exact", "--seed", "3", "--emit-transcript", str(path)],
-        stdin=gen.stdout,
+        stdin=gen.out,
     )
-    assert red.returncode == 0
+    assert red.code == 0
     doc = json.loads(path.read_text())
     assert doc["config"]["verify"] == "exact"
     assert doc["final_degree"] >= 2
@@ -128,18 +164,18 @@ def test_reduce_emits_transcript(tmp_path):
 
 @pytest.mark.parametrize("verify", ["off", "random", "exact"])
 def test_emitted_transcript_is_the_in_process_record(tmp_path, verify):
-    gen = run(["gen", "bouquet", "--n", "5", "--k", "3", "--seed", "11"])
+    gen = run_cli(["gen", "bouquet", "--n", "5", "--k", "3", "--seed", "11"])
     path = tmp_path / "transcript.json"
-    red = run(
+    red = run_cli(
         ["reduce", "--verify", verify, "--seed", "4", "--trials", "3", "--emit-transcript", str(path)],
-        stdin=gen.stdout,
+        stdin=gen.out,
     )
-    assert red.returncode == 0
-    bouquet = bouquet_from_obj(json.loads(gen.stdout))
+    assert red.code == 0
+    bouquet = bouquet_from_obj(json.loads(gen.out))
     single, transcript = reduce_to_single(bouquet, verify=verify, seed=4, trials=3)
     assert transcript.steps  # the record covers at least one step
     assert path.read_text() == dumps(transcript.to_obj()) + "\n"
-    assert red.stdout == dumps(circuit_to_obj(single.circuit)) + "\n"
+    assert red.out == dumps(circuit_to_obj(single.circuit)) + "\n"
 
 
 @pytest.mark.parametrize("args", [["gen", "det", "--n", "7"], ["reverse"]], ids=" ".join)
@@ -165,49 +201,31 @@ def test_closed_stdout_exits_141_quietly(args, tmp_path):
 
 
 def test_reduce_transcript_path_that_cannot_be_written_exits_2(tmp_path):
-    gen = run(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "7"])
+    gen = run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "7"])
     path = tmp_path / "missing" / "transcript.json"
-    red = run(["reduce", "--verify", "off", "--emit-transcript", str(path)], stdin=gen.stdout)
-    assert red.returncode == 2
-    assert red.stderr == ""
-    (line,) = red.stdout.splitlines()
+    red = run_cli(["reduce", "--verify", "off", "--emit-transcript", str(path)], stdin=gen.out)
+    assert red.code == 2
+    assert red.err == ""
+    (line,) = red.out.splitlines()
     assert json.loads(line)["error"] == "FileNotFoundError"
 
 
 def test_reduce_verification_failure_exits_3(tmp_path):
-    # a bouquet whose lone summand is a bare product, not a determinant
-    doc = {
-        "n": 2,
-        "summands": [
-            {
-                "sigma": [1, 2],
-                "circuit": {
-                    "n": 2,
-                    "nodes": [
-                        {"id": 0, "op": "var", "row": 1, "col": 1},
-                        {"id": 1, "op": "var", "row": 2, "col": 1},
-                        {"id": 2, "op": "mul", "left": 0, "right": 1},
-                    ],
-                    "root": 2,
-                },
-            }
-        ],
-    }
     path = tmp_path / "transcript.json"
-    red = run(
+    red = run_cli(
         ["reduce", "--verify", "exact", "--seed", "0", "--emit-transcript", str(path)],
-        stdin=dumps(doc),
+        stdin=dumps(NOT_A_DET),
     )
-    assert red.returncode == 3
-    assert json.loads(red.stdout)["error"] == "VerificationFailed"
+    assert red.code == 3
+    assert json.loads(red.out)["error"] == "VerificationFailed"
     assert not path.exists()  # a failed reduction writes no transcript
 
 
 def test_reduce_verify_random_via_cli():
-    gen = run(["gen", "bouquet", "--n", "4", "--k", "2", "--seed", "21"])
-    red = run(["reduce", "--verify", "random", "--seed", "21", "--trials", "6"], stdin=gen.stdout)
-    assert red.returncode == 0
-    circuit = circuit_from_obj(json.loads(red.stdout))
+    gen = run_cli(["gen", "bouquet", "--n", "4", "--k", "2", "--seed", "21"])
+    red = run_cli(["reduce", "--verify", "random", "--seed", "21", "--trials", "6"], stdin=gen.out)
+    assert red.code == 0
+    circuit = circuit_from_obj(json.loads(red.out))
     assert expand(circuit).terms == reference_det(circuit.n).terms
 
 
@@ -215,29 +233,18 @@ def test_parse_error_exits_2():
     nested = "[" * 3000 + "]" * 3000  # deeper than the JSON decoder recurses
     cases = [("stats", "this is not json")] + [(verb, nested) for verb in ("validate", "reduce", "expand")]
     for verb, text in cases:
-        out = run([verb], stdin=text)
-        assert out.returncode == 2, verb
-        (line,) = out.stdout.splitlines()
+        res = run_cli([verb], stdin=text)
+        assert res.code == 2, verb
+        (line,) = res.out.splitlines()
         assert json.loads(line)["ok"] is False
         assert json.loads(line)["error"] == "ParseError"
 
 
-def test_unknown_flag_rejected():
-    out = run(["merge", "--frobnicate"], stdin="{}")
-    assert out.returncode == 2
-
-
-def test_domain_error_exits_1():
-    out = run(["gen", "det", "--n", "9"])
-    assert out.returncode == 1
-    assert json.loads(out.stdout)["error"] == "TooLarge"
-
-
 def test_compose_tau_of_wrong_length_exits_1():
     blob = dumps(bouquet_to_obj(det_bouquet(3, [(1, 2, 3), (3, 1, 2)], seed=1)))
-    out = run(["compose", "--tau", "1,2,3,4"], stdin=blob)
-    assert out.returncode == 1
-    assert json.loads(out.stdout) == {
+    res = run_cli(["compose", "--tau", "1,2,3,4"], stdin=blob)
+    assert res.code == 1
+    assert json.loads(res.out) == {
         "ok": False,
         "error": "NotAPermutation",
         "detail": "(1, 2, 3, 4) is not a permutation of [1..3]",
@@ -247,14 +254,14 @@ def test_compose_tau_of_wrong_length_exits_1():
 def test_reduce_has_no_term_budget():
     # the exact tier cannot reach a term budget, so reduce takes none
     blob = dumps(bouquet_to_obj(det_bouquet(3, [(1, 2, 3), (3, 1, 2)], seed=1)))
-    out = run(["reduce", "--term-budget", "3"], stdin=blob)
-    assert out.returncode == 2
+    res = run_cli(["reduce", "--term-budget", "3"], stdin=blob)
+    assert res.code == 2
 
 
 def test_expand_budget_exceeded_exits_1():
-    out = run(["expand"], stdin=dumps(circuit_to_obj(over_budget_circuit())))
-    assert out.returncode == 1
-    assert json.loads(out.stdout) == {
+    res = run_cli(["expand"], stdin=dumps(circuit_to_obj(over_budget_circuit())))
+    assert res.code == 1
+    assert json.loads(res.out) == {
         "ok": False,
         "error": "BudgetExceeded",
         "detail": "product of 1331 x 1331 terms exceeds budget 1000000",
@@ -264,8 +271,8 @@ def test_expand_budget_exceeded_exits_1():
 def test_expand_has_no_term_budget():
     # the budget is the fixed poly.TERM_BUDGET, so expand takes none
     blob = dumps(circuit_to_obj(det_regular_circuit(2, (1, 2)).circuit))
-    out = run(["expand", "--term-budget", "3"], stdin=blob)
-    assert out.returncode == 2
+    res = run_cli(["expand", "--term-budget", "3"], stdin=blob)
+    assert res.code == 2
 
 
 @pytest.mark.parametrize(
@@ -277,9 +284,9 @@ def test_expand_has_no_term_budget():
     ],
 )
 def test_gen_degenerate_sizes_exit_1(args):
-    out = run(args)
-    assert out.returncode == 1
-    assert json.loads(out.stdout)["error"] == "ValueError"
+    res = run_cli(args)
+    assert res.code == 1
+    assert json.loads(res.out)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize(
@@ -290,9 +297,9 @@ def test_gen_degenerate_sizes_exit_1(args):
     ],
 )
 def test_gen_negative_n_names_the_guard(args):
-    out = run(args)
-    assert out.returncode == 1
-    assert json.loads(out.stdout) == {
+    res = run_cli(args)
+    assert res.code == 1
+    assert json.loads(res.out) == {
         "ok": False,
         "error": "ValueError",
         "detail": "n must be >= 1",
@@ -301,75 +308,75 @@ def test_gen_negative_n_names_the_guard(args):
 
 @pytest.mark.parametrize("sign", [1.0, True])
 def test_non_integer_bouquet_sign_exits_2(sign):
-    det = json.loads(run(["gen", "det", "--n", "3"]).stdout)
-    bouquet = json.loads(run(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "1"]).stdout)
+    det = json.loads(run_cli(["gen", "det", "--n", "3"]).out)
+    bouquet = json.loads(run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "1"]).out)
     bouquet["sign"] = sign
-    out = run(["equiv", "--seed", "1"], stdin=json.dumps({"a": det, "b": bouquet}))
-    assert out.returncode == 2
-    assert json.loads(out.stdout)["error"] == "ParseError"
+    res = run_cli(["equiv", "--seed", "1"], stdin=json.dumps({"a": det, "b": bouquet}))
+    assert res.code == 2
+    assert json.loads(res.out)["error"] == "ParseError"
 
 
 def test_cli_pipeline_agrees_with_in_process():
     b = det_bouquet(4, [(1, 2, 3, 4), (3, 1, 4, 2)], seed=5)
     blob = dumps(bouquet_to_obj(b))
 
-    via_cli = run(["compose", "--tau", "2,1,3,4"], stdin=blob)
-    assert via_cli.returncode == 0
+    via_cli = run_cli(["compose", "--tau", "2,1,3,4"], stdin=blob)
+    assert via_cli.code == 0
     via_api = compose(b, (2, 1, 3, 4))
-    assert bouquet_from_obj(json.loads(via_cli.stdout)) == via_api
+    assert bouquet_from_obj(json.loads(via_cli.out)) == via_api
 
-    projected = run(["project", "--keep", "1,3"], stdin=via_cli.stdout)
-    assert projected.returncode == 0
-    assert bouquet_from_obj(json.loads(projected.stdout)) == project(via_api, (1, 3))
+    projected = run_cli(["project", "--keep", "1,3"], stdin=via_cli.out)
+    assert projected.code == 0
+    assert bouquet_from_obj(json.loads(projected.out)) == project(via_api, (1, 3))
 
-    text = run(["expand"], stdin=projected.stdout)
-    assert text.stdout.rstrip("\n") == poly_to_text(expand_bouquet(project(via_api, (1, 3))))
+    text = run_cli(["expand"], stdin=projected.out)
+    assert text.out.rstrip("\n") == poly_to_text(expand_bouquet(project(via_api, (1, 3))))
 
 
 def test_reverse_merge_droplast_round_trip():
     b = det_bouquet(3, [(1, 2, 3), (3, 2, 1)], seed=6)
     blob = dumps(bouquet_to_obj(b))
-    rev = run(["reverse"], stdin=blob)
-    assert rev.returncode == 0
-    rev_b = bouquet_from_obj(json.loads(rev.stdout))
+    rev = run_cli(["reverse"], stdin=blob)
+    assert rev.code == 0
+    rev_b = bouquet_from_obj(json.loads(rev.out))
     assert expand_bouquet(rev_b).terms == reference_det(3).terms
 
-    merged = run(["merge"], stdin=rev.stdout)
-    assert merged.returncode == 0
+    merged = run_cli(["merge"], stdin=rev.out)
+    assert merged.code == 0
 
-    dropped = run(["droplast"], stdin=merged.stdout)
-    assert dropped.returncode == 0
-    out_b = bouquet_from_obj(json.loads(dropped.stdout))
+    dropped = run_cli(["droplast"], stdin=merged.out)
+    assert dropped.code == 0
+    out_b = bouquet_from_obj(json.loads(dropped.out))
     assert expand_bouquet(out_b).terms == reference_det(2).terms
 
 
 def test_eval_deterministic_per_seed():
-    gen = run(["gen", "det", "--n", "3"])
-    a = run(["eval", "--seed", "12"], stdin=gen.stdout)
-    b = run(["eval", "--seed", "12"], stdin=gen.stdout)
-    c = run(["eval", "--seed", "13"], stdin=gen.stdout)
-    assert a.returncode == 0
-    assert a.stdout == b.stdout
-    assert a.stdout != c.stdout
+    gen = run_cli(["gen", "det", "--n", "3"])
+    a = run_cli(["eval", "--seed", "12"], stdin=gen.out)
+    b = run_cli(["eval", "--seed", "12"], stdin=gen.out)
+    c = run_cli(["eval", "--seed", "13"], stdin=gen.out)
+    assert a.code == 0
+    assert a.out == b.out
+    assert a.out != c.out
 
 
 def test_equiv_verdicts():
-    det_a = run(["gen", "det", "--n", "3", "--sigma", "1,2,3"]).stdout
-    det_b = run(["gen", "det", "--n", "3", "--sigma", "3,2,1"]).stdout
+    det_a = run_cli(["gen", "det", "--n", "3", "--sigma", "1,2,3"]).out
+    det_b = run_cli(["gen", "det", "--n", "3", "--sigma", "3,2,1"]).out
     doc = dumps({"a": json.loads(det_a), "b": json.loads(det_b)})
-    out = run(["equiv", "--seed", "4", "--trials", "8"], stdin=doc)
-    assert json.loads(out.stdout)["verdict"] == "equivalent"
+    res = run_cli(["equiv", "--seed", "4", "--trials", "8"], stdin=doc)
+    assert json.loads(res.out)["verdict"] == "equivalent"
 
-    bouquet = run(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "9"]).stdout
+    bouquet = run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "9"]).out
     doc2 = dumps({"a": json.loads(det_a), "b": json.loads(bouquet)})
-    out2 = run(["equiv", "--seed", "4", "--trials", "8"], stdin=doc2)
-    assert json.loads(out2.stdout)["verdict"] == "equivalent"
+    res2 = run_cli(["equiv", "--seed", "4", "--trials", "8"], stdin=doc2)
+    assert json.loads(res2.out)["verdict"] == "equivalent"
 
     # x[1,1] vs x[1,2] must separate
     leaf = {"n": 1, "nodes": [{"id": 0, "op": "var", "row": 1, "col": 1}], "root": 0}
     doc3 = dumps({"a": leaf, "b": {"n": 2, "nodes": [{"id": 0, "op": "var", "row": 1, "col": 2}], "root": 0}})
-    out3 = run(["equiv", "--seed", "4", "--trials", "8"], stdin=doc3)
-    assert json.loads(out3.stdout)["verdict"] == "distinct"
+    res3 = run_cli(["equiv", "--seed", "4", "--trials", "8"], stdin=doc3)
+    assert json.loads(res3.out)["verdict"] == "distinct"
 
 
 def test_equiv_distinct_reports_first_separating_trial():
@@ -379,9 +386,9 @@ def test_equiv_distinct_reports_first_separating_trial():
     v1 = trial_point({(1, 1)}, 5, 1)[(1, 1)]
     leaf = {"n": 1, "nodes": [{"id": 0, "op": "var", "row": 1, "col": 1}], "root": 0}
     const = {"n": 1, "nodes": [{"id": 0, "op": "const", "value": str(v0)}], "root": 0}
-    out = run(["equiv", "--seed", "5", "--trials", "4"], stdin=dumps({"a": leaf, "b": const}))
-    assert out.returncode == 0
-    assert out.stdout == dumps(
+    res = run_cli(["equiv", "--seed", "5", "--trials", "4"], stdin=dumps({"a": leaf, "b": const}))
+    assert res.code == 0
+    assert res.out == dumps(
         {
             "ok": True,
             "verdict": "distinct",
@@ -394,12 +401,12 @@ def test_equiv_distinct_reports_first_separating_trial():
 
 
 def test_equiv_circuit_vs_bouquet_equivalent_output():
-    det = run(["gen", "det", "--n", "3", "--sigma", "2,3,1"]).stdout
-    bouquet = run(["gen", "bouquet", "--n", "3", "--k", "3", "--seed", "2"]).stdout
+    det = run_cli(["gen", "det", "--n", "3", "--sigma", "2,3,1"]).out
+    bouquet = run_cli(["gen", "bouquet", "--n", "3", "--k", "3", "--seed", "2"]).out
     doc = dumps({"a": json.loads(bouquet), "b": json.loads(det)})
-    out = run(["equiv", "--seed", "6", "--trials", "5"], stdin=doc)
-    assert out.returncode == 0
-    assert out.stdout == dumps(
+    res = run_cli(["equiv", "--seed", "6", "--trials", "5"], stdin=doc)
+    assert res.code == 0
+    assert res.out == dumps(
         {"ok": True, "verdict": "equivalent", "trials": 5, "prime": str(PRIME)}
     ) + "\n"
 
@@ -412,9 +419,9 @@ def test_equiv_writes_the_in_process_verdict(verdict):
         bouquet = Bouquet(3, bouquet.summands, -bouquet.sign)
     det = det_regular_circuit(3, (2, 3, 1)).circuit
     doc = dumps({"a": bouquet_to_obj(bouquet), "b": circuit_to_obj(det)})
-    out = run(["equiv", "--seed", "6", "--trials", "5"], stdin=doc)
-    assert out.returncode == 0
-    written = json.loads(out.stdout)
+    res = run_cli(["equiv", "--seed", "6", "--trials", "5"], stdin=doc)
+    assert res.code == 0
+    written = json.loads(res.out)
     assert written.pop("ok") is True and written["verdict"] == verdict
     assert written == equiv_random(bouquet, det, trials=5, seed=6)
 
@@ -432,9 +439,9 @@ def test_reverse_below_full_degree_exits_1():
             "root": 2,
         },
     }
-    out = run(["reverse"], stdin=dumps({"n": 3, "sign": 1, "summands": [summand]}))
-    assert out.returncode == 1
-    doc = json.loads(out.stdout)
+    res = run_cli(["reverse"], stdin=dumps({"n": 3, "sign": 1, "summands": [summand]}))
+    assert res.code == 1
+    doc = json.loads(res.out)
     assert doc["ok"] is False
     assert doc["error"] == "RootNotPrefix"
 
@@ -483,14 +490,14 @@ def test_irregular_summand_error_golden(case, verb):
     circuit = {"n": 3, "nodes": nodes, "root": len(nodes) - 1}
     if verb == "reduce":
         bouquet = {"n": 3, "sign": 1, "summands": [{"sigma": [1, 2, 3], "circuit": circuit}]}
-        out = run(["reduce", "--verify", "off"], stdin=dumps(bouquet))
+        res = run_cli(["reduce", "--verify", "off"], stdin=dumps(bouquet))
     else:
-        out = run(["check-regular", "--sigma", "1,2,3"], stdin=dumps(circuit))
-    assert out.returncode == 1
-    assert out.stdout == json.dumps({"ok": False, "error": error, "detail": detail}) + "\n"
+        res = run_cli(["check-regular", "--sigma", "1,2,3"], stdin=dumps(circuit))
+    assert res.code == 1
+    assert res.out == json.dumps({"ok": False, "error": error, "detail": detail}) + "\n"
 
 
 def test_byte_stable_outputs():
-    a = run(["gen", "bouquet", "--n", "4", "--k", "3", "--seed", "99"])
-    b = run(["gen", "bouquet", "--n", "4", "--k", "3", "--seed", "99"])
-    assert a.stdout == b.stdout
+    a = run_cli(["gen", "bouquet", "--n", "4", "--k", "3", "--seed", "99"])
+    b = run_cli(["gen", "bouquet", "--n", "4", "--k", "3", "--seed", "99"])
+    assert a.out == b.out

@@ -1,23 +1,16 @@
 """CLI verbs reject ill-typed input documents with the usual exit codes."""
 
-import io
 import json
 import math
 import random
 import tracemalloc
 
 import pytest
+from recheck import run_cli
 
-from smlc import cli
 from smlc.generators import distinct_perms
 from smlc.poly import REFERENCE_MAX_N
 from smlc.serialize import ParseError, circuit_from_obj, dumps
-
-
-def _main(monkeypatch, capsys, args, doc):
-    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
-    code = cli.main(args)
-    return code, json.loads(capsys.readouterr().out)
 
 
 VAR = {"id": 0, "op": "var", "row": 1, "col": 1}
@@ -39,20 +32,19 @@ VAR = {"id": 0, "op": "var", "row": 1, "col": 1}
         ),
     ],
 )
-def test_eval_rejects_ill_typed_circuit(doc, error, detail, monkeypatch, capsys):
-    code, out = _main(monkeypatch, capsys, ["eval", "--seed", "1"], doc)
-    assert code == 1
-    assert out == {"ok": False, "error": error, "detail": detail}
+def test_eval_rejects_ill_typed_circuit(doc, error, detail):
+    code, out, _ = run_cli(["eval", "--seed", "1"], dumps(doc))
+    assert (code, json.loads(out)) == (1, {"ok": False, "error": error, "detail": detail})
 
 
-def test_summand_grid_mismatch_is_a_parse_error(monkeypatch, capsys):
+def test_summand_grid_mismatch_is_a_parse_error():
     good = {"sigma": [1, 2], "circuit": {"n": 2, "nodes": [VAR], "root": 0}}
     # summand 1 is irregular too, but its grid is reported before any sweep
     other = {"sigma": [2, 1, 3], "circuit": {"n": 3, "nodes": [VAR], "root": 0}}
     bouquet = {"n": 2, "sign": 1, "summands": [good, other]}
-    code, out = _main(monkeypatch, capsys, ["reduce", "--verify", "off"], bouquet)
+    code, out, _ = run_cli(["reduce", "--verify", "off"], dumps(bouquet))
     assert code == 2
-    assert out == {
+    assert json.loads(out) == {
         "ok": False,
         "error": "ParseError",
         "detail": "summand 1: grid size 3 does not match bouquet n=2",
@@ -60,6 +52,17 @@ def test_summand_grid_mismatch_is_a_parse_error(monkeypatch, capsys):
 
 
 BIG = 10**6
+
+
+def _traced(args, stdin=""):
+    """run_cli's result, and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run_cli(args, stdin), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 CONST = {"id": 0, "op": "const", "value": "1"}
 
 # an integer literal past Python's default limit of 4,300 digits for int(str)
@@ -83,10 +86,9 @@ LONG_BOUQUET = '{"n": 1, "sign": %s, "summands": [{"sigma": [1], "circuit": %s}]
     ],
     ids=["validate", "stats", "check-regular", "reverse", "reduce", "expand"],
 )
-def test_overlong_integer_is_a_parse_error(args, text, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code = cli.main(args)
-    out = json.loads(capsys.readouterr().out)
+def test_overlong_integer_is_a_parse_error(args, text):
+    code, out, _ = run_cli(args, text)
+    out = json.loads(out)
     assert (code, out["ok"], out["error"]) == (2, False, "ParseError")
     assert out["detail"].startswith("invalid JSON: ")
 
@@ -109,20 +111,14 @@ def test_overlong_integer_is_a_parse_error(args, text, monkeypatch, capsys):
         ),
     ],
 )
-def test_oversized_grid_is_refused_in_constant_memory(args, doc, error, detail, monkeypatch, capsys):
+def test_oversized_grid_is_refused_in_constant_memory(args, doc, error, detail):
     # a list of all n rows would take 40 MB here
-    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
-    tracemalloc.start()
-    try:
-        code = cli.main(args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, json.loads(capsys.readouterr().out)) == (1, {"ok": False, "error": error, "detail": detail})
+    (code, out, _), peak = _traced(args, dumps(doc))
+    assert (code, json.loads(out)) == (1, {"ok": False, "error": error, "detail": detail})
     assert peak < 1_000_000, peak
 
 
-def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch, capsys):
+def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch):
     real = math.factorial
 
     def guarded(n):
@@ -130,9 +126,9 @@ def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch, capsys):
         return real(n)
 
     monkeypatch.setattr(math, "factorial", guarded)
-    code = cli.main(["gen", "bouquet", "--n", "1000", "--k", "2", "--seed", "1"])
-    out = {"ok": False, "error": "TooLarge", "detail": "determinant generator limited to n <= 8, got 1000"}
-    assert (code, json.loads(capsys.readouterr().out)) == (1, out)
+    code, out, _ = run_cli(["gen", "bouquet", "--n", "1000", "--k", "2", "--seed", "1"])
+    refusal = {"ok": False, "error": "TooLarge", "detail": "determinant generator limited to n <= 8, got 1000"}
+    assert (code, json.loads(out)) == (1, refusal)
     # the bound stays exact: 3! orders exist, a seventh does not
     assert len(set(distinct_perms(3, 6, random.Random(0)))) == 6
     with pytest.raises(ValueError, match=r"cannot draw 7 distinct permutations of \[1..3\]"):
@@ -156,18 +152,13 @@ def test_bouquet_orders_are_drawn_without_n_factorial(monkeypatch, capsys):
         (BIG, 10**30, "TooLarge", f"determinant generator limited to n <= 8, got {BIG}"),
     ],
 )
-def test_gen_bouquet_size_checks_come_before_any_draw(n, k, error, detail, monkeypatch, capsys):
+def test_gen_bouquet_size_checks_come_before_any_draw(n, k, error, detail, monkeypatch):
     def no_draws(*args):
         raise AssertionError("an order was drawn")
 
     monkeypatch.setattr("smlc.generators.random_perm", no_draws)
-    tracemalloc.start()
-    try:
-        code = cli.main(["gen", "bouquet", "--n", str(n), "--k", str(k), "--seed", "1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, json.loads(capsys.readouterr().out)) == (1, {"ok": False, "error": error, "detail": detail})
+    (code, out, _), peak = _traced(["gen", "bouquet", "--n", str(n), "--k", str(k), "--seed", "1"])
+    assert (code, json.loads(out)) == (1, {"ok": False, "error": error, "detail": detail})
     assert peak < 1_000_000, peak
 
 
@@ -197,22 +188,20 @@ def _wire_const(text):
 
 @pytest.mark.parametrize("text", NOT_DECIMAL, ids=ascii)
 @pytest.mark.parametrize("args", INT_ARGS, ids=" ".join)
-def test_every_integer_flag_follows_the_wire_rule(args, text, capsys):
+def test_every_integer_flag_follows_the_wire_rule(args, text):
     # on the wire the spelling is a bad constant; on argv, a usage error
     with pytest.raises(ParseError, match="bad decimal constant"):
         _wire_const(text)
-    with pytest.raises(SystemExit) as exc:
-        cli.main([arg.replace("{}", text) for arg in args])
-    assert (exc.value.code, capsys.readouterr().out) == (2, "")
+    code, out, _ = run_cli([arg.replace("{}", text) for arg in args])
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("text", ["-1", "0", "007"])
-def test_canonical_spellings_mean_the_same_int_on_argv_and_wire(text, capsys):
+def test_canonical_spellings_mean_the_same_int_on_argv_and_wire(text):
     value = _wire_const(text).nodes.a[0]
-    assert cli.main(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", text]) == 0
-    out = capsys.readouterr().out
-    assert cli.main(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", str(value)]) == 0
-    assert capsys.readouterr().out == out
+    spelled = run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", text])
+    assert spelled.code == 0
+    assert run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", str(value)]) == spelled
 
 
 @pytest.mark.parametrize(
@@ -224,10 +213,8 @@ def test_canonical_spellings_mean_the_same_int_on_argv_and_wire(text, capsys):
     ],
     ids=" ".join,
 )
-def test_trials_below_one_is_the_verbs_usage_error(args, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
+def test_trials_below_one_is_the_verbs_usage_error(args):
+    code, out, err = run_cli(args)
+    assert (code, out) == (2, "")
     assert err.startswith(f"usage: smlc {args[0]} ")
     assert "argument --trials: must be >= 1" in err

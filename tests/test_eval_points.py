@@ -1,11 +1,11 @@
 """eval_points against a node-by-node reference evaluator, as property tests."""
 
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recheck import det_bouquets, grid, regular_circuits
 
 from smlc.circuit import (
     Add,
@@ -18,7 +18,7 @@ from smlc.circuit import (
     regular,
     validate,
 )
-from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
+from smlc.generators import det_bouquet
 from smlc.pipeline import VerificationFailed, reduce_to_single
 from smlc.poly import (
     ADD_MOD,
@@ -35,9 +35,6 @@ from smlc.poly import (
 )
 
 props = settings(derandomize=True, deadline=None, max_examples=200)
-
-seeds = st.integers(0, 2**32 - 1)
-
 
 def reference_eval(circuit, assignment):
     """One isinstance dispatch per node, per point: the evaluator eval_points replaced."""
@@ -91,20 +88,6 @@ big_ints = st.one_of(
 
 
 @st.composite
-def regular_summands(draw, n):
-    sigma = tuple(draw(st.permutations(range(1, n + 1))))
-    budget = draw(st.integers(2 * n - 1, 60))
-    return random_regular_circuit(sigma, draw(seeds), budget)
-
-
-@st.composite
-def det_summands(draw, n):
-    k = draw(st.integers(1, min(3, math.factorial(n))))
-    seed = draw(seeds)
-    return det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed).summands
-
-
-@st.composite
 def dags(draw, n):
     """Any DAG of leaves and gates, set-multilinear or not: big and negative
     constants, Add/Mul subclass nodes, and few enough choices that equal
@@ -142,11 +125,9 @@ def docs(draw):
     n = draw(st.integers(1, 4))
     source = draw(st.sampled_from(("random", "det", "dag")))
     if source == "random":
-        summands = [draw(regular_summands(n)) for _ in range(draw(st.integers(1, 3)))]
-        circuits = [rc.circuit for rc in summands]
+        circuits = [draw(regular_circuits(n)).circuit for _ in range(draw(st.integers(1, 3)))]
     elif source == "det":
-        summands = draw(det_summands(n))
-        circuits = [rc.circuit for rc in summands]
+        circuits = [rc.circuit for rc in draw(det_bouquets(n)).summands]
     else:
         circuits = [draw(dags(n)) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
@@ -157,10 +138,6 @@ def docs(draw):
     # regularity plays no part in evaluation, so a DAG is wrapped unchecked
     identity = tuple(range(1, n + 1))
     return Bouquet(n, tuple(RegularCircuit(c, identity, 0) for c in circuits), sign)
-
-
-def grid(n):
-    return [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
 
 
 @st.composite

@@ -7,7 +7,6 @@ parser and the reduction build none, every pass treats a gate of no node
 class as the product the checker types it as, and both conversions round-trip.
 """
 
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from smlc.circuit import (
     regular,
     validate,
 )
-from smlc.generators import det_bouquet, distinct_perms
+from smlc.generators import seeded_det_bouquet
 from smlc.passes import merge_summands, reverse
 from smlc.pipeline import VerificationFailed, reduce_to_single
 from smlc.poly import det_mod, eval_bouquet, expand_bouquet, reference_det
@@ -126,7 +125,7 @@ def test_exact_tier_builds_each_reference_once(monkeypatch):
     monkeypatch.setattr(pipeline, "reference_det", counted)
     pipeline._det_terms.cache_clear()
     seed = 5
-    bouquet = det_bouquet(6, distinct_perms(6, 3, random.Random(seed)), seed)
+    bouquet = seeded_det_bouquet(6, 3, seed)
     first = reduce_to_single(bouquet, verify="exact", seed=seed)[1].to_obj()
     second = reduce_to_single(bouquet, verify="exact", seed=seed)[1].to_obj()
     assert first == second and len(first["steps"]) >= 1

@@ -20,6 +20,7 @@ from smlc.generators import (
     det_regular_circuit,
     distinct_perms,
     dp_det_bouquet,
+    seeded_det_bouquet,
 )
 from smlc.poly import sign_of_permutation
 from smlc.serialize import bouquet_to_obj, circuit_to_obj, dumps
@@ -29,7 +30,7 @@ def _digest(obj):
     return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
 
-# (n, k, seed) -> digest of det_bouquet(n, distinct_perms(n, k, Random(seed)), seed)
+# (n, k, seed) -> digest of seeded_det_bouquet(n, k, seed)
 BOUQUETS = {
     (1, 1, 1): "afe77e9803be9d13d9be068e61977e0d5514f57db13758f632b088da716539b1",
     (1, 1, 7): "afe77e9803be9d13d9be068e61977e0d5514f57db13758f632b088da716539b1",
@@ -96,8 +97,14 @@ DET8 = "292a20a89c92874153ea4167b699acbf3cfd8ae8b4eeefa1df1b992224b33b41"
 
 @pytest.mark.parametrize(("n", "k", "seed"), list(BOUQUETS))
 def test_det_bouquet_bytes_are_pinned(n, k, seed):
-    bouquet = det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed)
-    assert _digest(bouquet_to_obj(bouquet)) == BOUQUETS[n, k, seed]
+    assert _digest(bouquet_to_obj(seeded_det_bouquet(n, k, seed))) == BOUQUETS[n, k, seed]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_seeded_det_bouquet_splits_by_its_seed_over_orders_drawn_from_it(n):
+    # so the digests above also pin det_bouquet over distinct_perms
+    k = min(3, math.factorial(n))
+    assert seeded_det_bouquet(n, k, 1) == det_bouquet(n, distinct_perms(n, k, random.Random(1)), 1)
 
 
 def test_det8_benchmark_bouquet_bytes_are_pinned():

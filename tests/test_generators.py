@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from recheck import assert_computes_det
+from recheck import assert_computes_det, perms, seeds
 
 from smlc.circuit import Mul, VarLeaf, validate
 from smlc.generators import (
@@ -198,12 +198,11 @@ def test_random_regular_circuit_invariants():
 def _orders(draw):
     n = draw(st.integers(1, 7))
     k = draw(st.integers(1, min(3, n)))
-    order = st.permutations(range(1, n + 1)).map(tuple)
-    return n, draw(st.lists(order, min_size=k, max_size=k, unique=True))
+    return n, draw(st.lists(perms(n), min_size=k, max_size=k, unique=True))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(_orders(), st.integers(0, 2**32))
+@given(_orders(), seeds)
 def test_dp_bouquet_sums_to_the_determinant(orders, seed):
     n, sigmas = orders
     b = dp_det_bouquet(n, sigmas, seed)

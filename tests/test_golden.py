@@ -2,17 +2,16 @@
 
 One SHA-256 per case over `dumps(transcript.to_obj())` followed by
 `dumps(circuit_to_obj(single.circuit))`, for `reduce_to_single` on
-`det_bouquet(n, distinct_perms(n, k, Random(seed)), seed)` with the same seed.
+`seeded_det_bouquet(n, k, seed)` with the same seed.
 A change that alters any transcript or output circuit fails the case it
 touches; the digests are fixed and are not regenerated by a change.
 """
 
 import hashlib
-import random
 
 import pytest
 
-from smlc.generators import det_bouquet, distinct_perms
+from smlc.generators import seeded_det_bouquet
 from smlc.pipeline import reduce_to_single
 from smlc.serialize import circuit_to_obj, dumps
 
@@ -72,7 +71,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize(("n", "k", "seed", "verify"), list(GOLDEN))
 def test_reduction_bytes_are_pinned(n, k, seed, verify):
-    bouquet = det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed)
+    bouquet = seeded_det_bouquet(n, k, seed)
     single, transcript = reduce_to_single(bouquet, verify=verify, seed=seed)
     blob = dumps(transcript.to_obj()) + dumps(circuit_to_obj(single.circuit))
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[n, k, seed, verify]

@@ -1,35 +1,20 @@
 """Algebraic laws of the passes, as property tests over generated inputs."""
 
-import math
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recheck import det_bouquets, perms, regular_circuits
 
 from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular
-from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
 from smlc.passes import compose, merge_summands, project, reverse
 from smlc.poly import expand_bouquet, invert_perm
 from smlc.serialize import bouquet_from_obj, bouquet_to_obj, dumps, loads
 
 laws = settings(derandomize=True, deadline=None, max_examples=40)
 
-seeds = st.integers(0, 2**32 - 1)
-
-
-def perms(n):
-    return st.permutations(range(1, n + 1)).map(tuple)
-
-
-@st.composite
-def regular_circuits(draw, n, sigma):
-    return random_regular_circuit(sigma, draw(seeds), draw(st.integers(2 * n - 1, 60)))
-
 
 @st.composite
 def full_degree_circuits(draw):
-    n = draw(st.integers(1, 5))
-    return draw(regular_circuits(n, draw(perms(n))))
+    return draw(regular_circuits(draw(st.integers(1, 5))))
 
 
 @st.composite
@@ -39,10 +24,7 @@ def bouquets(draw):
     n = draw(st.integers(1, 4))
     sign = draw(st.sampled_from((1, -1)))
     if draw(st.booleans()):
-        seed = draw(seeds)
-        k = draw(st.integers(1, min(3, math.factorial(n))))
-        summands = det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed).summands
-        return Bouquet(n, summands, sign)
+        return Bouquet(n, draw(det_bouquets(n)).summands, sign)
     pool = draw(st.lists(perms(n), min_size=1, max_size=3))
     summands = []
     for _ in range(draw(st.integers(1, 4))):

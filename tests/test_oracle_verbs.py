@@ -9,11 +9,10 @@ and are not regenerated by a change.
 """
 
 import hashlib
-import io
 
 import pytest
+from recheck import run_cli
 
-from smlc import cli
 from smlc.generators import det_regular_circuit
 from smlc.serialize import circuit_to_obj, dumps
 
@@ -80,25 +79,23 @@ DIGESTS = {
 }
 
 
-def _stdout(source, verb, monkeypatch, capsys):
+def _stdout(source, verb):
     if source == "constant":
         doc, sigma = CONSTANT_NODE, (2, 1)
     else:
         doc, sigma = circuit_to_obj(det_regular_circuit(len(source), source).circuit), source
     args = [verb, "--sigma", ",".join(map(str, sigma))] if verb == "check-regular" else [verb]
-    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
-    assert cli.main(args) == 0
-    out = capsys.readouterr()
-    assert out.err == ""
-    return out.out
+    code, out, err = run_cli(args, dumps(doc))
+    assert (code, err) == (0, "")
+    return out
 
 
 @pytest.mark.parametrize(("source", "verb"), list(STDOUT))
-def test_oracle_verb_stdout_is_pinned(source, verb, monkeypatch, capsys):
-    assert _stdout(source, verb, monkeypatch, capsys) == STDOUT[source, verb]
+def test_oracle_verb_stdout_is_pinned(source, verb):
+    assert _stdout(source, verb) == STDOUT[source, verb]
 
 
 @pytest.mark.parametrize(("source", "verb"), list(DIGESTS))
-def test_oracle_verb_stdout_digest_is_pinned(source, verb, monkeypatch, capsys):
-    got = _stdout(source, verb, monkeypatch, capsys).encode()
+def test_oracle_verb_stdout_digest_is_pinned(source, verb):
+    got = _stdout(source, verb).encode()
     assert hashlib.sha256(got).hexdigest() == DIGESTS[source, verb]

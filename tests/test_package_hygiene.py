@@ -8,6 +8,8 @@ the helper it called behind, and deleting the last caller of a function
 leaves its export behind; these checks catch all four.  Every name has one
 spelling, in its submodule: `__init__.py` is its docstring alone, and the
 tests and the benchmark import from the top-level package only submodules.
+Each test-side reference is defined once (most in `tests/recheck.py`): no
+two top-level functions under `tests/` have the same body.
 """
 
 import ast
@@ -156,3 +158,29 @@ def test_one_integer_rule_for_text():
                     if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int":
                         offenders.append(f"{path.name}:{node.lineno}: add_argument(type=int)")
     assert not offenders, f"integers parsed outside circuit.decimal: {offenders}"
+
+
+def _body_without_docstring(fn):
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return body
+
+
+def test_no_two_test_functions_share_a_body():
+    # bodies of 3 or more statements, compared as ASTs (comments and layout aside)
+    first = {}
+    copies = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in _tree(path).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = _body_without_docstring(node)
+            if len(body) < 3:
+                continue
+            key = ast.dump(ast.Module(body=body, type_ignores=[]))
+            where = f"{path.name}: {node.name}"
+            if key in first:
+                copies.append(f"{where} repeats {first[key]}")
+            first.setdefault(key, where)
+    assert not copies, f"functions with the same body: {copies}"

@@ -5,9 +5,19 @@ import random
 import pytest
 from recheck import assert_computes_det
 
-from smlc.circuit import Bouquet, Circuit, ConstLeaf, Mul, VarLeaf, bouquet_gate_count, regular
-from smlc.generators import det_bouquet, distinct_perms, dp_det_bouquet
-from smlc.passes import compose, distinct_orders
+from smlc import pipeline
+from smlc.circuit import (
+    Bouquet,
+    Circuit,
+    ConstLeaf,
+    Mul,
+    RegularCircuit,
+    VarLeaf,
+    bouquet_gate_count,
+    regular,
+)
+from smlc.generators import det_bouquet, distinct_perms, dp_det_bouquet, seeded_det_bouquet
+from smlc.passes import compose, distinct_orders, project
 from smlc.pipeline import (
     VerificationFailed,
     ceil_sqrt,
@@ -93,23 +103,6 @@ def test_reduce_handles_decreasing_runs_via_reversal():
     assert expand(single.circuit).terms == reference_det(4).terms
 
 
-def test_reduce_k3_monotone_k_and_size_accounting():
-    rng = random.Random(57)
-    for n, k in ((4, 2), (5, 3), (6, 3)):
-        for _ in range(3):
-            b = det_bouquet(n, distinct_perms(n, k, rng), seed=rng.randrange(2**32))
-            s_in = bouquet_gate_count(b)
-            single, tr = reduce_to_single(b, verify="exact", seed=1)
-            ks = [s["k_before_after"] for s in tr.steps]
-            for before, after in ks:
-                assert after <= before - 1
-            assert len(tr.steps) <= k - 1
-            assert tr.final_gates <= s_in + k
-            assert tr.final_degree >= tr.es_guarantee
-            assert tr.epsilon_guarantee == 1 / 2 ** (k - 1)
-            assert expand(single.circuit).terms == reference_det(tr.final_degree).terms
-
-
 def test_reduce_k4_still_exact():
     rng = random.Random(60)
     b = det_bouquet(5, distinct_perms(5, 4, rng), seed=14)
@@ -176,6 +169,36 @@ def test_reduce_checks_degrees_beyond_the_factorial_reference(verify):
     with pytest.raises(VerificationFailed) as err:
         reduce_to_single(Bouquet(9, b.summands[1:]), verify=verify, seed=0, trials=2)
     assert err.value.step == 0
+
+
+def _unmirrored_reverse(rc):
+    # reports the reversed order but keeps the circuit as it is
+    return RegularCircuit(rc.circuit, rc.sigma[::-1], rc.degree)
+
+
+def _sorted_project(bouquet, keep):
+    # reports each summand's order sorted instead of the order the keep set induces
+    out = project(bouquet, keep)
+    summands = tuple(RegularCircuit(rc.circuit, tuple(sorted(rc.sigma)), rc.degree) for rc in out.summands)
+    return Bouquet(out.n, summands, out.sign)
+
+
+@pytest.mark.parametrize("verify", ["exact", "random"])
+@pytest.mark.parametrize(
+    ("name", "mutant", "seeds"),
+    [("reverse", _unmirrored_reverse, (1, 5, 6, 7, 8)), ("project", _sorted_project, (5, 10, 11))],
+    ids=["unmirrored-reverse", "sorted-project"],
+)
+def test_structure_only_mutant_fails_verification(monkeypatch, name, mutant, seeds, verify):
+    # every mutated bouquet still computes the determinant, so only the
+    # regularity re-check of the steps after the first can fail these runs;
+    # the seeds are inputs on which the mutant changes a live summand
+    monkeypatch.setattr(pipeline, name, mutant)
+    for seed in seeds:
+        b = seeded_det_bouquet(4 + seed % 3, 2 + seed // 3 % 2, seed)
+        with pytest.raises(VerificationFailed, match="is not regular w.r.t. its order") as err:
+            reduce_to_single(b, verify=verify, seed=seed, trials=2)
+        assert err.value.step >= 1
 
 
 def test_reduce_verify_off_records_nothing_checked():

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from recheck import eval_mod, expand_nodes, poly_add, poly_mul
+from recheck import c, det_of_matrix, eval_mod, expand_nodes, grid, poly_add, poly_mul
 
 from smlc.circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, VarLeaf
 from smlc.generators import det_bouquet, det_regular_circuit, random_regular_circuit
@@ -14,12 +14,10 @@ from smlc.poly import (
     BudgetExceeded,
     NotAPermutation,
     TooLarge,
-    compose_perms,
     det_mod,
     equiv_random,
     eval_circuit,
     expand,
-    invert_perm,
     poly_to_text,
     random_perm,
     reference_det,
@@ -27,10 +25,6 @@ from smlc.poly import (
     sign_of_permutation,
     trial_point,
 )
-
-
-def c(n, *nodes, root=None):
-    return Circuit(n=n, nodes=tuple(nodes), root=len(nodes) - 1 if root is None else root)
 
 
 # --- expand ---------------------------------------------------------------
@@ -216,64 +210,7 @@ def test_sign_rejects_non_permutation():
         sign_of_permutation((1, 1, 3))
 
 
-def test_sign_multiplicativity():
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        tau, sigma = random_perm(n, rng), random_perm(n, rng)
-        assert sign_of_permutation(compose_perms(tau, sigma)) == sign_of_permutation(
-            tau
-        ) * sign_of_permutation(sigma)
-
-
-def test_inverse_composes_to_identity():
-    rng = random.Random(6)
-    for _ in range(50):
-        n = rng.randint(1, 8)
-        pi = random_perm(n, rng)
-        assert compose_perms(invert_perm(pi), pi) == tuple(range(1, n + 1))
-
-
 # --- determinant facts ----------------------------------------------------
-
-def _det_of_matrix(matrix):
-    n = len(matrix)
-    point = {(i + 1, j + 1): matrix[i][j] for i in range(n) for j in range(n)}
-    total = 0
-    for mono, coeff in reference_det(n).terms.items():
-        term = coeff
-        for r, cc in mono:
-            term *= point[(r, cc)]
-        total += term
-    return total
-
-
-def test_det_multiplicative_on_integer_matrices():
-    rng = random.Random(8)
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        ab = [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert _det_of_matrix(ab) == _det_of_matrix(a) * _det_of_matrix(b)
-
-
-def test_det_of_permutation_matrix_is_sign():
-    rng = random.Random(9)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        pi = random_perm(n, rng)
-        matrix = [[1 if pi[i] == j + 1 else 0 for j in range(n)] for i in range(n)]
-        # choosing column pi(i) in every row i is the only nonzero product
-        assert _det_of_matrix(matrix) == sign_of_permutation(pi)
-
-
-def _grid(n):
-    return [(r, cc) for r in range(1, n + 1) for cc in range(1, n + 1)]
-
 
 def _as_matrix(point, n):
     return [[point[(r, cc)] for cc in range(1, n + 1)] for r in range(1, n + 1)]
@@ -282,7 +219,7 @@ def _as_matrix(point, n):
 def test_det_mod_matches_reference_at_trial_points():
     for n in range(1, 7):
         for trial in range(4):
-            point = trial_point(_grid(n), seed=n, trial=trial)
+            point = trial_point(grid(n), seed=n, trial=trial)
             assert det_mod(_as_matrix(point, n)) == eval_mod(reference_det(n), point)
 
 
@@ -300,7 +237,7 @@ def test_det_mod_matches_reference_on_small_entries():
         matrices.append([[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
     singular = swapped = 0
     for matrix in matrices:
-        expected = _det_of_matrix(matrix) % PRIME
+        expected = det_of_matrix(matrix) % PRIME
         assert det_mod(matrix) == expected
         singular += expected == 0
         swapped += expected != 0 and matrix[0][0] == 0
@@ -317,7 +254,7 @@ def test_det_mod_reduces_negative_entries_and_rejects_non_square():
 def test_det_mod_matches_leibniz_circuit_at_n7():
     circuit = det_regular_circuit(7, (3, 1, 7, 5, 2, 6, 4)).circuit
     for trial in range(3):
-        point = trial_point(_grid(7), seed=77, trial=trial)
+        point = trial_point(grid(7), seed=77, trial=trial)
         assert det_mod(_as_matrix(point, 7)) == eval_circuit(circuit, point)
 
 
@@ -335,7 +272,7 @@ def test_eval_det2_at_identity_matrix():
 
 def test_eval_matches_reference_at_random_point():
     circuit = det_regular_circuit(3, (1, 2, 3)).circuit
-    point = trial_point([(r, cc) for r in (1, 2, 3) for cc in (1, 2, 3)], seed=41, trial=0)
+    point = trial_point(grid(3), seed=41, trial=0)
     assert eval_circuit(circuit, point) == eval_mod(reference_det(3), point)
 
 
@@ -346,23 +283,16 @@ def test_eval_missing_assignment():
         eval_circuit(c(2, VarLeaf(1, 2)), {})
 
 
-def test_eval_agrees_with_expand_on_random_circuits():
-    rng = random.Random(10)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        sigma = random_perm(n, rng)
-        circuit = random_regular_circuit(
-            sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 60)
-        ).circuit
-        point = trial_point(
-            [(r, cc) for r in range(1, n + 1) for cc in range(1, n + 1)],
-            seed=rng.randrange(2**32),
-            trial=0,
-        )
-        assert eval_circuit(circuit, point) == eval_mod(expand(circuit), point)
-
-
 # --- equivalence ----------------------------------------------------------
+
+# x[1,1] x[2,2] + x[1,2] x[2,1], the 2 x 2 permanent
+PER2 = c(
+    2,
+    VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1),
+    VarLeaf(1, 2), VarLeaf(2, 1), Mul(3, 4),
+    Add(2, 5),
+)
+
 
 def test_equiv_exact_reflexive_and_order_free():
     a = det_regular_circuit(2, (1, 2)).circuit
@@ -373,26 +303,14 @@ def test_equiv_exact_reflexive_and_order_free():
 
 def test_equiv_exact_det_vs_perm():
     det = det_regular_circuit(2, (1, 2)).circuit
-    per = c(
-        2,
-        VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1),
-        VarLeaf(1, 2), VarLeaf(2, 1), Mul(3, 4),
-        Add(2, 5),
-    )
-    assert expand(per).terms == reference_perm(2).terms
-    assert expand(det).terms != expand(per).terms
+    assert expand(PER2).terms == reference_perm(2).terms
+    assert expand(det).terms != expand(PER2).terms
 
 
 def test_equiv_random_identical_and_distinct():
     det = det_regular_circuit(2, (1, 2)).circuit
     assert equiv_random(det, det, trials=5, seed=1)["verdict"] == "equivalent"
-    per = c(
-        2,
-        VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1),
-        VarLeaf(1, 2), VarLeaf(2, 1), Mul(3, 4),
-        Add(2, 5),
-    )
-    verdict = equiv_random(det, per, trials=20, seed=1)
+    verdict = equiv_random(det, PER2, trials=20, seed=1)
     assert verdict["verdict"] == "distinct"
     assert verdict["value_a"] != verdict["value_b"]
 

@@ -7,11 +7,10 @@ and message.  `test_one_checker.py` runs these cases against an independent
 reference.
 """
 
-import math
-import random
 from dataclasses import replace
 
 from hypothesis import strategies as st
+from recheck import det_bouquets, perms, regular_circuits
 
 from smlc.circuit import (
     Add,
@@ -21,9 +20,6 @@ from smlc.circuit import (
     VarLeaf,
     regular,
 )
-from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
-
-seeds = st.integers(0, 2**32 - 1)
 
 
 def outcome(check, circuit, sigma):
@@ -53,21 +49,13 @@ def summands(draw):
     kind = draw(st.sampled_from(("random", "det", "const")))
     n = draw(st.integers(1, 5 if kind == "random" else 4))
     if kind == "random":
-        sigma = tuple(draw(st.permutations(range(1, n + 1))))
-        circuit = random_regular_circuit(
-            sigma, draw(seeds), draw(st.integers(2 * n - 1, 60))
-        ).circuit
+        rc = draw(regular_circuits(n))
     elif kind == "det":
-        seed = draw(seeds)
-        k = draw(st.integers(1, min(3, math.factorial(n))))
-        bouquet = det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed)
-        rc = bouquet.summands[draw(st.integers(0, k - 1))]
-        circuit, sigma = rc.circuit, rc.sigma
+        rc = draw(st.sampled_from(draw(det_bouquets(n)).summands))
     else:
-        sigma = tuple(draw(st.permutations(range(1, n + 1))))
-        circuit = Circuit(n, (ConstLeaf(draw(st.integers(-2, 2))),), 0)
+        rc = regular(Circuit(n, (ConstLeaf(draw(st.integers(-2, 2))),), 0), draw(perms(n)))
     extra = draw(st.integers(0, 2))
-    return replace(circuit, n=n + extra), sigma + tuple(range(n + 1, n + extra + 1))
+    return replace(rc.circuit, n=n + extra), rc.sigma + tuple(range(n + 1, n + extra + 1))
 
 
 def _pick(draw, circuit, kinds):

@@ -1,8 +1,9 @@
-"""Invariants are checked where circuits enter, never inside the reduction.
+"""Invariants are checked where circuits enter and where a verdict is asked for.
 
 Generators and the parser run `regular`; every pass carries (sigma, degree)
-over by construction, and the verify tiers trust the summands they are given.
-So `reduce_to_single` runs no typing or regularity sweep at all, and
+over by construction.  So an unverified reduction runs no typing or
+regularity sweep at all, a verified one sweeps each live summand of the
+steps after the first (step 0 came through a boundary already), and
 `project`'s carried (sigma, degree) must equal what inference would find.
 """
 
@@ -11,15 +12,14 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recheck import perms, regular_circuits
 
 from smlc import circuit as circuit_module
 from smlc.circuit import CONST, Bouquet, Circuit, regular, validate
-from smlc.generators import det_bouquet, distinct_perms, random_regular_circuit
+from smlc.generators import random_regular_circuit, seeded_det_bouquet
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
 from smlc.poly import random_perm
-
-seeds = st.integers(0, 2**32 - 1)
 
 
 def _count_sweeps(monkeypatch):
@@ -35,10 +35,7 @@ def _count_sweeps(monkeypatch):
 
 
 def _det_bouquets():
-    return [
-        det_bouquet(n, distinct_perms(n, k, random.Random(seed)), seed)
-        for n, k, seed in ((3, 2, 1), (5, 3, 7), (6, 2, 2))
-    ]
+    return [seeded_det_bouquet(n, k, seed) for n, k, seed in ((3, 2, 1), (5, 3, 7), (6, 2, 2))]
 
 
 def _random_bouquets():
@@ -58,12 +55,20 @@ def _random_bouquets():
 
 
 @pytest.mark.parametrize("verify", ["off", "exact", "random"])
-def test_reduce_runs_no_sweep_on_det_bouquets(monkeypatch, verify):
+def test_reduce_sweeps_only_checked_steps_after_the_first(monkeypatch, verify):
     inputs = _det_bouquets()
     calls = _count_sweeps(monkeypatch)
-    singles = [reduce_to_single(b, verify=verify, seed=3, trials=2)[0] for b in inputs]
-    assert calls == []
-    validate(singles[-1].circuit)  # the counter does see a sweep
+    for b in inputs:
+        calls.clear()
+        single, transcript = reduce_to_single(b, verify=verify, seed=3, trials=2)
+        if verify == "off":
+            assert calls == []
+        else:  # one regularity sweep per summand and later step, none of the input's
+            assert 1 <= len(calls) <= len(transcript.steps) * len(b.summands)
+            assert all(sigma is not None for _, sigma in calls)
+            assert not {id(circuit) for circuit, _ in calls} & {id(rc.circuit) for rc in b.summands}
+    calls.clear()
+    validate(single.circuit)  # the counter does see a sweep
     assert len(calls) == 1
 
 
@@ -81,13 +86,12 @@ def projections(draw):
     its degree is below n and its rows are spread by a relabeling), and a
     random keep set."""
     m = draw(st.integers(1, 5))
-    seed, budget = draw(seeds), draw(st.integers(2 * m - 1, 60))
-    rc = random_regular_circuit(draw(st.permutations(range(1, m + 1)).map(tuple)), seed, budget)
+    rc = draw(regular_circuits(m))
     n = m + draw(st.integers(0, 2))
     if n > m:
         wide = Circuit(n, rc.circuit.nodes, rc.circuit.root)
         rc = regular(wide, rc.sigma + tuple(range(m + 1, n + 1)))
-        tau = draw(st.permutations(range(1, n + 1)).map(tuple))
+        tau = draw(perms(n))
         rc = compose(Bouquet(n, (rc,)), tau).summands[0]
     keep = draw(st.sets(st.integers(1, n), min_size=1))
     return rc, keep
