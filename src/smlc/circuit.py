@@ -11,9 +11,9 @@ and `b`.  Node v is a product or sum (`op[v]` MUL or ADD) of the nodes
 `a[v]` and `b[v]`, the variable x[a[v], b[v]] (VAR), or the constant `a[v]`
 (CONST, with `b[v]` = 0).  The parser, the generators, the checker, the
 passes and the oracles read and write only these arrays.  The node classes
-`ConstLeaf`, `VarLeaf`, `Add` and `Mul` are a view: `Circuit` converts them
-once (`Nodes.of`), and iterating `circuit.nodes` builds them; nodes are
-read from the arrays, never by indexing `circuit.nodes`.
+`ConstLeaf`, `VarLeaf`, `Add` and `Mul` are a view: `Circuit` converts exactly
+these four once (`Nodes.of`; any other object is a TypeError), and iterating
+`circuit.nodes` builds them; nodes are never read by indexing `circuit.nodes`.
 
 Typing assigns each node v its index set I_v (the set of rows it covers):
 constants cover nothing, a variable leaf covers its row, addition requires
@@ -26,10 +26,12 @@ and the left factor of every product must sit immediately before the right
 factor.
 
 One left-to-right sweep, `_sweep`, checks both on int bitmasks in position
-space, typing errors anywhere before regularity errors.  `validate`,
-`infer_order`, `regular` (the check at trust boundaries: parsing and the
-generators) and `stats` are views over it.  `infer_order` and `stats` return
-plain tuples and dicts, the values `smlc check-regular` and `smlc stats` write.
+space, typing errors anywhere before regularity errors.  A field it reads that
+is not exactly an int (`_is_int`) is a typed error: `BadChildRef` for a root or
+child reference, `VariableOutOfRange` for a row or col, else `CircuitError`,
+as is an unknown opcode.  `validate`, `infer_order`, `regular` (the check at
+trust boundaries: parsing and the generators) and `stats` are views over it;
+`infer_order` and `stats` return what `smlc check-regular` and `smlc stats` write.
 """
 
 from __future__ import annotations
@@ -175,14 +177,14 @@ class Nodes:
 
     @classmethod
     def of(cls, nodes: Iterable) -> Nodes:
-        """Convert node objects: a subclass of a node class counts as that class,
-        any other object as a product (it needs `left`/`right`).  Fields are kept
-        as given, so the checker rejects what it would reject in the objects."""
+        """Convert node objects of exactly the four node classes (any other object,
+        a subclass too, is a TypeError naming its index and class).  Fields are
+        kept as given, so the checker rejects what it would reject in the objects."""
         out = Builder()
-        for node in nodes:
+        for vid, node in enumerate(nodes):
             code = _CODES.get(type(node))
             if code is None:
-                code = next((c for kind, c in _CODES.items() if isinstance(node, kind)), MUL)
+                raise TypeError(f"node {vid} is a {type(node).__name__}, not a node class")
             if code == VAR:
                 out.emit(code, node.row, node.col)
             elif code == CONST:
@@ -202,7 +204,8 @@ class Nodes:
 class Circuit:
     """Immutable circuit: variable grid size n, topologically ordered nodes, root id.
 
-    `nodes` may be given as node objects, which `Nodes.of` converts once.
+    `nodes` may be given as objects of the four node classes, which `Nodes.of`
+    converts once.
     """
 
     n: int
@@ -288,25 +291,30 @@ class Bouquet:
 
 
 def _is_int(value) -> bool:
-    """An int, an int subclass included, but not a bool, which JSON would write as true/false."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """The one value rule: exactly an int, so not a bool, an int subclass or a float."""
+    return type(value) is int
 
 
 def decimal(text: str) -> int:
     """The int that an optional '-' and ASCII digits spell: the one integer rule for text."""
-    if not (isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()):
+    if not (type(text) is str and text.isascii() and text.removeprefix("-").isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
 
 def _is_permutation(seq: Sequence, n: int) -> bool:
-    """seq holds exactly 1..n as ints, not bools; length first, so a huge n costs nothing."""
+    """seq holds exactly 1..n as exact ints; length first, so a huge n costs nothing."""
     return len(seq) == n and all(_is_int(v) for v in seq) and sorted(seq) == list(range(1, n + 1))
 
 
 def _bits(mask: int) -> list[int]:
     """0-based indices of the set bits of `mask`, low to high."""
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _child_error(vid: int, a, b) -> BadChildRef:
+    """Gate vid's error for its first child reference that is not an int in [0, vid)."""
+    return BadChildRef(vid, b if _is_int(a) and 0 <= a < vid else a)
 
 
 def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
@@ -324,7 +332,7 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     if n < 1:
         raise CircuitError(f"grid size must be positive, got {n}")
     ops, lefts, rights = nodes.op, nodes.a, nodes.b
-    if not (0 <= root < len(ops)):
+    if not (_is_int(root) and 0 <= root < len(ops)):
         raise BadChildRef(root, root)
     # row -> bit index under sigma; without one, row r is bit r-1.  Nothing
     # per row of the grid is built without an order or for a sigma that is
@@ -338,11 +346,16 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     masks: list[int] = []
     append = masks.append
     bad = None  # first irregular product
+    # a child reference is an int (`_is_int`, inlined) in [0, vid); masks
+    # holds vid entries, so indexing it checks the upper bound
     for vid, op, a, b in zip(range(len(ops)), ops, lefts, rights):
         if op == MUL:
-            if not (0 <= a < vid and 0 <= b < vid):
-                raise BadChildRef(vid, b if 0 <= a < vid else a)
-            lm, rm = masks[a], masks[b]
+            if not (type(a) is int and type(b) is int and a >= 0 and b >= 0):
+                raise _child_error(vid, a, b)
+            try:
+                lm, rm = masks[a], masks[b]
+            except IndexError:
+                raise _child_error(vid, a, b) from None
             if lm & rm:
                 raise MulOverlap(vid)
             # every earlier mask is contiguous until the first bad product
@@ -350,18 +363,25 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
                 bad = vid
             append(lm | rm)
         elif op == ADD:
-            if not (0 <= a < vid and 0 <= b < vid):
-                raise BadChildRef(vid, b if 0 <= a < vid else a)
-            lm = masks[a]
-            if lm != masks[b]:
+            if not (type(a) is int and type(b) is int and a >= 0 and b >= 0):
+                raise _child_error(vid, a, b)
+            try:
+                lm, rm = masks[a], masks[b]
+            except IndexError:
+                raise _child_error(vid, a, b) from None
+            if lm != rm:
                 raise AddMismatch(vid)
             append(lm)
         elif op == VAR:  # a, b = row, col
             if not (_is_int(a) and _is_int(b) and 1 <= a <= n and 1 <= b <= n):
                 raise VariableOutOfRange(vid, a, b, n)
             append(1 << (a - 1 if shift is None else shift[a]))
-        else:
+        elif op != CONST:
+            raise CircuitError(f"node {vid}: unknown opcode {op!r}")
+        elif _is_int(a):
             append(0)
+        else:
+            raise CircuitError(f"node {vid}: constant {a!r} is not an int")
 
     if sigma is None:
         return masks

@@ -188,12 +188,22 @@ def _cmd_equiv(args) -> int:
     return _emit({"ok": True, **verdict})
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser, which reports the arguments it does not know with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smlc",
         description="Transformations and oracles for regular set-multilinear circuits.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
     gen = sub.add_parser("gen", help="generate instances")
     gensub = gen.add_subparsers(dest="kind", required=True)

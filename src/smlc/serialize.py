@@ -19,12 +19,14 @@ are decimal strings (an optional "-", then ASCII digits) so readers never face
 integer-width surprises.  Parsing a bouquet also checks that every summand is
 over the bouquet's grid, then runs `regular` on it against its sigma.
 
-The parser writes each node straight into the three flat arrays of
-`circuit.Nodes` and builds no node objects.  Its loop reads the id, op and
-operand fields by subscript, tests each with `type(value) is int` (or `str`)
-and calls `_require` only when a field is missing or that test fails, so a
-malformed document gets the same `ParseError` as a field-by-field check, while
-a well-formed one pays for one subscript per field.
+The parser accepts exactly what JSON decodes to: every document and node is
+a `dict` and every field an `int`, `str` or `list`, not a bool or a subclass.
+It writes each node straight into the three flat arrays of `circuit.Nodes`
+and builds no node objects.  Its loop reads the id, op and operand fields by
+subscript, tests each with `type(value) is int` (or `str`) and calls
+`_require` only when a field is missing or that test fails, so a malformed
+document gets the same `ParseError` as a field-by-field check, while a
+well-formed one pays for one subscript per field.
 """
 
 from __future__ import annotations
@@ -69,16 +71,17 @@ def circuit_to_obj(circuit: Circuit) -> dict[str, Any]:
 
 
 def _require(obj: dict, key: str, kind: type) -> Any:
+    """obj[key], exactly of type `kind`: neither a subclass nor, for int, a bool."""
     if key not in obj:
         raise ParseError(f"missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if type(value) is not kind:
         raise ParseError(f"field {key!r}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
 def circuit_from_obj(obj: Any) -> Circuit:
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise ParseError("circuit document must be a JSON object")
     n = _require(obj, "n", int)
     raw_nodes = _require(obj, "nodes", list)
@@ -89,9 +92,7 @@ def circuit_from_obj(obj: Any) -> Circuit:
     rights: list[Any] = []
     for idx, raw in enumerate(raw_nodes):
         if type(raw) is not dict:
-            if not isinstance(raw, dict):
-                raise ParseError(f"node {idx} is not an object")
-            raw = dict(raw)  # so a subclass's __missing__ cannot fill in a field
+            raise ParseError(f"node {idx} is not an object")
         try:
             vid, name = raw["id"], raw["op"]
         except KeyError:
@@ -146,7 +147,7 @@ def bouquet_to_obj(bouquet: Bouquet) -> dict[str, Any]:
 
 
 def bouquet_from_obj(obj: Any) -> Bouquet:
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise ParseError("bouquet document must be a JSON object")
     n = _require(obj, "n", int)
     raw_summands = _require(obj, "summands", list)
@@ -157,7 +158,7 @@ def bouquet_from_obj(obj: Any) -> Bouquet:
         raise ParseError("sign must be 1 or -1")
     summands: list[RegularCircuit] = []
     for idx, raw in enumerate(raw_summands):
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise ParseError(f"summand {idx} is not an object")
         sigma = _require(raw, "sigma", list)
         if not all(_is_int(x) for x in sigma):

@@ -6,14 +6,17 @@ import pytest
 from recheck import c, run_cli
 
 from smlc.circuit import (
+    CONST,
     Add,
     AddMismatch,
     BadChildRef,
     Bouquet,
+    Circuit,
     CircuitError,
     ConstLeaf,
     Mul,
     MulOverlap,
+    Nodes,
     NotContiguous,
     RootNotPrefix,
     VariableOutOfRange,
@@ -27,7 +30,7 @@ from smlc.circuit import (
 )
 from smlc.generators import det_bouquet, det_regular_circuit, random_regular_circuit, seeded_det_bouquet
 from smlc.passes import PassError, compose, monotone_subsequence, project
-from smlc.poly import NotAPermutation, expand, random_perm
+from smlc.poly import NotAPermutation, random_perm
 from smlc.serialize import (
     ParseError,
     bouquet_from_obj,
@@ -161,8 +164,8 @@ def test_regularity_completeness_on_det_circuits():
 # --- non-int fields ----------------------------------------------------------
 
 
-class Row(int):
-    pass
+class SubInt(int):
+    """An int subclass, which is not an int to the package."""
 
 
 @pytest.mark.parametrize(
@@ -257,11 +260,44 @@ def test_written_bouquets_parse_back(make):
     assert bouquet_from_obj(loads(dumps(bouquet_to_obj(bouquet)))) == bouquet
 
 
-def test_int_subclass_fields_stay_regular():
-    circuit = c(2, VarLeaf(Row(1), Row(1)), VarLeaf(Row(1), 2), VarLeaf(2, 2), Mul(0, 2))
-    rc = regular(circuit, (Row(1), 2))
-    assert (rc.sigma, rc.degree) == ((1, 2), 2)
-    assert validate(circuit)[3] == frozenset({1, 2})
+@pytest.mark.parametrize(
+    ("make", "error"),
+    [
+        (lambda: regular(c(2, VarLeaf(SubInt(1), 1), VarLeaf(2, 2), Mul(0, 1)), (1, 2)), VariableOutOfRange),
+        (lambda: validate(c(2, VarLeaf(1, 1), VarLeaf(2, 2), Mul(SubInt(0), 1))), BadChildRef),
+        (lambda: regular(c(2, VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1)), (SubInt(1), 2)), CircuitError),
+        (lambda: compose(_det2(), (SubInt(2), 1)), NotAPermutation),
+        (lambda: project(_det2(), [SubInt(1)]), PassError),
+    ],
+    ids=["row", "child", "sigma", "compose", "project"],
+)
+def test_int_subclass_is_not_an_int(make, error):
+    with pytest.raises(error):
+        make()
+
+
+X11_X22 = (VarLeaf(1, 1), VarLeaf(2, 2))
+
+
+@pytest.mark.parametrize(
+    ("circuit", "error", "message"),
+    [
+        (c(2, ConstLeaf(0.5)), CircuitError, "node 0: constant 0.5 is not an int"),
+        (c(2, ConstLeaf("3")), CircuitError, "node 0: constant '3' is not an int"),
+        (c(2, *X11_X22, Mul(0.0, 1)), BadChildRef, "node 2 references invalid child id 0.0"),
+        (c(2, *X11_X22, Mul(0, 1.0)), BadChildRef, "node 2 references invalid child id 1.0"),
+        (c(2, *X11_X22, Add(False, 0)), BadChildRef, "node 2 references invalid child id False"),
+        (c(2, *X11_X22, Mul(0, 1), root=2.0), BadChildRef, "node 2.0 references invalid child id 2.0"),
+        (c(2, *X11_X22, Mul(0, 1), root=True), BadChildRef, "node True references invalid child id True"),
+    ],
+    ids=["const-float", "const-str", "left-float", "right-float", "left-bool", "root-float", "root-bool"],
+)
+def test_non_int_constant_reference_or_root_is_a_typed_error(circuit, error, message):
+    # never a bare TypeError from a list index, nor a bool read as node 0 or 1
+    for check in (validate, stats, lambda cc: infer_order(cc, (1, 2)), lambda cc: regular(cc, (1, 2))):
+        with pytest.raises(error) as err:
+            check(circuit)
+        assert str(err.value) == message
 
 
 # --- stats ----------------------------------------------------------------
@@ -278,24 +314,32 @@ def test_stats_two_leaf_product():
     assert (st["size"], st["depth"], st["degree"]) == (3, 1, 2)
 
 
+@pytest.mark.parametrize("op", [7, -1, None])
+def test_unknown_opcode_is_a_typed_error(op):
+    # not read as a constant, which no writer or oracle could then handle
+    circuit = Circuit(2, Nodes((CONST, op), (1, 5), (0, 0)), 1)
+    for check in (validate, stats, lambda cc: regular(cc, (1, 2))):
+        with pytest.raises(CircuitError) as err:
+            check(circuit)
+        assert str(err.value) == f"node 1: unknown opcode {op!r}"
+
+
+class SubMul(Mul):
+    __slots__ = ()
+
+
 class Product:
-    """A gate of no node class: the typing sweep reads it as a product."""
+    """An object with child fields, of no node class."""
 
     def __init__(self, left, right):
         self.left, self.right = left, right
 
 
-def test_walkers_count_any_non_leaf_as_gate():
-    circuit = c(2, VarLeaf(1, 1), VarLeaf(2, 2), Product(0, 1))
-    assert validate(circuit)[2] == frozenset({1, 2})
-    st = stats(circuit)
-    assert (st["size"], st["depth"], st["degree"]) == (3, 1, 2)
-    assert gate_count(circuit) == 1
-    # node 2 is shared by a Mul and a Product; counting only the Mul's
-    # reference would free node 2 before the Product reads it
-    x11, x22, x33 = VarLeaf(1, 1), VarLeaf(2, 2), VarLeaf(3, 3)
-    shared = c(3, x11, x22, Mul(0, 1), x33, Mul(2, 3), Product(2, 3), Add(4, 5))
-    assert expand(shared).terms == {((1, 1), (2, 2), (3, 3)): 2}
+@pytest.mark.parametrize("node", [SubMul(0, 1), Product(0, 1), (0, 1), None])
+def test_only_the_four_node_classes_convert(node):
+    with pytest.raises(TypeError) as err:
+        c(2, VarLeaf(1, 1), VarLeaf(2, 2), node)
+    assert str(err.value) == f"node 2 is a {type(node).__name__}, not a node class"
 
 
 def test_stats_det2_generator():
@@ -355,6 +399,10 @@ def _doc(*nodes):
 VAR = {"id": 0, "op": "var", "row": 1, "col": 1}
 
 
+class SubDict(dict):
+    pass
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -389,20 +437,15 @@ VAR = {"id": 0, "op": "var", "row": 1, "col": 1}
         (_doc({"id": 0, "op": "const", "value": " 5"}), "node 0: bad decimal constant ' 5'"),
         (_doc({"id": 0, "op": "const", "value": "+5"}), "node 0: bad decimal constant '+5'"),
         (_doc({"id": 0, "op": "const", "value": "\u0663"}), "node 0: bad decimal constant '\u0663'"),
+        # exactly what JSON decodes to: a dict and an int, not a subclass of either
+        (_doc({**VAR, "row": SubInt(2)}), "field 'row': expected int, got SubInt"),
+        (_doc(SubDict(VAR)), "node 0 is not an object"),
     ],
 )
 def test_parser_names_each_fault(doc, message):
     with pytest.raises(ParseError) as err:
         circuit_from_obj(doc)
     assert str(err.value) == message
-
-
-def test_parser_accepts_int_subclass_fields():
-    class Row(int):
-        pass
-
-    circuit = circuit_from_obj(_doc({**VAR, "row": Row(2)}))
-    assert tuple(circuit.nodes) == (VarLeaf(2, 1),)
 
 
 def test_const_values_survive_as_decimal_strings():

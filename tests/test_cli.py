@@ -86,6 +86,22 @@ def test_python_m_smlc_exits_with_the_in_process_status(status):
         assert proc.stderr == "" and json.loads(proc.stdout).get("error") == error
 
 
+@pytest.mark.parametrize(
+    ("args", "verb"),
+    [
+        (["merge", "--frobnicate"], "merge"),
+        (["reduce", "--trials", "0"], "reduce"),
+        (["gen", "det", "--n", "2", "--frobnicate"], "gen det"),
+    ],
+)
+def test_usage_error_prints_the_verbs_usage(args, verb):
+    # an unknown flag and a bad value alike: exit 2, the verb's usage and its error line
+    run = run_cli(args, "{}")
+    assert (run.code, run.out) == (2, "")
+    assert run.err.startswith(f"usage: smlc {verb} [-h]")
+    assert f"\nsmlc {verb}: error: " in run.err
+
+
 def test_gen_det_expand_golden():
     gen = run_cli(["gen", "det", "--n", "2", "--sigma", "1,2"])
     assert gen.code == 0

@@ -73,14 +73,6 @@ def outcome(evaluate, doc, points):
         return MissingAssignment, str(exc)
 
 
-class SubAdd(Add):
-    __slots__ = ()
-
-
-class SubMul(Mul):
-    __slots__ = ()
-
-
 big_ints = st.one_of(
     st.integers(-3 * PRIME, 3 * PRIME),
     st.sampled_from((-1, 0, 1, PRIME - 1, PRIME, PRIME + 1, -PRIME, 2 * PRIME)),
@@ -90,8 +82,7 @@ big_ints = st.one_of(
 @st.composite
 def dags(draw, n):
     """Any DAG of leaves and gates, set-multilinear or not: big and negative
-    constants, Add/Mul subclass nodes, and few enough choices that equal
-    subtrees recur."""
+    constants, and few enough choices that equal subtrees recur."""
     nodes = []
     for vid in range(draw(st.integers(1, 30))):
         kind = draw(st.sampled_from(("const", "var", "gate") if vid else ("const", "var")))
@@ -100,7 +91,7 @@ def dags(draw, n):
         elif kind == "var":
             nodes.append(VarLeaf(draw(st.integers(1, n)), draw(st.integers(1, n))))
         else:
-            gate = draw(st.sampled_from((Add, Mul, SubAdd, SubMul)))
+            gate = draw(st.sampled_from((Add, Mul)))
             refs = st.integers(max(0, vid - 4), vid - 1)
             nodes.append(gate(draw(refs), draw(refs)))
     return Circuit(n, tuple(nodes), draw(st.integers(0, len(nodes) - 1)))

@@ -1,10 +1,9 @@
 """The flat circuit representation: node objects are a view, built only on request.
 
 A circuit stores its nodes as three parallel tuples (`circuit.Nodes`).  The
-constructor converts node objects once, by the checker's kind policy, and
-indexing or iterating `circuit.nodes` builds them again on demand.  So the
-parser and the reduction build none, every pass treats a gate of no node
-class as the product the checker types it as, and both conversions round-trip.
+constructor converts node objects of exactly the four node classes once, and
+iterating `circuit.nodes` builds them again on demand.  So the parser and the
+reduction build none, and both conversions round-trip.
 """
 
 
@@ -21,18 +20,16 @@ from smlc.circuit import (
     Mul,
     Nodes,
     VarLeaf,
-    regular,
     validate,
 )
 from smlc.generators import seeded_det_bouquet
-from smlc.passes import merge_summands, reverse
 from smlc.pipeline import VerificationFailed, reduce_to_single
-from smlc.poly import det_mod, eval_bouquet, expand_bouquet, reference_det
+from smlc.poly import reference_det
 from smlc.serialize import bouquet_from_obj, bouquet_to_obj, circuit_from_obj, circuit_to_obj
-from test_regular_sweep import Foreign, cases, summands
+from test_regular_sweep import cases, summands
 from test_trust_boundaries import _det_bouquets, _random_bouquets
 
-x11, x12, x21, x22 = VarLeaf(1, 1), VarLeaf(1, 2), VarLeaf(2, 1), VarLeaf(2, 2)
+x11, x22 = VarLeaf(1, 1), VarLeaf(2, 2)
 
 
 def _count_views(monkeypatch):
@@ -74,7 +71,6 @@ def test_node_view_reads_like_a_tuple():
     )
     assert Circuit(2, list(nodes), 4) == circuit
     assert hash(Circuit(2, list(nodes), 4)) == hash(circuit)
-    assert Circuit(2, (x11, x22, Foreign(0, 1)), 2) == Circuit(2, (x11, x22, Mul(0, 1)), 2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -90,26 +86,6 @@ def test_objects_and_wire_round_trip(case):
     except CircuitError:  # not well formed, so it has no wire form to compare
         return
     assert circuit_from_obj(circuit_to_obj(circuit)) == circuit
-
-
-# --- gates of no node class are products in every pass ----------------------
-
-
-def test_reverse_swaps_a_gate_of_no_node_class():
-    rc = regular(Circuit(2, (x11, x22, Foreign(0, 1)), 2), (1, 2))
-    out = reverse(rc)
-    again = regular(out.circuit, out.sigma)
-    assert (again.sigma, again.degree) == (out.sigma, out.degree) == ((2, 1), 2)
-
-
-def test_merge_offsets_a_gate_of_no_node_class():
-    plus = regular(Circuit(2, (x11, x22, Foreign(0, 1)), 2), (1, 2))
-    minus = regular(Circuit(2, (x12, x21, Foreign(0, 1), ConstLeaf(-1), Mul(3, 2)), 4), (1, 2))
-    merged = merge_summands(Bouquet(2, (plus, minus)))
-    assert len(merged.summands) == 1
-    assert expand_bouquet(merged).terms == reference_det(2).terms
-    point = {(1, 1): 3, (1, 2): 5, (2, 1): 7, (2, 2): 11}
-    assert eval_bouquet(merged, point) == det_mod([[3, 5], [7, 11]])
 
 
 # --- the exact tier's reference ---------------------------------------------

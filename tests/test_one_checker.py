@@ -32,27 +32,32 @@ from smlc.circuit import (
 from test_regular_sweep import OVERLAP_BEHIND_BAD_ADJACENCY, cases, outcome, via_regular
 
 
+def _in_range(value, low, high):
+    # exactly an int: a bool, an int subclass or a float that equals one is not
+    return type(value) is int and low <= value <= high
+
+
 def ref_validate(circuit):
     n = circuit.n
     if n < 1:
         raise CircuitError(f"grid size must be positive, got {n}")
-    if not (0 <= circuit.root < len(circuit.nodes)):
+    if not _in_range(circuit.root, 0, len(circuit.nodes) - 1):
         raise BadChildRef(circuit.root, circuit.root)
 
     sets = []
     for vid, node in enumerate(circuit.nodes):
         if isinstance(node, ConstLeaf):
+            if type(node.value) is not int:
+                raise CircuitError(f"node {vid}: constant {node.value!r} is not an int")
             sets.append(frozenset())
         elif isinstance(node, VarLeaf):
             row, col = node.row, node.col
-            if not (isinstance(row, int) and isinstance(col, int)) or not (
-                1 <= row <= n and 1 <= col <= n
-            ):
+            if not (_in_range(row, 1, n) and _in_range(col, 1, n)):
                 raise VariableOutOfRange(vid, row, col, n)
             sets.append(frozenset((node.row,)))
         else:
             for ref in (node.left, node.right):
-                if not (0 <= ref < vid):
+                if not _in_range(ref, 0, vid - 1):
                     raise BadChildRef(vid, ref)
             left, right = sets[node.left], sets[node.right]
             if isinstance(node, Add):
@@ -74,7 +79,7 @@ def ref_infer_order(circuit, sigma):
     sets = ref_validate(circuit)
     n = circuit.n
     sigma = tuple(sigma)
-    if not all(isinstance(row, int) for row in sigma) or sorted(sigma) != list(range(1, n + 1)):
+    if not all(type(row) is int for row in sigma) or sorted(sigma) != list(range(1, n + 1)):
         raise CircuitError(f"sigma {sigma} is not a permutation of [1..{n}]")
     position = {row: p for p, row in enumerate(sigma, start=1)}
 

@@ -1,7 +1,8 @@
 """Package hygiene, read off the source with `ast`: every name a module
 exports exists, every exported function has a caller outside its module, no
 module keeps an import it does not use, no private top-level helper outlives
-its last caller, and text becomes an int only through `circuit.decimal`.
+its last caller, text becomes an int only through `circuit.decimal`, and a
+value counts as an int only by `circuit._is_int`.
 
 Deleting a type or a helper tends to leave an `__all__` entry, an import or
 the helper it called behind, and deleting the last caller of a function
@@ -158,6 +159,22 @@ def test_one_integer_rule_for_text():
                     if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int":
                         offenders.append(f"{path.name}:{node.lineno}: add_argument(type=int)")
     assert not offenders, f"integers parsed outside circuit.decimal: {offenders}"
+
+
+def test_one_value_rule():
+    # `circuit._is_int` (exactly an int) is the one value rule: no
+    # isinstance(..., int) or isinstance(..., bool), alone or in a tuple
+    offenders = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id != "isinstance" or len(node.args) != 2:
+                continue
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(kind, ast.Name) and kind.id in ("int", "bool") for kind in kinds):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"isinstance checks for int or bool outside circuit._is_int: {offenders}"
 
 
 def _body_without_docstring(fn):

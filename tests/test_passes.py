@@ -140,10 +140,6 @@ def test_compose_changes_single_monomial_polynomial():
     assert expand_bouquet(out).terms != expand_bouquet(b).terms
 
 
-class Row(int):
-    """An int subclass, which counts as an int."""
-
-
 def test_compose_rejects_non_permutation():
     b = det_bouquet(2, [(1, 2)], seed=0)
     with pytest.raises(NotAPermutation):
@@ -153,7 +149,6 @@ def test_compose_rejects_non_permutation():
     # 2.0 == 2, so only the type tells this tuple from a permutation
     with pytest.raises(NotAPermutation, match=r"\(2\.0, 1\) is not a permutation of \[1\.\.2\]"):
         compose(b, (2.0, 1))
-    assert compose(b, (Row(2), 1)) == compose(b, (2, 1))
 
 
 # --- monotone subsequence ---------------------------------------------------
@@ -249,7 +244,6 @@ def test_project_errors():
         project(det_bouquet(3, [(1, 2, 3)], 0), ["a", 1])
     assert type(err.value) is PassError
     assert str(err.value) == "keep set ['a', 1] not within [1..3]"
-    assert project(b, [Row(1)]) == project(b, [1])
 
 
 @pytest.mark.parametrize("add", [Add(0, 1), Add(1, 0)])

@@ -31,17 +31,6 @@ def outcome(check, circuit, sigma):
         return type(exc), str(exc)
 
 
-class SubMul(Mul):
-    __slots__ = ()
-
-
-class Foreign:
-    """A node-like object of no circuit type, with child fields."""
-
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-
-
 @st.composite
 def summands(draw):
     """A random, determinant or constant summand, over a grid with up to two
@@ -156,16 +145,34 @@ def other_root(draw, circuit, sigma):
     return replace(circuit, root=draw(st.integers(-1, len(circuit.nodes)))), sigma
 
 
+def non_int_constant(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, ConstLeaf)
+    if vid is None:
+        return circuit, sigma
+    value = draw(st.sampled_from((float(node.value), node.value + 0.5, str(node.value))))
+    return _put(circuit, vid, ConstLeaf(value)), sigma
+
+
+def non_int_reference(draw, circuit, sigma):
+    # a float indexes no list, and a bool indexes node 0 or 1
+    vid, node = _pick(draw, circuit, (Add, Mul))
+    if vid is None:
+        return circuit, sigma
+    ref = draw(st.sampled_from((float(node.left), False, True)))
+    gate = type(node)(ref, node.right) if draw(st.booleans()) else type(node)(node.left, ref)
+    return _put(circuit, vid, gate), sigma
+
+
+def non_int_root(draw, circuit, sigma):
+    root = draw(st.sampled_from((float(circuit.root), False, True)))
+    return replace(circuit, root=root), sigma
+
+
 def foreign_node(draw, circuit, sigma):
     vid = draw(st.integers(0, len(circuit.nodes) - 1))
-    node = tuple(circuit.nodes)[vid]
-    left, right = (node.left, node.right) if isinstance(node, (Add, Mul)) else (0, 0)
-    kind = draw(st.sampled_from((object, Foreign, SubMul)))
-    if kind is object:
-        # a node without child fields fails when the circuit converts it, so
-        # it is built inside the outcome wrapper
-        return (lambda: _put(circuit, vid, object())), sigma
-    return _put(circuit, vid, kind(left, right)), sigma
+    # an object of no node class fails when the circuit converts it, so it is
+    # built inside the outcome wrapper
+    return (lambda: _put(circuit, vid, object())), sigma
 
 
 MUTATIONS = (
@@ -181,6 +188,9 @@ MUTATIONS = (
     rewire_child,
     empty_grid,
     other_root,
+    non_int_constant,
+    non_int_reference,
+    non_int_root,
     foreign_node,
 )
 
