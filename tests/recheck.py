@@ -4,7 +4,8 @@ The passes carry (sigma, degree) over without calling `regular`, and only a
 verified reduction re-runs it, after each step; `assert_rechecks` checks
 that claim on what the passes return.  `eval_mod`, `poly_add`, `poly_scaled`,
 `poly_mul` and `expand_nodes` work term by term on `SparsePoly` values with
-none of `poly`'s code.  `assert_computes_det` checks that a circuit or
+none of `poly`'s code; `join` puts two circuits under the gate whose `expand`
+they are compared with.  `assert_computes_det` checks that a circuit or
 bouquet computes the determinant of its grid size: exactly against the
 Leibniz reference where that exists, above it at seeded points against
 elimination mod PRIME.
@@ -19,7 +20,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from smlc import cli
-from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, regular
+from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, regular
 from smlc.generators import random_regular_circuit, seeded_det_bouquet
 from smlc.poly import (
     PRIME,
@@ -116,6 +117,18 @@ def expand_nodes(circuit):
             assert op == MUL
             polys.append(poly_mul(polys[a], polys[b]))
     return polys[circuit.root]
+
+
+def join(op, first, second):
+    """first and second under one new ADD or MUL gate.  second's child ids move
+    past first's nodes; under MUL its rows also move past first's grid, so the
+    two factors share no row and the product is over first.n + second.n rows."""
+    x, y = first.nodes, second.nodes
+    offset, shift = len(x), first.n if op == MUL else 0
+    ya = tuple(v + offset if o < VAR else v + shift if o == VAR else v for o, v in zip(y.op, y.a))
+    yb = tuple(v + offset if o < VAR else v for o, v in zip(y.op, y.b))
+    nodes = Nodes(x.op + y.op + (op,), x.a + ya + (first.root,), x.b + yb + (second.root + offset,))
+    return Circuit(first.n + (second.n if op == MUL else 0), nodes, offset + len(y))
 
 
 def c(n, *nodes, root=None):

@@ -6,7 +6,9 @@ import pytest
 from recheck import c, run_cli
 
 from smlc.circuit import (
+    ADD,
     CONST,
+    VAR,
     Add,
     AddMismatch,
     BadChildRef,
@@ -88,11 +90,6 @@ def test_const_has_empty_set_and_const_product_allowed():
     assert validate(circuit) == (frozenset(), frozenset(), frozenset())
 
 
-def test_validate_is_deterministic():
-    circuit = det_regular_circuit(3, (2, 1, 3)).circuit
-    assert validate(circuit) == validate(circuit)
-
-
 # --- infer_order ----------------------------------------------------------
 
 def test_infer_mul_identity_order():
@@ -133,23 +130,6 @@ def test_regular_requires_prefix_root():
         regular(c(2, VarLeaf(2, 1)), (1, 2))
     # same leaf is fine when its row comes first in the order
     regular(c(2, VarLeaf(2, 1)), (2, 1))
-
-
-def test_regularity_soundness_on_random_circuits():
-    # every gate's interval must name exactly its index set
-    rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        sigma = random_perm(n, rng)
-        rc = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 80))
-        sets = validate(rc.circuit)
-        for iv, index_set in zip(infer_order(rc.circuit, rc.sigma), sets):
-            if iv is None:
-                assert index_set == frozenset()
-            else:
-                start, length = iv
-                covered = {sigma[p - 1] for p in range(start, start + length)}
-                assert covered == index_set
 
 
 def test_regularity_completeness_on_det_circuits():
@@ -289,11 +269,19 @@ X11_X22 = (VarLeaf(1, 1), VarLeaf(2, 2))
         (c(2, *X11_X22, Add(False, 0)), BadChildRef, "node 2 references invalid child id False"),
         (c(2, *X11_X22, Mul(0, 1), root=2.0), BadChildRef, "node 2.0 references invalid child id 2.0"),
         (c(2, *X11_X22, Mul(0, 1), root=True), BadChildRef, "node True references invalid child id True"),
+        (
+            Circuit(2, Nodes((VAR, ADD), (1, 0), (1, 5)), 1),
+            BadChildRef,
+            "node 1 references invalid child id 5",
+        ),
     ],
-    ids=["const-float", "const-str", "left-float", "right-float", "left-bool", "root-float", "root-bool"],
+    ids=[
+        "const-float", "const-str", "left-float", "right-float", "left-bool", "root-float", "root-bool",
+        "add-right-past-gate",
+    ],
 )
-def test_non_int_constant_reference_or_root_is_a_typed_error(circuit, error, message):
-    # never a bare TypeError from a list index, nor a bool read as node 0 or 1
+def test_bad_constant_reference_or_root_is_a_typed_error(circuit, error, message):
+    # never a bare TypeError or IndexError from a list index, nor a bool read as node 0 or 1
     for check in (validate, stats, lambda cc: infer_order(cc, (1, 2)), lambda cc: regular(cc, (1, 2))):
         with pytest.raises(error) as err:
             check(circuit)
@@ -352,20 +340,6 @@ def test_stats_det2_generator():
 
 
 # --- serialization --------------------------------------------------------
-
-def test_circuit_round_trip():
-    rc = det_regular_circuit(3, (3, 1, 2))
-    obj = circuit_to_obj(rc.circuit)
-    assert circuit_from_obj(obj) == rc.circuit
-
-
-def test_bouquet_round_trip():
-    from smlc.generators import det_bouquet
-
-    b = det_bouquet(3, [(1, 2, 3), (3, 2, 1)], seed=4)
-    again = bouquet_from_obj(bouquet_to_obj(b))
-    assert again == b
-
 
 def test_bouquet_sign_defaults_to_plus_one():
     from smlc.generators import det_bouquet

@@ -37,18 +37,46 @@ def test_eval_rejects_ill_typed_circuit(doc, error, detail):
     assert (code, json.loads(out)) == (1, {"ok": False, "error": error, "detail": detail})
 
 
-def test_summand_grid_mismatch_is_a_parse_error():
-    good = {"sigma": [1, 2], "circuit": {"n": 2, "nodes": [VAR], "root": 0}}
-    # summand 1 is irregular too, but its grid is reported before any sweep
-    other = {"sigma": [2, 1, 3], "circuit": {"n": 3, "nodes": [VAR], "root": 0}}
-    bouquet = {"n": 2, "sign": 1, "summands": [good, other]}
-    code, out, _ = run_cli(["reduce", "--verify", "off"], dumps(bouquet))
-    assert code == 2
-    assert json.loads(out) == {
-        "ok": False,
-        "error": "ParseError",
-        "detail": "summand 1: grid size 3 does not match bouquet n=2",
-    }
+SUMMAND = {"sigma": [1], "circuit": {"n": 1, "nodes": [VAR], "root": 0}}
+BOUQUET = {"n": 1, "summands": [SUMMAND]}
+# summand 1 is irregular too, but its grid is reported before any sweep
+OTHER_GRID = {"sigma": [2, 1, 3], "circuit": {"n": 3, "nodes": [VAR], "root": 0}}
+
+
+@pytest.mark.parametrize(
+    "args, doc, detail",
+    [
+        (["merge"], [], "bouquet document must be a JSON object"),
+        (["merge"], {"n": 2, "summands": []}, "bouquet needs at least one summand"),
+        (["merge"], {**BOUQUET, "sign": 2}, "sign must be 1 or -1"),
+        (["merge"], {**BOUQUET, "summands": [7]}, "summand 0 is not an object"),
+        (
+            ["merge"],
+            {**BOUQUET, "summands": [{**SUMMAND, "sigma": [1, "2"]}]},
+            "summand 0: sigma must be a list of ints",
+        ),
+        (
+            ["merge"],
+            {**BOUQUET, "summands": [{**SUMMAND, "circuit": []}]},
+            "field 'circuit': expected dict, got list",
+        ),
+        (
+            ["reduce", "--verify", "off"],
+            {**BOUQUET, "summands": [SUMMAND, OTHER_GRID]},
+            "summand 1: grid size 3 does not match bouquet n=1",
+        ),
+        (["validate"], [], "circuit document must be a JSON object"),
+        (
+            ["equiv", "--seed", "1"],
+            {"a": 1},
+            'equiv expects {"a": <circuit|bouquet>, "b": <circuit|bouquet>}',
+        ),
+    ],
+    ids=["bouquet", "no-summand", "sign", "summand", "sigma", "circuit", "grid", "circuit-document", "equiv"],
+)
+def test_document_fault_is_a_parse_error(args, doc, detail):
+    code, out, _ = run_cli(args, dumps(doc))
+    assert (code, json.loads(out)) == (2, {"ok": False, "error": "ParseError", "detail": detail})
 
 
 BIG = 10**6

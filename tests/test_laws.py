@@ -1,12 +1,25 @@
-"""Algebraic laws of the passes, as property tests over generated inputs."""
+"""Algebraic laws of the passes and of `expand`, as property tests over generated inputs.
+
+This file is their one home: each law is stated once, over `recheck`'s
+strategies, and no unit test repeats it on seeded inputs.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from recheck import det_bouquets, perms, regular_circuits
+from recheck import (
+    det_bouquets,
+    expand_nodes,
+    join,
+    perms,
+    poly_add,
+    poly_mul,
+    project_terms,
+    regular_circuits,
+)
 
-from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular
-from smlc.passes import compose, merge_summands, project, reverse
-from smlc.poly import expand_bouquet, invert_perm
+from smlc.circuit import ADD, MUL, Bouquet, Circuit, ConstLeaf, regular
+from smlc.passes import compose, drop_last_index, merge_summands, project, reverse
+from smlc.poly import SparsePoly, compose_perms, expand, expand_bouquet, invert_perm, reference_det
 from smlc.serialize import bouquet_from_obj, bouquet_to_obj, dumps, loads
 
 laws = settings(derandomize=True, deadline=None, max_examples=40)
@@ -36,19 +49,34 @@ def bouquets(draw):
     return Bouquet(n, tuple(summands), sign)
 
 
+def keep_sets(n):
+    return st.lists(st.integers(1, n), min_size=1, unique=True)
+
+
 @st.composite
-def bouquets_and_perms(draw):
+def bouquets_and_keep_sets(draw):
     b = draw(bouquets())
-    return b, draw(perms(b.n))
+    return b, draw(keep_sets(b.n))
 
 
 @st.composite
 def nested_keep_sets(draw):
     """A bouquet, a keep set A of its rows and a keep set B of A's ranks."""
-    b = draw(bouquets())
-    outer = draw(st.lists(st.integers(1, b.n), min_size=1, unique=True))
-    inner = draw(st.lists(st.integers(1, len(outer)), min_size=1, unique=True))
-    return b, outer, inner
+    b, outer = draw(bouquets_and_keep_sets())
+    return b, outer, draw(keep_sets(len(outer)))
+
+
+@st.composite
+def gate_operands(draw):
+    """ADD with two full-degree circuits over one order, or MUL with two over
+    their own grids (`join` moves the second's rows past the first's)."""
+    op = draw(st.sampled_from((ADD, MUL)))
+    if op == ADD:
+        n = draw(st.integers(1, 4))
+        sigma = draw(perms(n))
+        return op, draw(regular_circuits(n, sigma)).circuit, draw(regular_circuits(n, sigma)).circuit
+    left, right = (draw(regular_circuits(draw(st.integers(1, 3)))).circuit for _ in range(2))
+    return op, left, right
 
 
 @laws
@@ -58,10 +86,18 @@ def test_reverse_is_an_involution(rc):
 
 
 @laws
-@given(bouquets_and_perms())
-def test_compose_then_inverse_restores_bouquet(case):
-    b, tau = case
+@given(bouquets(), st.data())
+def test_compose_then_inverse_restores_bouquet(b, data):
+    tau = data.draw(perms(b.n))
     assert compose(compose(b, tau), invert_perm(tau)) == b
+
+
+@laws
+@given(bouquets(), st.data())
+def test_compose_twice_is_compose_with_the_composite(b, data):
+    # arrays, orders and sign alike, not only the expansion
+    t1, t2 = data.draw(perms(b.n)), data.draw(perms(b.n))
+    assert compose(compose(b, t1), t2) == compose(b, compose_perms(t2, t1))
 
 
 @laws
@@ -78,6 +114,13 @@ def test_serialize_round_trip_is_identity(b):
 
 
 @laws
+@given(bouquets_and_keep_sets())
+def test_project_is_the_polynomial_substitution(case):
+    b, keep = case
+    assert expand_bouquet(project(b, keep)).terms == project_terms(expand_bouquet(b), keep)
+
+
+@laws
 @given(nested_keep_sets())
 def test_nested_projection_equals_composed_keep_set(case):
     b, outer, inner = case
@@ -85,3 +128,47 @@ def test_nested_projection_equals_composed_keep_set(case):
     composed = [sorted(outer)[j - 1] for j in inner]
     twice = project(project(b, outer), inner)
     assert expand_bouquet(twice).terms == expand_bouquet(project(b, composed)).terms
+
+
+PASSES = ("compose", "reverse", "merge", "project", "droplast")
+
+
+@laws
+@given(
+    st.integers(2, 5).flatmap(det_bouquets),
+    st.lists(st.sampled_from(PASSES), min_size=1, max_size=6),
+    st.data(),
+)
+def test_pass_chains_preserve_the_determinant(b, passes, data):
+    # each pass keeps the bouquet the determinant of its current grid size
+    for name in passes:
+        if name == "compose":
+            b = compose(b, data.draw(perms(b.n)))
+        elif name == "reverse":
+            b = Bouquet(b.n, tuple(map(reverse, b.summands)), b.sign)
+        elif name == "merge":
+            b = merge_summands(b)
+        elif name == "project":
+            b = project(b, data.draw(keep_sets(b.n)))
+        elif b.n >= 2:
+            b = drop_last_index(b)
+        assert expand_bouquet(b).terms == reference_det(b.n).terms
+
+
+@laws
+@given(gate_operands())
+def test_expand_is_a_ring_homomorphism(case):
+    # against a sum and a product that share no code with expand
+    op, left, right = case
+    joined = join(op, left, right)
+    shift = left.n if op == MUL else 0
+    terms = expand(right).terms
+    lifted = {tuple((r + shift, c) for r, c in mono): coeff for mono, coeff in terms.items()}
+    combine = poly_mul if op == MUL else poly_add
+    assert expand(joined).terms == combine(expand(left), SparsePoly(joined.n, lifted)).terms
+
+
+@laws
+@given(full_degree_circuits())
+def test_expand_matches_the_node_by_node_reference(rc):
+    assert expand(rc.circuit).terms == expand_nodes(rc.circuit).terms

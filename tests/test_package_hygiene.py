@@ -10,10 +10,12 @@ leaves its export behind; these checks catch all four.  Every name has one
 spelling, in its submodule: `__init__.py` is its docstring alone, and the
 tests and the benchmark import from the top-level package only submodules.
 Each test-side reference is defined once (most in `tests/recheck.py`): no
-two top-level functions under `tests/` have the same body.
+two top-level functions under `tests/` have the same body, and no comparison
+there has the same expression on both sides, which checks nothing.
 """
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -24,7 +26,9 @@ PACKAGE = ROOT / "src" / "smlc"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
+@functools.cache
 def _tree(path):
+    # parsed once per test run: the checks only read the trees
     return ast.parse(path.read_text(), filename=str(path))
 
 
@@ -201,3 +205,16 @@ def test_no_two_test_functions_share_a_body():
                 copies.append(f"{where} repeats {first[key]}")
             first.setdefault(key, where)
     assert not copies, f"functions with the same body: {copies}"
+
+
+def test_no_comparison_of_an_expression_with_itself():
+    # `x == x` holds for any x that compares at all, so it checks nothing
+    same = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "tests").rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Compare)
+        for left, right in zip([node.left, *node.comparators], node.comparators)
+        if ast.dump(left) == ast.dump(right)
+    ]
+    assert not same, f"comparisons of an expression with itself: {same}"

@@ -1,6 +1,7 @@
 """End-to-end reduction: normalization, iteration, transcripts."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from recheck import assert_computes_det
@@ -17,7 +18,7 @@ from smlc.circuit import (
     regular,
 )
 from smlc.generators import det_bouquet, distinct_perms, dp_det_bouquet, seeded_det_bouquet
-from smlc.passes import compose, distinct_orders, project
+from smlc.passes import compose, distinct_orders, is_zero_summand, merge_summands, project
 from smlc.pipeline import (
     VerificationFailed,
     ceil_sqrt,
@@ -176,27 +177,96 @@ def _unmirrored_reverse(rc):
     return RegularCircuit(rc.circuit, rc.sigma[::-1], rc.degree)
 
 
+def _resummed(bouquet, summands):
+    return Bouquet(bouquet.n, tuple(summands), bouquet.sign)
+
+
 def _sorted_project(bouquet, keep):
     # reports each summand's order sorted instead of the order the keep set induces
     out = project(bouquet, keep)
-    summands = tuple(RegularCircuit(rc.circuit, tuple(sorted(rc.sigma)), rc.degree) for rc in out.summands)
-    return Bouquet(out.n, summands, out.sign)
+    return _resummed(out, (replace(rc, sigma=tuple(sorted(rc.sigma))) for rc in out.summands))
+
+
+def _short_project(bouquet, keep):
+    # keeps every circuit and order but records one degree fewer
+    out = project(bouquet, keep)
+    return _resummed(out, (replace(rc, degree=rc.degree - 1) for rc in out.summands))
+
+
+def _unsigned_compose(bouquet, tau):
+    # relabels the rows but keeps the sign, also for an odd tau
+    return _resummed(bouquet, compose(bouquet, tau).summands)
+
+
+def _unordered_compose(bouquet, tau):
+    # relabels the rows but records each summand's order as it was
+    out = compose(bouquet, tau)
+    return _resummed(out, (replace(rc, sigma=old.sigma) for rc, old in zip(out.summands, bouquet.summands)))
+
+
+def _lossy_merge(bouquet):
+    # keeps the first summand of each order and drops the others instead of joining them
+    kept, seen = [], set()
+    for rc in bouquet.summands:
+        if not is_zero_summand(rc):
+            if rc.sigma in seen:
+                continue
+            seen.add(rc.sigma)
+        kept.append(rc)
+    return _resummed(bouquet, kept)
+
+
+def _reversed_merge(bouquet):
+    # joins as merge_summands does, but records each joined summand's order reversed
+    out = merge_summands(bouquet)
+    given = {id(rc) for rc in bouquet.summands}
+    summands = (rc if id(rc) in given else replace(rc, sigma=rc.sigma[::-1]) for rc in out.summands)
+    return _resummed(out, summands)
+
+
+def _partial_normalize(bouquet):
+    # composes the first summand alone and leaves the others' rows as they were
+    out, tau = normalize_first(bouquet)
+    return _resummed(out, out.summands[:1] + bouquet.summands[1:]), tau
+
+
+def _unrelabeled_normalize(bouquet):
+    # records the identity as the first summand's order but relabels no row
+    claimed = replace(bouquet.summands[0], sigma=identity_perm(bouquet.n))
+    return _resummed(bouquet, (claimed,) + bouquet.summands[1:]), None
+
+
+VALUE = "differs from degree-"
+STRUCTURE = "is not regular w.r.t. its order|has degree"
+
+# (pipeline name, mutant, message, seeds); the seeds are inputs on which the
+# mutant changes a summand that has not folded to 0.  The merge mutants need
+# k = 3 inputs: a join that only the merge after the last step makes is never
+# checked, so on k = 2 they go unseen.
+MUTANTS = {
+    "unmirrored-reverse": ("reverse", _unmirrored_reverse, STRUCTURE, (1, 5, 6, 7, 8)),
+    "sorted-project": ("project", _sorted_project, STRUCTURE, (5, 10, 11)),
+    "short-project": ("project", _short_project, "has degree", (1, 5, 10)),
+    "unsigned-compose": ("compose", _unsigned_compose, VALUE, (2, 4, 11)),
+    "unordered-compose": ("compose", _unordered_compose, STRUCTURE, (1, 2, 3)),
+    "lossy-merge": ("merge_summands", _lossy_merge, VALUE, (5, 10, 16)),
+    "reversed-merge": ("merge_summands", _reversed_merge, STRUCTURE, (5, 10, 15)),
+    "partial-normalize": ("normalize_first", _partial_normalize, VALUE, (1, 2, 3)),
+    "unrelabeled-normalize": ("normalize_first", _unrelabeled_normalize, STRUCTURE, (1, 2, 3)),
+}
 
 
 @pytest.mark.parametrize("verify", ["exact", "random"])
-@pytest.mark.parametrize(
-    ("name", "mutant", "seeds"),
-    [("reverse", _unmirrored_reverse, (1, 5, 6, 7, 8)), ("project", _sorted_project, (5, 10, 11))],
-    ids=["unmirrored-reverse", "sorted-project"],
-)
-def test_structure_only_mutant_fails_verification(monkeypatch, name, mutant, seeds, verify):
-    # every mutated bouquet still computes the determinant, so only the
-    # regularity re-check of the steps after the first can fail these runs;
-    # the seeds are inputs on which the mutant changes a live summand
-    monkeypatch.setattr(pipeline, name, mutant)
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_pass_mutant_fails_verification(monkeypatch, mutant, verify):
+    # a value mutant keeps every summand regular w.r.t. its recorded order and
+    # degree, and a structure mutant keeps the value, so each fails only the
+    # check it targets, after a step >= 1
+    name, replacement, message, seeds = MUTANTS[mutant]
+    monkeypatch.setattr(pipeline, name, replacement)
     for seed in seeds:
         b = seeded_det_bouquet(4 + seed % 3, 2 + seed // 3 % 2, seed)
-        with pytest.raises(VerificationFailed, match="is not regular w.r.t. its order") as err:
+        with pytest.raises(VerificationFailed, match=message) as err:
             reduce_to_single(b, verify=verify, seed=seed, trials=2)
         assert err.value.step >= 1
 

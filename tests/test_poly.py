@@ -5,21 +5,22 @@ import math
 import random
 
 import pytest
-from recheck import c, det_of_matrix, eval_mod, expand_nodes, grid, poly_add, poly_mul
+from recheck import c, det_of_matrix, eval_mod, expand_nodes, grid
 
-from smlc.circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, VarLeaf
-from smlc.generators import det_bouquet, det_regular_circuit, random_regular_circuit
+from smlc.circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, RegularCircuit, VarLeaf
+from smlc.generators import det_bouquet, det_regular_circuit
 from smlc.poly import (
     PRIME,
     BudgetExceeded,
     NotAPermutation,
+    OracleError,
     TooLarge,
     det_mod,
     equiv_random,
     eval_circuit,
     expand,
+    expand_bouquet,
     poly_to_text,
-    random_perm,
     reference_det,
     reference_perm,
     sign_of_permutation,
@@ -73,44 +74,27 @@ def over_budget_circuit():
     return Circuit(11, tuple(nodes), root)
 
 
-def test_expand_budget_exceeded():
-    circuit = over_budget_circuit()
-    assert len(circuit.nodes) == 131
-    with pytest.raises(BudgetExceeded) as err:
-        expand(circuit)
-    assert str(err.value) == "product of 1331 x 1331 terms exceeds budget 1000000"
+# x[1,1] * x[1,2], claimed regular: the checker refuses it, but the exact
+# tier expands a bouquet's summands without checking them again
+ROW_REUSED = Bouquet(2, (RegularCircuit(c(2, VarLeaf(1, 1), VarLeaf(1, 2), Mul(0, 1)), (1, 2), 2),))
 
 
-def test_expand_is_ring_homomorphism():
-    # join two independently generated circuits under a fresh gate and compare
-    # against a product that shares no code with expand
-    rng = random.Random(3)
-    for _ in range(25):
-        n = rng.randint(2, 5)
-        split = rng.randint(1, n - 1)
-        sigma = tuple(range(1, n + 1))
-        left = random_regular_circuit(
-            sigma[:split], rng.randrange(2**32), rng.randint(2 * split - 1, 40)
-        ).circuit
-        right_rows = sigma[split:]
-        right = random_regular_circuit(
-            tuple(range(1, n - split + 1)), rng.randrange(2**32), rng.randint(2 * (n - split) - 1, 40)
-        ).circuit
-        # lift the right factor onto rows split+1..n so the product is disjoint
-        lifted = tuple(
-            VarLeaf(node.row + split, node.col) if isinstance(node, VarLeaf) else node
-            for node in right.nodes
-        )
-        offset = len(left.nodes)
-        joined_nodes = list(left.nodes) + [
-            type(nd)(nd.left + offset, nd.right + offset) if isinstance(nd, (Add, Mul)) else nd
-            for nd in lifted
-        ]
-        joined_nodes.append(Mul(left.root, right.root + offset))
-        product = Circuit(n, tuple(joined_nodes), len(joined_nodes) - 1)
-        pl = expand(Circuit(n, left.nodes, left.root))
-        pr = expand(Circuit(n, lifted, right.root))
-        assert expand(product).terms == poly_mul(pl, pr).terms
+@pytest.mark.parametrize(
+    ("run", "error", "message"),
+    [
+        (
+            lambda: expand(over_budget_circuit()),
+            BudgetExceeded,
+            "product of 1331 x 1331 terms exceeds budget 1000000",
+        ),
+        (lambda: expand_bouquet(ROW_REUSED), OracleError, "monomial product reuses row 1"),
+    ],
+    ids=["budget-exceeded", "row-reused"],
+)
+def test_expand_refusal_is_a_typed_error(run, error, message):
+    with pytest.raises(error) as err:
+        run()
+    assert str(err.value) == message
 
 
 X11, X12, X13 = VarLeaf(1, 1), VarLeaf(1, 2), VarLeaf(1, 3)
@@ -137,32 +121,6 @@ def test_expand_addition_in_place_matches_node_by_node_reference(nodes, expected
     circuit = c(3, *nodes)
     assert expand(circuit).terms == expected
     assert expand_nodes(circuit).terms == expected
-
-
-def test_expand_matches_node_by_node_reference_on_random_circuits():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        sigma = random_perm(n, rng)
-        rc = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 60))
-        assert expand(rc.circuit).terms == expand_nodes(rc.circuit).terms
-
-
-def test_expand_add_homomorphism():
-    rng = random.Random(4)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        sigma = random_perm(n, rng)
-        a = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 40)).circuit
-        b = random_regular_circuit(sigma, rng.randrange(2**32), rng.randint(2 * n - 1, 40)).circuit
-        offset = len(a.nodes)
-        nodes = list(a.nodes) + [
-            type(nd)(nd.left + offset, nd.right + offset) if isinstance(nd, (Add, Mul)) else nd
-            for nd in b.nodes
-        ]
-        nodes.append(Add(a.root, b.root + offset))
-        total = Circuit(n, tuple(nodes), len(nodes) - 1)
-        assert expand(total).terms == poly_add(expand(a), expand(b)).terms
 
 
 # --- reference polynomials ------------------------------------------------
@@ -294,10 +252,9 @@ PER2 = c(
 )
 
 
-def test_equiv_exact_reflexive_and_order_free():
+def test_equiv_exact_is_order_free():
     a = det_regular_circuit(2, (1, 2)).circuit
     b = det_regular_circuit(2, (2, 1)).circuit
-    assert expand(a).terms == expand(a).terms
     assert expand(a).terms == expand(b).terms  # same commutative polynomial, different order
 
 
