@@ -13,24 +13,25 @@ degree is at least n^(1/2^(k-1)) when every run is at its floor; the
 transcript, kept as the JSON it is written as, records both the running
 guarantee and the lengths actually achieved.
 
-The driver can verify every intermediate bouquet against the determinant of
-the current degree d: exactly (term-by-term expansion against the reference
-polynomial) up to degree 6 under verify="exact", and otherwise by seeded
-random evaluation, comparing the bouquet's value at each trial point with the
-determinant of that point's d x d matrix computed by elimination mod PRIME
-(`det_mod`), which works at every degree.  The exact tier expands the
-already regular summands without validating them again, and needs no term
-budget: at d <= 6 no node has more than 6^6 = 46,656 terms.  Its reference
-terms are built once per degree and shared, read-only, by every later step.
-The bouquet is evaluated at all of a step's trial points in one `eval_points`
-call, which compiles each summand once and sweeps it once per point; the
-values are compared in trial order.
-Every check after step 0 also re-runs `regular` on each non-zero summand,
-so a pass that breaks a summand's (sigma, degree) but not its value still
-fails; step 0's input passed `regular` at the parser or generator already.
-A failed check raises VerificationFailed: some pass broke semantics, the
-strongest possible error.  With verification on, at least one trial is
-required, so no verdict can be recorded ok without an evaluation.
+The driver can check the bouquet each iteration hands on, right after that
+iteration's normalization and merge, so the summand it returns is checked
+too.  The check compares the bouquet with the determinant of the current
+degree d: exactly (term-by-term expansion against the reference polynomial)
+up to degree 6 under verify="exact", and otherwise by seeded random
+evaluation, comparing its value at each trial point with the determinant of
+that point's d x d matrix computed by elimination mod PRIME (`det_mod`),
+which works at every degree.  The exact tier expands the already regular
+summands without validating them again, and needs no term budget: at d <= 6
+no node has more than 6^6 = 46,656 terms.  Its reference terms are built once
+per degree and shared, read-only, by every later step.  One `eval_points`
+call takes all of a check's trial points; it compiles each summand once and
+sweeps it once per point, in trial order.  Every check after step 0 also
+re-runs `regular` on each non-zero summand, so a pass that breaks a summand's
+(sigma, degree) but not its value still fails; step 0's input passed
+`regular` at the parser or generator already.  A failed check raises
+VerificationFailed: some pass broke semantics, the strongest possible error.
+With verification on, at least one trial is required, so no verdict can be
+recorded ok without an evaluation.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def reduce_to_single(
 
     cur = bouquet
     steps: list[dict[str, Any]] = []
-    verdicts = [_verify_step(cur, verify, 0, seed, trials)]
+    verdicts: list[dict[str, Any]] = []
     guarantee = cur.n
 
     while True:
@@ -216,9 +217,9 @@ def reduce_to_single(
         gates_before = bouquet_gate_count(cur)
         cur, tau = normalize_first(cur)
         cur = merge_summands(cur)
+        verdicts.append(_verify_step(cur, verify, len(steps), seed, trials))
         if k_before <= 1:  # composing and merging keep the number of orders
             break
-        iteration = len(steps) + 1
 
         ident = identity_perm(cur.n)
         target_idx = next(
@@ -237,10 +238,9 @@ def reduce_to_single(
 
         cur = project(cur, kept)
         guarantee = ceil_sqrt(guarantee)
-        verdicts.append(_verify_step(cur, verify, iteration, seed, trials))
         steps.append(
             dict(
-                iteration=iteration,
+                iteration=len(steps) + 1,
                 tau_applied=None if tau is None else list(tau),
                 summand_reversed=reversed_idx,
                 subsequence=run,

@@ -8,17 +8,20 @@ from recheck import assert_computes_det
 
 from smlc import pipeline
 from smlc.circuit import (
+    ADD,
+    VAR,
     Bouquet,
     Circuit,
     ConstLeaf,
     Mul,
+    Nodes,
     RegularCircuit,
     VarLeaf,
     bouquet_gate_count,
     regular,
 )
 from smlc.generators import det_bouquet, distinct_perms, dp_det_bouquet, seeded_det_bouquet
-from smlc.passes import compose, distinct_orders, is_zero_summand, merge_summands, project
+from smlc.passes import compose, distinct_orders, is_zero_summand, merge_summands, project, reverse
 from smlc.pipeline import (
     VerificationFailed,
     ceil_sqrt,
@@ -113,17 +116,21 @@ def test_reduce_k4_still_exact():
     assert tr.final_degree >= tr.es_guarantee
 
 
+def _same_order_det4():
+    # two summands regular w.r.t. (2, 4, 1, 3) that sum to det_4: reversing
+    # the (3, 1, 4, 2) summand mirrors its order onto the first one's
+    b = det_bouquet(4, [(2, 4, 1, 3), (3, 1, 4, 2)], seed=3)
+    return Bouquet(4, (b.summands[0], reverse(b.summands[1])), b.sign)
+
+
 def test_reduce_merges_duplicate_input_orders_first():
-    rc_a = det_bouquet(3, [(2, 3, 1), (1, 2, 3)], seed=15)
-    # duplicate the non-identity summand: three summands, two distinct orders
-    dup = Bouquet(3, (rc_a.summands[0], rc_a.summands[1], rc_a.summands[0]))
-    single, tr = reduce_to_single(dup, verify="off", seed=0)
-    assert tr.config["k"] == 3
-    assert tr.config["k_distinct"] == 2
-    assert len(tr.steps) <= 1
-    # the duplicated summand doubles one bucket, so the sum is not the
-    # determinant; structural assertions only
-    assert single.sigma == identity_perm(tr.final_degree)
+    single, tr = reduce_to_single(_same_order_det4(), verify="exact", seed=0)
+    assert tr.config["k"] == 2
+    assert tr.config["k_distinct"] == 1
+    assert tr.steps == []
+    assert tr.verdicts == [{"step": 0, "mode": "exact", "ok": True}]
+    assert single.sigma == identity_perm(4)
+    assert expand(single.circuit).terms == reference_det(4).terms
 
 
 def test_reduce_transcript_replay_is_identical():
@@ -177,6 +184,19 @@ def _unmirrored_reverse(rc):
     return RegularCircuit(rc.circuit, rc.sigma[::-1], rc.degree)
 
 
+def _renoded(rc, a, b):
+    nodes = rc.circuit.nodes
+    return replace(rc, circuit=replace(rc.circuit, nodes=Nodes(nodes.op, a, b)))
+
+
+def _add_right_reverse(rc):
+    # mirrors the circuit as reverse does, then points each addition's left child at its right child
+    out = reverse(rc)
+    nodes = out.circuit.nodes
+    lefts = tuple(y if op == ADD else x for op, x, y in zip(nodes.op, nodes.a, nodes.b))
+    return _renoded(out, lefts, nodes.b)
+
+
 def _resummed(bouquet, summands):
     return Bouquet(bouquet.n, tuple(summands), bouquet.sign)
 
@@ -191,6 +211,20 @@ def _short_project(bouquet, keep):
     # keeps every circuit and order but records one degree fewer
     out = project(bouquet, keep)
     return _resummed(out, (replace(rc, degree=rc.degree - 1) for rc in out.summands))
+
+
+def _column_swap_project(bouquet, keep):
+    # swaps columns 1 and 2 in every variable of the projected bouquet, which negates the determinant
+    out = project(bouquet, keep)
+    if out.n < 2:
+        return out
+    swap = {1: 2, 2: 1}
+    summands = []
+    for rc in out.summands:
+        nodes = rc.circuit.nodes
+        cols = tuple(swap.get(c, c) if op == VAR else c for op, c in zip(nodes.op, nodes.b))
+        summands.append(_renoded(rc, nodes.a, cols))
+    return _resummed(out, summands)
 
 
 def _unsigned_compose(bouquet, tau):
@@ -240,17 +274,17 @@ VALUE = "differs from degree-"
 STRUCTURE = "is not regular w.r.t. its order|has degree"
 
 # (pipeline name, mutant, message, seeds); the seeds are inputs on which the
-# mutant changes a summand that has not folded to 0.  The merge mutants need
-# k = 3 inputs: a join that only the merge after the last step makes is never
-# checked, so on k = 2 they go unseen.
+# mutant changes a summand that has not folded to 0
 MUTANTS = {
     "unmirrored-reverse": ("reverse", _unmirrored_reverse, STRUCTURE, (1, 5, 6, 7, 8)),
+    "add-right-reverse": ("reverse", _add_right_reverse, VALUE, (1, 5, 6, 7, 8)),
     "sorted-project": ("project", _sorted_project, STRUCTURE, (5, 10, 11)),
     "short-project": ("project", _short_project, "has degree", (1, 5, 10)),
+    "column-swap-project": ("project", _column_swap_project, VALUE, (1, 5, 10)),
     "unsigned-compose": ("compose", _unsigned_compose, VALUE, (2, 4, 11)),
     "unordered-compose": ("compose", _unordered_compose, STRUCTURE, (1, 2, 3)),
-    "lossy-merge": ("merge_summands", _lossy_merge, VALUE, (5, 10, 16)),
-    "reversed-merge": ("merge_summands", _reversed_merge, STRUCTURE, (5, 10, 15)),
+    "lossy-merge": ("merge_summands", _lossy_merge, VALUE, (0, 5, 6, 10, 16)),
+    "reversed-merge": ("merge_summands", _reversed_merge, STRUCTURE, (1, 5, 7, 10, 15)),
     "partial-normalize": ("normalize_first", _partial_normalize, VALUE, (1, 2, 3)),
     "unrelabeled-normalize": ("normalize_first", _unrelabeled_normalize, STRUCTURE, (1, 2, 3)),
 }
@@ -261,14 +295,26 @@ MUTANTS = {
 def test_pass_mutant_fails_verification(monkeypatch, mutant, verify):
     # a value mutant keeps every summand regular w.r.t. its recorded order and
     # degree, and a structure mutant keeps the value, so each fails only the
-    # check it targets, after a step >= 1
+    # check it targets; without the mutant each input reduces with every verdict ok
     name, replacement, message, seeds = MUTANTS[mutant]
+    inputs = {seed: seeded_det_bouquet(4 + seed % 3, 2 + seed // 3 % 2, seed) for seed in seeds}
+    for seed, b in inputs.items():
+        _, tr = reduce_to_single(b, verify=verify, seed=seed, trials=2)
+        assert all(v["ok"] for v in tr.verdicts)
     monkeypatch.setattr(pipeline, name, replacement)
-    for seed in seeds:
-        b = seeded_det_bouquet(4 + seed % 3, 2 + seed // 3 % 2, seed)
-        with pytest.raises(VerificationFailed, match=message) as err:
+    for seed, b in inputs.items():
+        with pytest.raises(VerificationFailed, match=message):
             reduce_to_single(b, verify=verify, seed=seed, trials=2)
-        assert err.value.step >= 1
+
+
+@pytest.mark.parametrize("verify", ["exact", "random"])
+def test_merge_of_a_zero_step_input_is_verified(monkeypatch, verify):
+    # no step runs on a single-order input, so its one merge is what the
+    # reduction returns, and that merge is checked too
+    monkeypatch.setattr(pipeline, "merge_summands", _lossy_merge)
+    with pytest.raises(VerificationFailed, match=VALUE) as err:
+        reduce_to_single(_same_order_det4(), verify=verify, seed=0)
+    assert err.value.step == 0
 
 
 def test_reduce_verify_off_records_nothing_checked():
