@@ -1,4 +1,4 @@
-"""Instance generators: determinant circuits, random regular circuits, bouquets.
+"""Instance generators: determinant circuits and bouquets.
 
 Leibniz determinant circuits (`det_bouquet`) are built from the n! signed
 terms, so they are capped at n <= 8.  They make the inputs of all three
@@ -39,7 +39,6 @@ __all__ = [
     "det_regular_circuit",
     "det_bouquet",
     "dp_det_bouquet",
-    "random_regular_circuit",
     "distinct_perms",
     "seeded_det_bouquet",
 ]
@@ -52,10 +51,6 @@ DP_MAX_N = 16  # a subset-DP summand at n = 16 has about a million gates
 # so the draws are capped.  Every split the tests and the benchmark pin took at
 # most 10 draws.
 SPLIT_DRAWS = 100
-
-# Upper bound on the expanded term count of a random circuit, so generated
-# instances always stay within the exact oracle's fixed poly.TERM_BUDGET.
-_EXPANSION_GUARD = 50_000
 
 
 class NeedAtLeastOneTermPerBucket(ValueError):
@@ -283,59 +278,3 @@ def seeded_det_bouquet(n: int, k: int, seed: int) -> Bouquet:
     _check_perm_count(n, k)
     sigmas = distinct_perms(n, k, random.Random(seed)) if n <= REFERENCE_MAX_N else []
     return det_bouquet(n, sigmas, seed)
-
-
-def random_regular_circuit(sigma: Sequence[int], seed: int, size_budget: int) -> RegularCircuit:
-    """Random full-degree regular circuit w.r.t. sigma with at most size_budget nodes.
-
-    n is len(sigma), and sigma must be a permutation of [1..n].  The minimum
-    budget is 2n-1 (one variable per row joined by products).  Grows top-down
-    over position spans: a span either splits multiplicatively at a random
-    point, or (budget permitting) becomes a sum of two circuits over the same
-    span.  A tight budget degenerates to the minimal left-comb product of one
-    variable per row.  Expanded term counts are capped so the exact oracle can
-    always afford the result.  Deterministic for a fixed seed.
-    """
-    n = len(sigma)
-    _check_grid(n, size_budget=size_budget)
-    if size_budget < 2 * n - 1:
-        raise ValueError(f"size_budget must be >= {2 * n - 1}")
-    sigma = check_permutation(sigma, n)
-    rng = random.Random(seed)
-    b = Builder()
-
-    def build(lo: int, hi: int, budget: int, term_cap: int) -> tuple[int, int]:
-        span = hi - lo + 1
-        minimal = 2 * span - 1
-        spend = min(0.9, 0.35 + budget / 50)  # deep budgets should get used
-        if span == 1:
-            if budget >= 3 and rng.random() < spend:
-                if term_cap >= 2 and rng.random() < 0.7:
-                    sub = rng.randint(1, budget - 2)
-                    left, tl = build(lo, hi, sub, term_cap - 1)
-                    right, tr = build(lo, hi, budget - 1 - sub, term_cap - tl)
-                    return b.emit(ADD, left, right), tl + tr
-                scale = b.leaf(CONST, rng.choice((-3, -2, -1, 2, 3)))
-                child, tc = build(lo, hi, budget - 2, term_cap)
-                return b.emit(MUL, scale, child), tc
-            return b.leaf(VAR, sigma[lo - 1], rng.randint(1, n)), 1
-        if budget >= minimal + 2 and rng.random() < 0.1:
-            # scalar factor above a full-span subcircuit
-            scale = b.leaf(CONST, rng.choice((-2, -1, 2)))
-            child, tc = build(lo, hi, budget - 2, term_cap)
-            return b.emit(MUL, scale, child), tc
-        if budget >= 2 * minimal + 1 and term_cap >= 2 and rng.random() < spend:
-            sub = rng.randint(minimal, budget - 1 - minimal)
-            left, tl = build(lo, hi, sub, term_cap - 1)
-            right, tr = build(lo, hi, budget - 1 - sub, term_cap - tl)
-            return b.emit(ADD, left, right), tl + tr
-        split = hi - 1 if budget == minimal else rng.randint(lo, hi - 1)
-        lmin = 2 * (split - lo + 1) - 1
-        rmin = 2 * (hi - split) - 1
-        extra_l = rng.randint(0, budget - 1 - lmin - rmin)
-        left, tl = build(lo, split, lmin + extra_l, max(1, math.isqrt(term_cap)))
-        right, tr = build(split + 1, hi, budget - 1 - lmin - extra_l, term_cap // tl)
-        return b.emit(MUL, left, right), tl * tr
-
-    root, _ = build(1, n, size_budget, _EXPANSION_GUARD)
-    return regular(Circuit(n, b.nodes(), root), sigma)

@@ -25,10 +25,10 @@ summands without validating them again, and needs no term budget: at d <= 6
 no node has more than 6^6 = 46,656 terms.  Its reference terms are built once
 per degree and shared, read-only, by every later step.  One `eval_points`
 call takes all of a check's trial points; it compiles each summand once and
-sweeps it once per point, in trial order.  Every check after step 0 also
-re-runs `regular` on each non-zero summand, so a pass that breaks a summand's
-(sigma, degree) but not its value still fails; step 0's input passed
-`regular` at the parser or generator already.  A failed check raises
+sweeps it once per point, in trial order.  Every check also re-runs `regular`
+on each non-zero summand, so a pass that breaks a summand's (sigma, degree)
+but not its value still fails, except step 0 when a step follows it: its
+input passed `regular` at the parser or generator.  A failed check raises
 VerificationFailed: some pass broke semantics, the strongest possible error.
 With verification on, at least one trial is required, so no verdict can be
 recorded ok without an evaluation.
@@ -148,11 +148,12 @@ def _verify_step(
     step: int,
     seed: int,
     trials: int,
+    sweep: bool,
 ) -> dict[str, Any]:
     if mode == "off":
         return {"step": step, "mode": "off", "ok": None}
     d = bouquet.n
-    for i, rc in enumerate(bouquet.summands if step else ()):
+    for i, rc in enumerate(bouquet.summands if sweep else ()):
         if is_zero_summand(rc):
             continue
         try:
@@ -217,7 +218,7 @@ def reduce_to_single(
         gates_before = bouquet_gate_count(cur)
         cur, tau = normalize_first(cur)
         cur = merge_summands(cur)
-        verdicts.append(_verify_step(cur, verify, len(steps), seed, trials))
+        verdicts.append(_verify_step(cur, verify, len(steps), seed, trials, bool(steps) or k_before <= 1))
         if k_before <= 1:  # composing and merging keep the number of orders
             break
 

@@ -1,10 +1,13 @@
-"""What the tests share: independent references, strategies and a CLI driver.
+"""What the tests share: independent references, strategies, the random
+circuit generator and a CLI driver.
 
 The passes carry (sigma, degree) over without calling `regular`, and only a
-verified reduction re-runs it, after each step; `assert_rechecks` checks
-that claim on what the passes return.  `eval_mod`, `poly_add`, `poly_scaled`,
-`poly_mul` and `expand_nodes` work term by term on `SparsePoly` values with
-none of `poly`'s code; `join` puts two circuits under the gate whose `expand`
+verified reduction re-runs it, after each step and at step 0 when no step
+follows; `assert_rechecks` checks that claim on what the passes return.
+`random_regular_circuit` lives here, not in the package, because only the
+tests draw random regular circuits; `regular_circuits` is its strategy.
+`eval_mod`, `poly_add`, `poly_scaled`, `poly_mul` and `expand_nodes` work
+term by term on `SparsePoly` values with none of `poly`'s code; `join` puts two circuits under the gate whose `expand`
 they are compared with.  `assert_computes_det` checks that a circuit or
 bouquet computes the determinant of its grid size: exactly against the
 Leibniz reference where that exists, above it at seeded points against
@@ -13,6 +16,7 @@ elimination mod PRIME.
 
 import io
 import math
+import random
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -20,8 +24,8 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from smlc import cli
-from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, regular
-from smlc.generators import random_regular_circuit, seeded_det_bouquet
+from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, Builder, Circuit, Nodes, regular
+from smlc.generators import seeded_det_bouquet
 from smlc.poly import (
     PRIME,
     REFERENCE_MAX_N,
@@ -190,6 +194,64 @@ seeds = st.integers(0, 2**32 - 1)
 
 def perms(n):
     return st.permutations(range(1, n + 1)).map(tuple)
+
+
+# Upper bound on the expanded term count of a random circuit, so generated
+# instances always stay within the exact oracle's fixed poly.TERM_BUDGET.
+_EXPANSION_GUARD = 50_000
+
+
+def random_regular_circuit(sigma, seed, size_budget):
+    """Random full-degree regular circuit w.r.t. sigma with at most size_budget nodes.
+
+    n is len(sigma).  The callers pass a permutation of [1..n] and a budget
+    of at least 2n-1 (one variable per row joined by products) unchecked;
+    the closing `regular` checks what comes out.  Grows top-down over
+    position spans: a span either splits multiplicatively at a random point,
+    or (budget permitting) becomes a sum of two circuits over the same
+    span.  A tight budget degenerates to the minimal left-comb product of one
+    variable per row.  Expanded term counts are capped so the exact oracle can
+    always afford the result.  Deterministic for a fixed seed.
+    """
+    n = len(sigma)
+    rng = random.Random(seed)
+    b = Builder()
+
+    def build(lo, hi, budget, term_cap):
+        span = hi - lo + 1
+        minimal = 2 * span - 1
+        spend = min(0.9, 0.35 + budget / 50)  # deep budgets should get used
+        if span == 1:
+            if budget >= 3 and rng.random() < spend:
+                if term_cap >= 2 and rng.random() < 0.7:
+                    sub = rng.randint(1, budget - 2)
+                    left, tl = build(lo, hi, sub, term_cap - 1)
+                    right, tr = build(lo, hi, budget - 1 - sub, term_cap - tl)
+                    return b.emit(ADD, left, right), tl + tr
+                scale = b.leaf(CONST, rng.choice((-3, -2, -1, 2, 3)))
+                child, tc = build(lo, hi, budget - 2, term_cap)
+                return b.emit(MUL, scale, child), tc
+            return b.leaf(VAR, sigma[lo - 1], rng.randint(1, n)), 1
+        if budget >= minimal + 2 and rng.random() < 0.1:
+            # scalar factor above a full-span subcircuit
+            scale = b.leaf(CONST, rng.choice((-2, -1, 2)))
+            child, tc = build(lo, hi, budget - 2, term_cap)
+            return b.emit(MUL, scale, child), tc
+        if budget >= 2 * minimal + 1 and term_cap >= 2 and rng.random() < spend:
+            sub = rng.randint(minimal, budget - 1 - minimal)
+            left, tl = build(lo, hi, sub, term_cap - 1)
+            right, tr = build(lo, hi, budget - 1 - sub, term_cap - tl)
+            return b.emit(ADD, left, right), tl + tr
+        split = hi - 1 if budget == minimal else rng.randint(lo, hi - 1)
+        lmin = 2 * (split - lo + 1) - 1
+        rmin = 2 * (hi - split) - 1
+        extra_l = rng.randint(0, budget - 1 - lmin - rmin)
+        left, tl = build(lo, split, lmin + extra_l, max(1, math.isqrt(term_cap)))
+        right, tr = build(split + 1, hi, budget - 1 - lmin - extra_l, term_cap // tl)
+        return b.emit(MUL, left, right), tl * tr
+
+    root, _ = build(1, n, size_budget, _EXPANSION_GUARD)
+    return regular(Circuit(n, b.nodes(), root), sigma)
 
 
 @st.composite

@@ -21,6 +21,7 @@ from recheck import (
     longest_monotone_len,
     poly_scaled,
     project_terms,
+    random_regular_circuit,
 )
 
 from smlc.circuit import (
@@ -35,7 +36,6 @@ from smlc.generators import (
     det_bouquet,
     distinct_perms,
     dp_det_bouquet,
-    random_regular_circuit,
 )
 from smlc.passes import (
     compose,

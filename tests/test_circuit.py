@@ -30,7 +30,7 @@ from smlc.circuit import (
     stats,
     validate,
 )
-from smlc.generators import det_bouquet, det_regular_circuit, random_regular_circuit, seeded_det_bouquet
+from smlc.generators import det_bouquet, det_regular_circuit, seeded_det_bouquet
 from smlc.passes import PassError, compose, monotone_subsequence, project
 from smlc.poly import NotAPermutation, random_perm
 from smlc.serialize import (
@@ -191,12 +191,11 @@ def _det2():
         (lambda: det_bouquet(True, [(1,)], 0), ValueError),
         (lambda: regular(c(True, VarLeaf(1, 1)), (1,)), CircuitError),
         (lambda: seeded_det_bouquet(3, True, 1), ValueError),
-        (lambda: random_regular_circuit((1,), 0, True), ValueError),
         (lambda: monotone_subsequence([True, 2]), PassError),
     ],
     ids=[
         "det_bouquet", "compose", "project", "sign", "sigma", "row", "col",
-        "n", "circuit_n", "k", "size_budget", "sequence_entry",
+        "n", "circuit_n", "k", "sequence_entry",
     ],
 )
 def test_bool_is_not_an_int(make, error):
@@ -214,14 +213,12 @@ def test_bool_is_not_an_int(make, error):
         (lambda n: regular(c(n, VarLeaf(1, 1), VarLeaf(2, 2), Mul(0, 1)), (1, 2)), "2", CircuitError),
         (lambda k: seeded_det_bouquet(3, k, 1), 1.5, ValueError),
         (lambda k: seeded_det_bouquet(3, k, 1), "2", ValueError),
-        (lambda budget: random_regular_circuit((1, 2), 0, budget), 3.5, ValueError),
-        (lambda budget: random_regular_circuit((1, 2), 0, budget), "3", ValueError),
         (lambda entry: monotone_subsequence([entry, 2]), 1.5, PassError),
         (lambda entry: monotone_subsequence([entry, "b"]), "a", PassError),
     ],
     ids=[
         "n-float", "n-str", "circuit_n-float", "circuit_n-str", "k-float", "k-str",
-        "size_budget-float", "size_budget-str", "sequence_entry-float", "sequence_entry-str",
+        "sequence_entry-float", "sequence_entry-str",
     ],
 )
 def test_float_or_str_size_is_a_typed_error(make, value, error):

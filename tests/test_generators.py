@@ -1,4 +1,4 @@
-"""Generators: determinant circuits, bouquets, random regular circuits."""
+"""Generators: determinant circuits and bouquets."""
 
 import itertools
 import math
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from recheck import assert_computes_det, perms, seeds
 
-from smlc.circuit import Mul, VarLeaf, validate
+from smlc.circuit import VarLeaf
 from smlc.generators import (
     DP_MAX_N,
     SPLIT_DRAWS,
@@ -18,7 +18,6 @@ from smlc.generators import (
     det_regular_circuit,
     distinct_perms,
     dp_det_bouquet,
-    random_regular_circuit,
     seeded_det_bouquet,
 )
 from smlc.poly import NotAPermutation, TooLarge, expand, expand_bouquet, random_perm, reference_det
@@ -157,41 +156,6 @@ def test_generators_reject_negative_grid_first(build, n):
 def test_bouquet_rejects_empty_order_list(make):
     with pytest.raises(ValueError, match="sigmas"):
         make(2, [], seed=0)
-
-
-def test_minimal_budget_is_left_comb():
-    n = 4
-    rc = random_regular_circuit((1, 2, 3, 4), 5, 2 * n - 1)
-    nodes = rc.circuit.nodes
-    assert len(nodes) == 2 * n - 1
-    assert sum(isinstance(nd, Mul) for nd in nodes) == n - 1
-    assert sum(isinstance(nd, VarLeaf) for nd in nodes) == n
-    assert rc.degree == n
-
-
-def test_random_circuit_deterministic_per_seed():
-    a = random_regular_circuit((2, 4, 1, 5, 3), 123, 60)
-    b = random_regular_circuit((2, 4, 1, 5, 3), 123, 60)
-    assert (a.circuit, a.sigma, a.degree) == (b.circuit, b.sigma, b.degree)
-
-
-def test_random_circuit_always_valid_and_within_budget():
-    rng = random.Random(31)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        budget = rng.randint(2 * n - 1, 120)
-        sigma = random_perm(n, rng)
-        rc = random_regular_circuit(sigma, rng.randrange(2**32), budget)
-        assert len(rc.circuit.nodes) <= budget
-        assert rc.degree == n
-        validate(rc.circuit)
-
-
-def test_random_regular_circuit_invariants():
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        random_regular_circuit((), 0, 10)
-    with pytest.raises(ValueError, match="size_budget must be >= 5"):
-        random_regular_circuit((1, 2, 3), 0, 4)
 
 
 @st.composite

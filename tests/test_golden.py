@@ -4,10 +4,15 @@ One SHA-256 per case over `dumps(transcript.to_obj())` followed by
 `dumps(circuit_to_obj(single.circuit))`, for `reduce_to_single` on
 `seeded_det_bouquet(n, k, seed)` with the same seed.
 A change that alters any transcript or output circuit fails the case it
-touches; the digests are fixed and are not regenerated by a change.
+touches; the digests are fixed and are not regenerated by a change.  The
+benchmark's three `--smoke` determinism digests are pinned here too.
 """
 
 import hashlib
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +80,20 @@ def test_reduction_bytes_are_pinned(n, k, seed, verify):
     single, transcript = reduce_to_single(bouquet, verify=verify, seed=seed)
     blob = dumps(transcript.to_obj()) + dumps(circuit_to_obj(single.circuit))
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[n, k, seed, verify]
+
+
+# `perfbench/run.py --workload all --seed 1 --seconds 1 --smoke`, one per workload in run order
+SMOKE_DIGESTS = [
+    "f0fd71b1e5859377126e15e3e4ab031d3109755f1fd84d578bffc254b279358f",  # det8-cli-off
+    "2e2d83123311279f54b4255f8ccf5a62295a21ac22c9fde3f9eafc26e8572a3d",  # det7-random
+    "b44c2a57602f2f61bdae0d35a48dd7b3000a7c559bdce55116ecc090b0eb1154",  # small-exact
+]
+
+
+def test_benchmark_smoke_digests_are_pinned():
+    # reads perfbench/ and writes only its ignored out/ directory
+    args = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "1", "--smoke"]
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, *args], cwd=root, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert re.findall(r"^ +digest +sha256:(\w+)$", run.stdout, re.MULTILINE) == SMOKE_DIGESTS

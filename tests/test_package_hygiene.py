@@ -6,7 +6,9 @@ value counts as an int only by `circuit._is_int`.
 
 Deleting a type or a helper tends to leave an `__all__` entry, an import or
 the helper it called behind, and deleting the last caller of a function
-leaves its export behind; these checks catch all four.  Every name has one
+leaves its export behind; these checks catch all four.  The package is the
+tool, not its test kit: every public function has a caller in the package
+or the benchmark, and one that only the tests call lives under `tests/`.  Every name has one
 spelling, in its submodule: `__init__.py` is its docstring alone, and the
 tests and the benchmark import from the top-level package only submodules.
 Each test-side reference is defined once (most in `tests/recheck.py`): no
@@ -95,6 +97,33 @@ def test_every_exported_function_has_a_caller_outside_its_module():
             if isinstance(node, ast.FunctionDef) and node.name in exported - outside
         ]
     assert not stale, f"exported functions nothing outside their module calls: {stale}"
+
+
+# public functions that only the tests call for now, each until the ROADMAP item named lands
+AWAITING_A_TOOL_CALLER = {
+    "dp_det_bouquet",  # item 14's `gen bouquet --dp` and item 8's benchmark workload
+    "reference_perm",  # item 2's permanent oracle
+}
+
+
+def test_every_public_function_serves_the_tool():
+    # searched: the package and the benchmark, not the tests; the benchmark's
+    # strings count too, because perfbench/tracing.py looks up its LAYERS by name
+    used = set().union(*(_referenced(_tree(path)) for path in MODULES))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = _tree(path)
+        used |= _referenced(tree)
+        used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    unused = {
+        node.name: path.name
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and node.name[0] != "_" and node.name not in used
+    }
+    test_only = sorted(f"{unused[name]}: {name}" for name in unused.keys() - AWAITING_A_TOOL_CALLER)
+    assert not test_only, f"public functions that only the tests call: {test_only}"
+    served = sorted(AWAITING_A_TOOL_CALLER - unused.keys())
+    assert not served, f"allowlisted functions that now have a caller in the tool: {served}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -308,11 +308,13 @@ def test_pass_mutant_fails_verification(monkeypatch, mutant, verify):
 
 
 @pytest.mark.parametrize("verify", ["exact", "random"])
-def test_merge_of_a_zero_step_input_is_verified(monkeypatch, verify):
+@pytest.mark.parametrize("mutant", ["lossy-merge", "reversed-merge"])
+def test_merge_of_a_zero_step_input_is_verified(monkeypatch, mutant, verify):
     # no step runs on a single-order input, so its one merge is what the
-    # reduction returns, and that merge is checked too
-    monkeypatch.setattr(pipeline, "merge_summands", _lossy_merge)
-    with pytest.raises(VerificationFailed, match=VALUE) as err:
+    # reduction returns, and that merge is checked for value and structure
+    _, replacement, message, _ = MUTANTS[mutant]
+    monkeypatch.setattr(pipeline, "merge_summands", replacement)
+    with pytest.raises(VerificationFailed, match=message) as err:
         reduce_to_single(_same_order_det4(), verify=verify, seed=0)
     assert err.value.step == 0
 

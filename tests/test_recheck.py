@@ -1,14 +1,27 @@
-"""Passes that skip re-inference must agree with it on randomized inputs."""
+"""Passes that skip re-inference must agree with it on randomized inputs, and
+`recheck.random_regular_circuit`, which draws the random circuits of the
+properties here and of criteria 1 and 7, keeps its shape and its draws."""
 
+import hashlib
 import itertools
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from recheck import assert_bouquet_rechecks, assert_rechecks, det_bouquets, perms, regular_circuits
+from recheck import (
+    assert_bouquet_rechecks,
+    assert_rechecks,
+    det_bouquets,
+    perms,
+    random_regular_circuit,
+    regular_circuits,
+)
 
-from smlc.circuit import Bouquet, Circuit, ConstLeaf, regular
+from smlc.circuit import Bouquet, Circuit, ConstLeaf, Mul, VarLeaf, regular, validate
 from smlc.passes import compose, merge_summands, project, reverse
 from smlc.pipeline import reduce_to_single
+from smlc.poly import random_perm
+from smlc.serialize import circuit_to_obj, dumps
 
 checks = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -62,3 +75,43 @@ def test_reduce_output_rechecks(b):
     assert_rechecks(single)
     if b is ZEROS:
         assert single.degree == 0
+
+
+def test_minimal_budget_is_left_comb():
+    n = 4
+    rc = random_regular_circuit((1, 2, 3, 4), 5, 2 * n - 1)
+    nodes = rc.circuit.nodes
+    assert len(nodes) == 2 * n - 1
+    assert sum(isinstance(nd, Mul) for nd in nodes) == n - 1
+    assert sum(isinstance(nd, VarLeaf) for nd in nodes) == n
+    assert rc.degree == n
+
+
+def test_random_circuit_deterministic_per_seed():
+    a = random_regular_circuit((2, 4, 1, 5, 3), 123, 60)
+    b = random_regular_circuit((2, 4, 1, 5, 3), 123, 60)
+    assert (a.circuit, a.sigma, a.degree) == (b.circuit, b.sigma, b.degree)
+
+
+def test_random_circuit_always_valid_and_within_budget():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        budget = rng.randint(2 * n - 1, 120)
+        sigma = random_perm(n, rng)
+        rc = random_regular_circuit(sigma, rng.randrange(2**32), budget)
+        assert len(rc.circuit.nodes) <= budget
+        assert rc.degree == n
+        validate(rc.circuit)
+
+
+def test_random_circuit_draws_are_pinned():
+    # the derandomized properties and criteria 1 and 7 see these circuits
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        rc = random_regular_circuit(random_perm(n, rng), rng.randrange(2**32), rng.randint(2 * n - 1, 60))
+        line = dumps(circuit_to_obj(rc.circuit)) + dumps(list(rc.sigma)) + str(rc.degree) + "\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == "e4aa49f7629fd0b8b685965e9c36e7433c467a42959da526044783e742de54c7"

@@ -1,10 +1,12 @@
 """Invariants are checked where circuits enter and where a verdict is asked for.
 
-Generators and the parser run `regular`; every pass carries (sigma, degree)
-over by construction.  So an unverified reduction runs no typing or
-regularity sweep at all, a verified one sweeps each live summand of the
-steps after the first (step 0 came through a boundary already), and
-`project`'s carried (sigma, degree) must equal what inference would find.
+Generators, the parser and the tests' `recheck.random_regular_circuit` run
+`regular`; every pass carries (sigma, degree) over by construction.  So an
+unverified reduction runs no typing or regularity sweep at all, a verified
+one sweeps each live summand of the steps after the first (step 0 came
+through a boundary already, and is swept only when it is also the last
+check, on an input with one distinct order), and `project`'s carried
+(sigma, degree) must equal what inference would find.
 """
 
 import random
@@ -12,11 +14,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from recheck import perms, regular_circuits
+from recheck import perms, random_regular_circuit, regular_circuits
 
 from smlc import circuit as circuit_module
 from smlc.circuit import CONST, Bouquet, Circuit, regular, validate
-from smlc.generators import random_regular_circuit, seeded_det_bouquet
+from smlc.generators import seeded_det_bouquet
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
 from smlc.poly import random_perm
