@@ -45,6 +45,7 @@ from .poly import (
 from .serialize import (
     ParseError,
     bouquet_from_obj,
+    bouquet_from_text,
     bouquet_to_obj,
     circuit_from_obj,
     circuit_to_obj,
@@ -68,8 +69,16 @@ def _trials(text: str) -> int:
     return value
 
 
+def _read_text() -> str:
+    # undecodable bytes are a parse error (exit 2), like bad JSON, not a ValueError (exit 1)
+    try:
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
+
+
 def _read_obj() -> Any:
-    return loads(sys.stdin.read())
+    return loads(_read_text())
 
 
 def _read_circuit():
@@ -77,7 +86,7 @@ def _read_circuit():
 
 
 def _read_bouquet() -> Bouquet:
-    return bouquet_from_obj(_read_obj())
+    return bouquet_from_text(_read_text())
 
 
 def _read_doc(obj: Any):

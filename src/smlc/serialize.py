@@ -13,6 +13,12 @@ Bouquet document:
 "sign" is the global factor of the sum; it defaults to 1 when absent, so
 documents written without it parse fine.
 
+`bouquet_from_text` reads a bouquet whose "n" precedes "summands", as this
+module writes it, one summand at a time: only one summand's decoded nodes
+exist at once.  Any other shape is read whole, by `bouquet_from_obj(loads(
+text))`, and so is any document the summand-at-a-time reader finds fault
+with, so its errors are the same either way.
+
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
 are decimal strings (an optional "-", then ASCII digits) so readers never face
@@ -32,9 +38,10 @@ well-formed one pays for one subscript per field.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
-from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, Nodes, RegularCircuit, regular
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, regular
 from .circuit import _is_int, decimal
 
 __all__ = [
@@ -43,6 +50,7 @@ __all__ = [
     "circuit_from_obj",
     "bouquet_to_obj",
     "bouquet_from_obj",
+    "bouquet_from_text",
     "dumps",
     "loads",
 ]
@@ -146,6 +154,20 @@ def bouquet_to_obj(bouquet: Bouquet) -> dict[str, Any]:
     }
 
 
+def _summand_from_obj(raw: Any, idx: int, n: int) -> RegularCircuit:
+    if type(raw) is not dict:
+        raise ParseError(f"summand {idx} is not an object")
+    sigma = _require(raw, "sigma", list)
+    if not all(_is_int(x) for x in sigma):
+        raise ParseError(f"summand {idx}: sigma must be a list of ints")
+    circuit = circuit_from_obj(_require(raw, "circuit", dict))
+    if circuit.n != n:
+        raise ParseError(f"summand {idx}: grid size {circuit.n} does not match bouquet n={n}")
+    # regularity is a domain property, not a schema property: let
+    # CircuitError propagate to the caller untouched
+    return regular(circuit, tuple(sigma))
+
+
 def bouquet_from_obj(obj: Any) -> Bouquet:
     if type(obj) is not dict:
         raise ParseError("bouquet document must be a JSON object")
@@ -156,20 +178,68 @@ def bouquet_from_obj(obj: Any) -> Bouquet:
     sign = _require(obj, "sign", int) if "sign" in obj else 1
     if sign not in (1, -1):
         raise ParseError("sign must be 1 or -1")
+    summands = tuple(_summand_from_obj(raw, idx, n) for idx, raw in enumerate(raw_summands))
+    return Bouquet(n=n, summands=summands, sign=sign)
+
+
+class _Declined(Exception):
+    """The document is not in the shape `_bouquet_by_summand` reads."""
+
+
+_DECODE = json.JSONDecoder().raw_decode
+_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace, as the decoder skips it
+
+
+def bouquet_from_text(text: str) -> Bouquet:
+    """`bouquet_from_obj(loads(text))`, reading one summand at a time when it can.
+
+    A document that is not an object with "n" before a non-empty "summands"
+    and no repeated key, or that fails in any way, is parsed again whole by
+    the canonical path, which raises its own error in its own order: a
+    malformed document costs a second parse.
+    """
+    try:
+        return _bouquet_by_summand(text)
+    except (_Declined, ValueError, RecursionError, ParseError, CircuitError):
+        return bouquet_from_obj(loads(text))
+
+
+def _bouquet_by_summand(text: str) -> Bouquet:
+    fields: dict[str, Any] = {}
     summands: list[RegularCircuit] = []
-    for idx, raw in enumerate(raw_summands):
-        if type(raw) is not dict:
-            raise ParseError(f"summand {idx} is not an object")
-        sigma = _require(raw, "sigma", list)
-        if not all(_is_int(x) for x in sigma):
-            raise ParseError(f"summand {idx}: sigma must be a list of ints")
-        circuit = circuit_from_obj(_require(raw, "circuit", dict))
-        if circuit.n != n:
-            raise ParseError(f"summand {idx}: grid size {circuit.n} does not match bouquet n={n}")
-        # regularity is a domain property, not a schema property: let
-        # CircuitError propagate to the caller untouched
-        summands.append(regular(circuit, tuple(sigma)))
-    return Bouquet(n=n, summands=tuple(summands), sign=sign)
+    i = _SPACE(text).end()
+    sep = text[i : i + 1]
+    if sep != "{":
+        raise _Declined
+    while sep != "}":  # at the object's "{" or at a ","
+        key, i = _DECODE(text, _SPACE(text, i + 1).end())
+        i = _SPACE(text, i).end()
+        if type(key) is not str or key in fields or text[i : i + 1] != ":":
+            raise _Declined
+        i = _SPACE(text, i + 1).end()
+        if key != "summands":
+            fields[key], i = _DECODE(text, i)
+        elif type(fields.get("n")) is int and text[i : i + 1] == "[":
+            fields[key] = summands
+            while sep != "]":  # at the array's "[" or at a ","
+                raw, i = _DECODE(text, _SPACE(text, i + 1).end())
+                summands.append(_summand_from_obj(raw, len(summands), fields["n"]))
+                del raw  # before the next summand is decoded
+                i = _SPACE(text, i).end()
+                sep = text[i : i + 1]
+                if sep not in (",", "]"):
+                    raise _Declined
+            i += 1
+        else:
+            raise _Declined
+        i = _SPACE(text, i).end()
+        sep = text[i : i + 1]
+        if sep not in (",", "}"):
+            raise _Declined
+    if _SPACE(text, i + 1).end() != len(text):
+        raise _Declined
+    # a ValueError if "summands" is missing or "sign" is not exactly 1 or -1
+    return Bouquet(n=fields.get("n"), summands=tuple(summands), sign=fields.get("sign", 1))
 
 
 def dumps(obj: Any) -> str:

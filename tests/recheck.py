@@ -11,7 +11,8 @@ term by term on `SparsePoly` values with none of `poly`'s code; `join` puts two 
 they are compared with.  `assert_computes_det` checks that a circuit or
 bouquet computes the determinant of its grid size: exactly against the
 Leibniz reference where that exists, above it at seeded points against
-elimination mod PRIME.
+elimination mod PRIME.  `read_outcome` is what a bouquet reader makes of a
+text: the `Bouquet`, or the class and message of what it raised.
 """
 
 import io
@@ -37,6 +38,7 @@ from smlc.poly import (
     reference_det,
     trial_point,
 )
+from smlc.serialize import bouquet_from_obj, loads
 
 
 def assert_rechecks(rc):
@@ -281,3 +283,16 @@ def run_cli(args, stdin=""):
         except SystemExit as exc:
             code = exc.code
     return CliRun(code, out.getvalue(), err.getvalue())
+
+
+def read_whole(text):
+    """The canonical bouquet reader: the whole document decoded, then converted."""
+    return bouquet_from_obj(loads(text))
+
+
+def read_outcome(read, text):
+    """read(text), or the class and message of the exception it raised."""
+    try:
+        return read(text)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)

@@ -1,8 +1,9 @@
 """CLI surface: pipes, exit codes, and agreement with in-process calls.
 
 Every test drives `cli.main` in-process through `recheck.run_cli`, except the
-two whose behaviour is the process boundary: the exit status and streams of
-`python -m smlc`, and the quiet exit 141 on a closed stdout.
+three whose behaviour is the process boundary: the exit status and streams of
+`python -m smlc`, the decoding of its stdin, and the quiet exit 141 on a
+closed stdout.
 """
 
 import json
@@ -84,6 +85,17 @@ def test_python_m_smlc_exits_with_the_in_process_status(status):
         assert proc.stderr.startswith("usage: smlc ") and proc.stdout == ""
     else:
         assert proc.stderr == "" and json.loads(proc.stdout).get("error") == error
+
+
+@pytest.mark.parametrize("verb", ["validate", "reduce"])
+def test_input_that_is_not_utf8_exits_2(verb):
+    # a strict decoder raises UnicodeDecodeError, a ValueError, where the C
+    # locale's surrogateescape passes the byte on to the JSON parser: exit 2 either way
+    env = dict(CHILD_ENV, PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "smlc", verb], input=b"\xff{}", capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    line = json.loads(proc.stdout)
+    assert line["error"] == "ParseError" and line["detail"].startswith("input is not UTF-8: ")
 
 
 @pytest.mark.parametrize(
@@ -199,15 +211,14 @@ def test_closed_stdout_exits_141_quietly(args, tmp_path):
     # both outputs outgrow a pipe's buffer, so the write itself meets the closed pipe
     source = tmp_path / "b.json"
     source.write_text(dumps(bouquet_to_obj(seeded_det_bouquet(6, 2, 1))) + "\n")
-    with source.open() as stdin:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "smlc", *args],
-            stdin=stdin,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=CHILD_ENV,
-        )
+    with source.open() as stdin, subprocess.Popen(
+        [sys.executable, "-m", "smlc", *args],
+        stdin=stdin,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=CHILD_ENV,
+    ) as proc:
         assert len(proc.stdout.read(50)) == 50
         proc.stdout.close()
         stderr = proc.stderr.read()

@@ -4,6 +4,8 @@ This file is their one home: each law is stated once, over `recheck`'s
 strategies, and no unit test repeats it on seeded inputs.
 """
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recheck import (
@@ -14,13 +16,15 @@ from recheck import (
     poly_add,
     poly_mul,
     project_terms,
+    read_outcome,
+    read_whole,
     regular_circuits,
 )
 
 from smlc.circuit import ADD, MUL, Bouquet, Circuit, ConstLeaf, regular
 from smlc.passes import compose, drop_last_index, merge_summands, project, reverse
 from smlc.poly import SparsePoly, compose_perms, expand, expand_bouquet, invert_perm, reference_det
-from smlc.serialize import bouquet_from_obj, bouquet_to_obj, dumps, loads
+from smlc.serialize import bouquet_from_text, bouquet_to_obj, dumps
 
 laws = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -110,7 +114,26 @@ def test_merge_is_idempotent(b):
 @laws
 @given(bouquets())
 def test_serialize_round_trip_is_identity(b):
-    assert bouquet_from_obj(loads(dumps(bouquet_to_obj(b)))) == b
+    assert bouquet_from_text(dumps(bouquet_to_obj(b))) == b
+
+
+# what an edit puts in: nothing (a deletion), JSON's structure and whitespace,
+# digits, a BOM and a stray letter
+EDITS = ("", " ", "\n", "{", "}", "[", "]", ",", ":", '"', "0", "1", "-", "\ufeff", "x")
+
+
+@laws
+@given(bouquets(), st.data())
+def test_reading_by_summand_is_reading_the_whole_document(b, data):
+    # the same Bouquet, or the same error class and message, on the compact,
+    # indented and key-reordered text, each with 0-3 characters edited
+    obj = bouquet_to_obj(b)
+    reordered = {"summands": obj["summands"], "n": obj["n"], "sign": obj["sign"]}
+    for text in (dumps(obj), json.dumps(obj, indent=2), json.dumps(reordered)):
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(EDITS)) + text[at + data.draw(st.integers(0, 1)) :]
+        assert read_outcome(bouquet_from_text, text) == read_outcome(read_whole, text)
 
 
 @laws

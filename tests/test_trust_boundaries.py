@@ -6,22 +6,28 @@ unverified reduction runs no typing or regularity sweep at all, a verified
 one sweeps each live summand of the steps after the first (step 0 came
 through a boundary already, and is swept only when it is also the last
 check, on an input with one distinct order), and `project`'s carried
-(sigma, degree) must equal what inference would find.
+(sigma, degree) must equal what inference would find.  The bouquet reader
+converts one summand at a time where the document's shape allows, and reads
+the whole document, with the same outcome, where it does not.
 """
 
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from recheck import perms, random_regular_circuit, regular_circuits
+from recheck import perms, random_regular_circuit, read_outcome, read_whole, regular_circuits
 
 from smlc import circuit as circuit_module
+from smlc import serialize
 from smlc.circuit import CONST, Bouquet, Circuit, regular, validate
 from smlc.generators import seeded_det_bouquet
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
 from smlc.poly import random_perm
+from smlc.serialize import bouquet_from_text, bouquet_to_obj, dumps
 
 
 def _count_sweeps(monkeypatch):
@@ -114,3 +120,54 @@ def test_project_carries_the_inferred_order_and_degree():
     check()
     # both lemma cases occur: roots folded to a constant, and surviving roots
     assert any(folded) and not all(folded)
+
+
+_DOC = bouquet_to_obj(seeded_det_bouquet(3, 2, 1))
+_SUMMANDS = json.dumps(_DOC["summands"])
+
+# a document -> whether the reader reads it whole, and the outcome it must share with that read
+READER_CASES = {
+    "summands before n": ('{"summands": %s, "n": 3}' % _SUMMANDS, True, "ok"),
+    # JSON keeps the last of a repeated key
+    "repeated summands": (
+        '{"n": 3, "summands": %s, "summands": %s}' % (json.dumps(_DOC["summands"][:1]), _SUMMANDS),
+        True,
+        "ok",
+    ),
+    "n 3.0": ('{"n": 3.0, "summands": %s}' % _SUMMANDS, True, "field 'n': expected int, got float"),
+    "sign 2": ('{"n": 3, "sign": 2, "summands": %s}' % _SUMMANDS, True, "sign must be 1 or -1"),
+    "sign true": ('{"n": 3, "sign": true, "summands": %s}' % _SUMMANDS, True, "field 'sign': expected int, got bool"),
+    "trailing data": (dumps(_DOC) + " {}", True, "invalid JSON: Extra data"),
+    "leading BOM": ("\ufeff" + dumps(_DOC), True, "invalid JSON: Unexpected UTF-8 BOM"),
+    "one summand": (dumps(dict(_DOC, summands=_DOC["summands"][:1])), False, "ok"),
+    "empty summands": ('{"n": 3, "summands": []}', True, "bouquet needs at least one summand"),
+}
+
+
+@pytest.mark.parametrize(("text", "whole", "expected"), READER_CASES.values(), ids=READER_CASES)
+def test_bouquet_reader_reads_other_shapes_whole(monkeypatch, text, whole, expected):
+    canonical = read_outcome(read_whole, text)
+    if expected == "ok":
+        assert isinstance(canonical, Bouquet)
+    else:
+        assert canonical[0] is serialize.ParseError and canonical[1].startswith(expected)
+    reads, loads = [], serialize.loads
+    monkeypatch.setattr(serialize, "loads", lambda doc: reads.append(doc) or loads(doc))
+    assert read_outcome(bouquet_from_text, text) == canonical
+    assert len(reads) == whole
+
+
+def test_bouquet_reader_holds_one_summand_at_a_time():
+    # the decoded nodes of one summand, not of all three, at the traced peak
+    text = dumps(bouquet_to_obj(seeded_det_bouquet(6, 3, 1)))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for read in (bouquet_from_text, read_whole):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            read(text)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 0.6 * peaks[1], peaks
