@@ -200,6 +200,9 @@ def reduce_to_single(
     trials >= 1 unless verify is "off" (a ValueError otherwise).  The caller
     promises the input computes the determinant of degree n; with verify on,
     a broken promise (or a broken pass) surfaces as VerificationFailed.
+    Every summand must be the constant 0 or of degree n (a ValueError naming
+    the first that is not, before any pass): a summand is homogeneous of its
+    degree, so those below n sum to zero in a determinant and carry nothing.
     """
     if verify not in ("off", "random", "exact"):
         raise ValueError(f"unknown verify mode {verify!r}")
@@ -207,6 +210,9 @@ def reduce_to_single(
         raise ValueError(f"trials and seed must be ints, got {trials!r} and {seed!r}")
     if verify != "off" and trials < 1:
         raise ValueError("trials must be >= 1")
+    for i, rc in enumerate(bouquet.summands):
+        if rc.degree != bouquet.n and not is_zero_summand(rc):
+            raise ValueError(f"summand {i} has degree {rc.degree} below n={bouquet.n}")
 
     cur = bouquet
     steps: list[dict[str, Any]] = []

@@ -11,8 +11,11 @@ term by term on `SparsePoly` values with none of `poly`'s code; `join` puts two 
 they are compared with.  `assert_computes_det` checks that a circuit or
 bouquet computes the determinant of its grid size: exactly against the
 Leibniz reference where that exists, above it at seeded points against
-elimination mod PRIME.  `read_outcome` is what a bouquet reader makes of a
-text: the `Bouquet`, or the class and message of what it raised.
+elimination mod PRIME.  `cases` draws the regularity checker's inputs: a
+summand from `summands`, left intact or broken by one of `MUTATIONS`.
+`outcome` is what a call makes: its value, or the class and message of what
+it raised.  `spy` records the calls a test patches in.  A helper that two
+test modules use is defined here, once.
 """
 
 import io
@@ -20,12 +23,27 @@ import math
 import random
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import strategies as st
 
 from smlc import cli
-from smlc.circuit import ADD, CONST, MUL, VAR, Bouquet, Builder, Circuit, Nodes, regular
+from smlc.circuit import (
+    ADD,
+    CONST,
+    MUL,
+    VAR,
+    Add,
+    Bouquet,
+    Builder,
+    Circuit,
+    ConstLeaf,
+    Mul,
+    Nodes,
+    VarLeaf,
+    regular,
+)
 from smlc.generators import seeded_det_bouquet
 from smlc.poly import (
     PRIME,
@@ -35,6 +53,7 @@ from smlc.poly import (
     eval_points,
     expand,
     expand_bouquet,
+    random_perm,
     reference_det,
     trial_point,
 )
@@ -270,6 +289,228 @@ def det_bouquets(draw, n):
     return seeded_det_bouquet(n, k, draw(seeds))
 
 
+@st.composite
+def summands(draw):
+    """A random, determinant or constant summand, over a grid with up to two
+    rows it does not read (so its degree may be below n)."""
+    kind = draw(st.sampled_from(("random", "det", "const")))
+    n = draw(st.integers(1, 5 if kind == "random" else 4))
+    if kind == "random":
+        rc = draw(regular_circuits(n))
+    elif kind == "det":
+        rc = draw(st.sampled_from(draw(det_bouquets(n)).summands))
+    else:
+        rc = regular(Circuit(n, (ConstLeaf(draw(st.integers(-2, 2))),), 0), draw(perms(n)))
+    extra = draw(st.integers(0, 2))
+    return replace(rc.circuit, n=n + extra), rc.sigma + tuple(range(n + 1, n + extra + 1))
+
+
+def _pick(draw, circuit, kinds):
+    # (id, node) of a drawn node of one of `kinds`, or (None, None)
+    picks = [(vid, node) for vid, node in enumerate(circuit.nodes) if isinstance(node, kinds)]
+    return draw(st.sampled_from(picks)) if picks else (None, None)
+
+
+def _put(circuit, vid, node):
+    nodes = list(circuit.nodes)
+    nodes[vid] = node
+    return replace(circuit, nodes=tuple(nodes))
+
+
+def intact(draw, circuit, sigma):
+    return circuit, sigma
+
+
+def swap_mul_children(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, Mul)
+    if vid is None:
+        return circuit, sigma
+    return _put(circuit, vid, Mul(node.right, node.left)), sigma
+
+
+def move_leaf_row(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, VarLeaf)
+    if vid is None:
+        return circuit, sigma
+    row = draw(st.integers(1, circuit.n))
+    return _put(circuit, vid, VarLeaf(row, node.col)), sigma
+
+
+def variable_out_of_range(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, VarLeaf)
+    if vid is None:
+        return circuit, sigma
+    # one draw over every (field, value) pair, just past the grid first: the
+    # draws favour early entries, and with separate field and value draws no
+    # col = n+1 came up in a run
+    pairs = [(f, v) for v in (circuit.n + 1, 0, -1) for f in ("col", "row")]
+    field, bad = draw(st.sampled_from(pairs))
+    leaf = VarLeaf(bad, node.col) if field == "row" else VarLeaf(node.row, bad)
+    return _put(circuit, vid, leaf), sigma
+
+
+def non_int_row(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, VarLeaf)
+    if vid is None:
+        return circuit, sigma
+    row = draw(st.sampled_from((float(node.row), str(node.row))))
+    return _put(circuit, vid, VarLeaf(row, node.col)), sigma
+
+
+def bad_child_reference(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, (Add, Mul))
+    if vid is None:
+        return circuit, sigma
+    ref = draw(st.sampled_from((vid, vid + 1, -1, -2)))
+    gate = type(node)(ref, node.right) if draw(st.booleans()) else type(node)(node.left, ref)
+    return _put(circuit, vid, gate), sigma
+
+
+def sigma_wrong_length(draw, circuit, sigma):
+    longer = draw(st.sampled_from(((len(sigma) + 1,), sigma[:1])))
+    return circuit, draw(st.sampled_from((sigma[:-1], sigma + longer)))
+
+
+def sigma_not_a_permutation(draw, circuit, sigma):
+    p = draw(st.integers(0, len(sigma) - 1))
+    value = draw(st.sampled_from((0, len(sigma) + 1, sigma[p - 1], float(sigma[p]))))
+    return circuit, sigma[:p] + (value,) + sigma[p + 1 :]
+
+
+def swap_sigma_positions(draw, circuit, sigma):
+    if len(sigma) < 2:
+        return circuit, sigma
+    p, q = draw(st.lists(st.integers(0, len(sigma) - 1), min_size=2, max_size=2, unique=True))
+    swapped = list(sigma)
+    swapped[p], swapped[q] = sigma[q], sigma[p]
+    return circuit, tuple(swapped)
+
+
+def rewire_child(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, draw(st.sampled_from((Add, Mul))))
+    if vid is None:
+        return circuit, sigma
+    ref = draw(st.integers(0, vid - 1))
+    gate = type(node)(ref, node.right) if draw(st.booleans()) else type(node)(node.left, ref)
+    return _put(circuit, vid, gate), sigma
+
+
+def empty_grid(draw, circuit, sigma):
+    return replace(circuit, n=0), draw(st.sampled_from((sigma, ())))
+
+
+def other_root(draw, circuit, sigma):
+    return replace(circuit, root=draw(st.integers(-1, len(circuit.nodes)))), sigma
+
+
+def non_int_constant(draw, circuit, sigma):
+    vid, node = _pick(draw, circuit, ConstLeaf)
+    if vid is None:
+        return circuit, sigma
+    value = draw(st.sampled_from((float(node.value), node.value + 0.5, str(node.value))))
+    return _put(circuit, vid, ConstLeaf(value)), sigma
+
+
+def non_int_reference(draw, circuit, sigma):
+    # a float indexes no list, and a bool indexes node 0 or 1
+    vid, node = _pick(draw, circuit, (Add, Mul))
+    if vid is None:
+        return circuit, sigma
+    ref = draw(st.sampled_from((float(node.left), False, True)))
+    gate = type(node)(ref, node.right) if draw(st.booleans()) else type(node)(node.left, ref)
+    return _put(circuit, vid, gate), sigma
+
+
+def non_int_root(draw, circuit, sigma):
+    root = draw(st.sampled_from((float(circuit.root), False, True)))
+    return replace(circuit, root=root), sigma
+
+
+def foreign_node(draw, circuit, sigma):
+    vid = draw(st.integers(0, len(circuit.nodes) - 1))
+    # an object of no node class fails when the circuit converts it, so the
+    # case is a function that builds it, called inside the check
+    return (lambda: _put(circuit, vid, object())), sigma
+
+
+MUTATIONS = (
+    intact,
+    swap_mul_children,
+    move_leaf_row,
+    variable_out_of_range,
+    non_int_row,
+    bad_child_reference,
+    sigma_wrong_length,
+    sigma_not_a_permutation,
+    swap_sigma_positions,
+    rewire_child,
+    empty_grid,
+    other_root,
+    non_int_constant,
+    non_int_reference,
+    non_int_root,
+    foreign_node,
+)
+
+
+@st.composite
+def cases(draw):
+    """A (circuit, sigma) pair: a drawn summand, left intact or broken in one drawn way."""
+    circuit, sigma = draw(summands())
+    mutate = draw(st.sampled_from(MUTATIONS))
+    return mutate(draw, circuit, sigma)
+
+
+def sample_det_bouquets():
+    """Three seeded Leibniz determinant bouquets, n = 3, 5 and 6."""
+    return [seeded_det_bouquet(n, k, seed) for n, k, seed in ((3, 2, 1), (5, 3, 7), (6, 2, 2))]
+
+
+def sample_random_bouquets():
+    """Three bouquets of random regular summands, n = 4, 6 and 8; they compute no determinant."""
+    rng = random.Random(17)
+    out = []
+    for n, k in ((4, 3), (6, 3), (8, 2)):
+        summands = tuple(
+            random_regular_circuit(
+                seed=rng.randrange(2**32),
+                size_budget=rng.randint(2 * n - 1, 80),
+                sigma=random_perm(n, rng),
+            )
+            for _ in range(k)
+        )
+        out.append(Bouquet(n, summands))
+    return out
+
+
+def over_budget_circuit():
+    """n = 11: two products of three 11-variable row sums under one Mul (131 nodes).
+
+    Each product has 11^3 = 1331 terms, so the last Mul would need 1331^2,
+    which exceeds TERM_BUDGET = 10^6, while every earlier node is small.
+    """
+    nodes = []
+
+    def push(node):
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def row_sum(row):
+        acc = push(VarLeaf(row, 1))
+        for col in range(2, 12):
+            acc = push(Add(acc, push(VarLeaf(row, col))))
+        return acc
+
+    def product(rows):
+        acc = row_sum(rows[0])
+        for row in rows[1:]:
+            acc = push(Mul(acc, row_sum(row)))
+        return acc
+
+    root = push(Mul(product((1, 2, 3)), product((4, 5, 6))))
+    return Circuit(11, tuple(nodes), root)
+
+
 CliRun = namedtuple("CliRun", "code out err")
 
 
@@ -290,9 +531,21 @@ def read_whole(text):
     return bouquet_from_obj(loads(text))
 
 
-def read_outcome(read, text):
-    """read(text), or the class and message of the exception it raised."""
+def outcome(fn, *args):
+    """fn(*args), or the class and message of the exception it raised."""
     try:
-        return read(text)
+        return fn(*args)
     except Exception as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
+
+
+def spy(monkeypatch, owner, name):
+    """Patch owner.name to record each call's arguments, then call through; return the record."""
+    calls, original = [], getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls

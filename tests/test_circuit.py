@@ -347,22 +347,6 @@ def test_bouquet_sign_defaults_to_plus_one():
     assert bouquet_from_obj(obj).sign == 1
 
 
-def test_parser_rejects_bad_documents():
-    good = circuit_to_obj(c(1, VarLeaf(1, 1)))
-    with pytest.raises(ParseError):
-        circuit_from_obj({**good, "nodes": [{"id": 1, "op": "var", "row": 1, "col": 1}]})
-    with pytest.raises(ParseError):
-        circuit_from_obj(
-            {"n": 1, "root": 0, "nodes": [{"id": 0, "op": "mul", "left": 0, "right": 1}]}
-        )
-    with pytest.raises(ParseError):
-        circuit_from_obj({**good, "nodes": [{"id": 0, "op": "div", "left": 0, "right": 0}]})
-    with pytest.raises(ParseError):
-        circuit_from_obj({**good, "root": 5})
-    with pytest.raises(ParseError):
-        circuit_from_obj({"n": 1, "nodes": [{"id": 0, "op": "const", "value": "x"}], "root": 0})
-
-
 def _doc(*nodes):
     return {"n": 2, "nodes": list(nodes), "root": 0}
 
@@ -402,7 +386,10 @@ class SubDict(dict):
         ),
         (_doc({"id": 0, "op": "const", "value": "1.5"}), "node 0: bad decimal constant '1.5'"),
         (_doc({"id": 0, "op": "const", "value": 3}), "field 'value': expected str, got int"),
+        (_doc({"id": 0, "op": "mul", "left": 0, "right": 1}), "node 0: forward or invalid child reference 0"),
+        (_doc({"id": 0, "op": "const", "value": "x"}), "node 0: bad decimal constant 'x'"),
         (_doc({"id": 0, "op": "div", "left": 0, "right": 0}), "node 0: unknown op 'div'"),
+        ({**_doc(VAR), "root": 5}, "root 5 out of range"),
         # int() would take each of these, and the writer would respell it
         (_doc({"id": 0, "op": "const", "value": "1_000"}), "node 0: bad decimal constant '1_000'"),
         (_doc({"id": 0, "op": "const", "value": " 5"}), "node 0: bad decimal constant ' 5'"),

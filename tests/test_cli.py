@@ -13,16 +13,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from recheck import run_cli
+from recheck import over_budget_circuit, run_cli
 
-from smlc.circuit import Bouquet
+from smlc.circuit import Bouquet, Circuit, ConstLeaf, VarLeaf, regular
 from smlc.generators import det_bouquet, det_regular_circuit, seeded_det_bouquet
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
 from smlc.poly import (
     PRIME,
     equiv_random,
-    expand,
     expand_bouquet,
     poly_to_text,
     reference_det,
@@ -31,12 +30,9 @@ from smlc.poly import (
 from smlc.serialize import (
     bouquet_from_obj,
     bouquet_to_obj,
-    circuit_from_obj,
     circuit_to_obj,
     dumps,
 )
-
-from test_poly import over_budget_circuit
 
 
 # the child `python -m smlc` imports the package from this checkout's src,
@@ -131,65 +127,6 @@ def test_gen_bouquet_with_one_term_per_order_ends():
     assert expand_bouquet(bouquet).terms == reference_det(4).terms
 
 
-def test_gen_det_stats():
-    gen = run_cli(["gen", "det", "--n", "3"])
-    st = run_cli(["stats"], stdin=gen.out)
-    doc = json.loads(st.out)
-    assert doc["ok"] is True
-    assert doc["degree"] == 3
-
-
-def test_validate_reports_index_sets():
-    gen = run_cli(["gen", "det", "--n", "2"])
-    res = run_cli(["validate"], stdin=gen.out)
-    doc = json.loads(res.out)
-    assert doc["ok"] is True
-    assert doc["index_sets"][-1] == [1, 2]
-
-
-def test_check_regular_mismatch_exits_1():
-    gen = run_cli(["gen", "det", "--n", "2", "--sigma", "1,2"])
-    ok = run_cli(["check-regular", "--sigma", "1,2"], stdin=gen.out)
-    assert ok.code == 0
-    bad = run_cli(["check-regular", "--sigma", "2,1"], stdin=gen.out)
-    assert bad.code == 1
-    doc = json.loads(bad.out)
-    assert doc["ok"] is False
-    assert doc["error"] in ("NotContiguous", "WrongAdjacency")
-
-
-def test_gen_bouquet_reduce_exact():
-    gen = run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "7"])
-    assert gen.code == 0
-    red = run_cli(["reduce", "--verify", "exact", "--seed", "7"], stdin=gen.out)
-    assert red.code == 0
-    circuit = circuit_from_obj(json.loads(red.out))
-    assert expand(circuit).terms == reference_det(circuit.n).terms
-
-
-def test_reduce_emits_transcript(tmp_path):
-    gen = run_cli(["gen", "bouquet", "--n", "4", "--k", "2", "--seed", "3"])
-    path = tmp_path / "transcript.json"
-    red = run_cli(
-        ["reduce", "--verify", "exact", "--seed", "3", "--emit-transcript", str(path)],
-        stdin=gen.out,
-    )
-    assert red.code == 0
-    doc = json.loads(path.read_text())
-    assert doc["config"]["verify"] == "exact"
-    assert doc["final_degree"] >= 2
-    for step in doc["steps"]:
-        assert set(step) == {
-            "iteration",
-            "tau_applied",
-            "summand_reversed",
-            "subsequence",
-            "kept_indices",
-            "sizes_before_after",
-            "k_before_after",
-        }
-
-
 @pytest.mark.parametrize("verify", ["off", "random", "exact"])
 def test_emitted_transcript_is_the_in_process_record(tmp_path, verify):
     gen = run_cli(["gen", "bouquet", "--n", "5", "--k", "3", "--seed", "11"])
@@ -246,14 +183,6 @@ def test_reduce_verification_failure_exits_3(tmp_path):
     assert red.code == 3
     assert json.loads(red.out)["error"] == "VerificationFailed"
     assert not path.exists()  # a failed reduction writes no transcript
-
-
-def test_reduce_verify_random_via_cli():
-    gen = run_cli(["gen", "bouquet", "--n", "4", "--k", "2", "--seed", "21"])
-    red = run_cli(["reduce", "--verify", "random", "--seed", "21", "--trials", "6"], stdin=gen.out)
-    assert red.code == 0
-    circuit = circuit_from_obj(json.loads(red.out))
-    assert expand(circuit).terms == reference_det(circuit.n).terms
 
 
 def test_parse_error_exits_2():
@@ -387,25 +316,6 @@ def test_eval_deterministic_per_seed():
     assert a.out != c.out
 
 
-def test_equiv_verdicts():
-    det_a = run_cli(["gen", "det", "--n", "3", "--sigma", "1,2,3"]).out
-    det_b = run_cli(["gen", "det", "--n", "3", "--sigma", "3,2,1"]).out
-    doc = dumps({"a": json.loads(det_a), "b": json.loads(det_b)})
-    res = run_cli(["equiv", "--seed", "4", "--trials", "8"], stdin=doc)
-    assert json.loads(res.out)["verdict"] == "equivalent"
-
-    bouquet = run_cli(["gen", "bouquet", "--n", "3", "--k", "2", "--seed", "9"]).out
-    doc2 = dumps({"a": json.loads(det_a), "b": json.loads(bouquet)})
-    res2 = run_cli(["equiv", "--seed", "4", "--trials", "8"], stdin=doc2)
-    assert json.loads(res2.out)["verdict"] == "equivalent"
-
-    # x[1,1] vs x[1,2] must separate
-    leaf = {"n": 1, "nodes": [{"id": 0, "op": "var", "row": 1, "col": 1}], "root": 0}
-    doc3 = dumps({"a": leaf, "b": {"n": 2, "nodes": [{"id": 0, "op": "var", "row": 1, "col": 2}], "root": 0}})
-    res3 = run_cli(["equiv", "--seed", "4", "--trials", "8"], stdin=doc3)
-    assert json.loads(res3.out)["verdict"] == "distinct"
-
-
 def test_equiv_distinct_reports_first_separating_trial():
     # b is x[1,1]'s trial-0 value as a constant, so the documents agree at
     # trial 0 and first separate at trial 1
@@ -438,19 +348,28 @@ def test_equiv_circuit_vs_bouquet_equivalent_output():
     ) + "\n"
 
 
-@pytest.mark.parametrize("verdict", ["equivalent", "distinct"])
-def test_equiv_writes_the_in_process_verdict(verdict):
+_B3 = seeded_det_bouquet(3, 3, 2)
+_DET3 = {order: det_regular_circuit(3, order).circuit for order in ((1, 2, 3), (2, 3, 1), (3, 2, 1))}
+# id -> (a, b, verdict) of an `smlc equiv` document
+EQUIV = {
+    "equivalent": (_B3, _DET3[2, 3, 1], "equivalent"),
+    "distinct": (Bouquet(3, _B3.summands, -_B3.sign), _DET3[2, 3, 1], "distinct"),
+    "two-det-orders": (_DET3[1, 2, 3], _DET3[3, 2, 1], "equivalent"),
+    "det-vs-bouquet": (_DET3[1, 2, 3], seeded_det_bouquet(3, 2, 9), "equivalent"),
+    # x[1,1] on one row against x[1,2] on two
+    "x11-vs-x12": (Circuit(1, (VarLeaf(1, 1),), 0), Circuit(2, (VarLeaf(1, 2),), 0), "distinct"),
+}
+
+
+@pytest.mark.parametrize(("a", "b", "verdict"), EQUIV.values(), ids=EQUIV)
+def test_equiv_writes_the_in_process_verdict(a, b, verdict):
     # `smlc equiv` writes `equiv_random`'s dict after "ok": true, whichever the verdict
-    bouquet = seeded_det_bouquet(3, 3, 2)
-    if verdict == "distinct":
-        bouquet = Bouquet(3, bouquet.summands, -bouquet.sign)
-    det = det_regular_circuit(3, (2, 3, 1)).circuit
-    doc = dumps({"a": bouquet_to_obj(bouquet), "b": circuit_to_obj(det)})
-    res = run_cli(["equiv", "--seed", "6", "--trials", "5"], stdin=doc)
+    wire = [bouquet_to_obj(x) if isinstance(x, Bouquet) else circuit_to_obj(x) for x in (a, b)]
+    res = run_cli(["equiv", "--seed", "6", "--trials", "5"], stdin=dumps(dict(zip("ab", wire))))
     assert res.code == 0
     written = json.loads(res.out)
     assert written.pop("ok") is True and written["verdict"] == verdict
-    assert written == equiv_random(bouquet, det, trials=5, seed=6)
+    assert written == equiv_random(a, b, trials=5, seed=6)
 
 
 def test_reverse_below_full_degree_exits_1():
@@ -524,7 +443,17 @@ def test_irregular_summand_error_golden(case, verb):
     assert res.out == json.dumps({"ok": False, "error": error, "detail": detail}) + "\n"
 
 
-def test_byte_stable_outputs():
-    a = run_cli(["gen", "bouquet", "--n", "4", "--k", "3", "--seed", "99"])
-    b = run_cli(["gen", "bouquet", "--n", "4", "--k", "3", "--seed", "99"])
-    assert a.out == b.out
+# det_4 and the constants 5 and -5 on one order sum to det_4, but the constants
+# are below full degree: on the identity order they broke the merge, and on
+# (2, 1, 4, 3) they drove a projection, so reduce refuses them either way
+@pytest.mark.parametrize("order", [(1, 2, 3, 4), (2, 1, 4, 3)])
+def test_reduce_refuses_a_summand_below_full_degree(order):
+    constants = tuple(regular(Circuit(4, (ConstLeaf(v),), 0), order) for v in (5, -5))
+    bouquet = Bouquet(4, det_bouquet(4, [(1, 2, 3, 4)], 0).summands + constants)
+    detail = "summand 1 has degree 0 below n=4"
+    with pytest.raises(ValueError, match=f"^{detail}$"):
+        reduce_to_single(bouquet, verify="off")
+    for verify in ("off", "random", "exact"):
+        res = run_cli(["reduce", "--verify", verify], stdin=dumps(bouquet_to_obj(bouquet)))
+        assert res.code == 1
+        assert res.out == json.dumps({"ok": False, "error": "ValueError", "detail": detail}) + "\n"

@@ -1,7 +1,8 @@
 """Generator output pinned byte for byte.
 
 One SHA-256 per case over the canonical wire JSON of a generated bouquet or
-determinant circuit.  Node ids are part of that text (leaves are numbered
+determinant circuit; a bouquet's digest also pins what `smlc gen bouquet`
+writes for it.  Node ids are part of that text (leaves are numbered
 where they are first used), so a change to how the Leibniz terms are emitted
 fails here even when the circuit still computes the determinant.  The
 digests are fixed and are not regenerated by a change.
@@ -13,6 +14,7 @@ import math
 import random
 
 import pytest
+from recheck import run_cli
 
 from smlc.generators import (
     _leibniz_signs,
@@ -98,6 +100,10 @@ DET8 = "292a20a89c92874153ea4167b699acbf3cfd8ae8b4eeefa1df1b992224b33b41"
 @pytest.mark.parametrize(("n", "k", "seed"), list(BOUQUETS))
 def test_det_bouquet_bytes_are_pinned(n, k, seed):
     assert _digest(bouquet_to_obj(seeded_det_bouquet(n, k, seed))) == BOUQUETS[n, k, seed]
+    # `smlc gen bouquet` writes the same bytes, then a newline
+    run = run_cli(["gen", "bouquet", "--n", str(n), "--k", str(k), "--seed", str(seed)])
+    assert (run.code, run.err, run.out[-1]) == (0, "", "\n")
+    assert hashlib.sha256(run.out[:-1].encode()).hexdigest() == BOUQUETS[n, k, seed]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -15,8 +15,8 @@ from recheck import (
     perms,
     poly_add,
     poly_mul,
+    outcome,
     project_terms,
-    read_outcome,
     read_whole,
     regular_circuits,
 )
@@ -133,7 +133,7 @@ def test_reading_by_summand_is_reading_the_whole_document(b, data):
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, len(text)))
             text = text[:at] + data.draw(st.sampled_from(EDITS)) + text[at + data.draw(st.integers(0, 1)) :]
-        assert read_outcome(bouquet_from_text, text) == read_outcome(read_whole, text)
+        assert outcome(bouquet_from_text, text) == outcome(read_whole, text)
 
 
 @laws

@@ -11,9 +11,11 @@ tool, not its test kit: every public function has a caller in the package
 or the benchmark, and one that only the tests call lives under `tests/`.  Every name has one
 spelling, in its submodule: `__init__.py` is its docstring alone, and the
 tests and the benchmark import from the top-level package only submodules.
-Each test-side reference is defined once (most in `tests/recheck.py`): no
-two top-level functions under `tests/` have the same body, and no comparison
-there has the same expression on both sides, which checks nothing.
+Each test-side helper is defined once: one that two test modules use lives
+in `tests/recheck.py`, no test module imports another, and no two top-level
+functions under `tests/` have the same body.  No comparison there has the
+same expression on both sides, and no `pytest.raises` takes `Exception` or
+`BaseException`: either checks nothing.
 """
 
 import ast
@@ -247,3 +249,31 @@ def test_no_comparison_of_an_expression_with_itself():
         if ast.dump(left) == ast.dump(right)
     ]
     assert not same, f"comparisons of an expression with itself: {same}"
+
+
+def test_no_test_module_imports_another():
+    # what two test modules share lives in recheck.py
+    imports = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(_tree(path))
+        for name in (
+            [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else []
+        )
+        if name.startswith("test_")
+    ]
+    assert not imports, f"test modules imported by another: {imports}"
+
+
+def test_no_check_accepts_any_error():
+    # pytest.raises(Exception) passes on any error, a broken helper's IndexError included
+    broad = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises" and node.args
+        and ast.unparse(node.args[0]) in ("Exception", "BaseException")
+    ]
+    assert not broad, f"pytest.raises of any error: {broad}"

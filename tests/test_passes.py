@@ -197,15 +197,11 @@ def test_project_errors():
     b = det_bouquet(2, [(1, 2)], seed=0)
     with pytest.raises(EmptyKeepSet):
         project(b, ())
-    with pytest.raises(Exception):
-        project(b, (0, 1))
-    with pytest.raises(Exception):
-        project(b, (1, 3))
-    for keep in ([1.5, 2], [1.0, 2]):
+    for keep in ((0, 1), (1, 3), [1.5, 2], [1.0, 2]):
         with pytest.raises(PassError) as err:
             project(b, keep)
         assert type(err.value) is PassError
-        assert str(err.value) == f"keep set {keep} not within [1..2]"
+        assert str(err.value) == f"keep set {list(keep)} not within [1..2]"
     # entries that do not even sort together are typed before any sorting
     with pytest.raises(PassError) as err:
         project(det_bouquet(3, [(1, 2, 3)], 0), ["a", 1])

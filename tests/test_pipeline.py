@@ -87,15 +87,6 @@ def test_reduce_k1_flattens_and_keeps_degree():
     assert expand(single.circuit).terms == reference_det(4).terms
 
 
-def test_reduce_k2_produces_smaller_determinant():
-    b = det_bouquet(4, [(1, 2, 3, 4), (2, 1, 4, 3)], seed=5)
-    single, tr = reduce_to_single(b, verify="exact", seed=0)
-    assert len(tr.steps) == 1
-    assert tr.final_degree >= 2
-    assert expand(single.circuit).terms == reference_det(tr.final_degree).terms
-    assert all(v["ok"] in (True, None) for v in tr.verdicts)
-
-
 def test_reduce_handles_decreasing_runs_via_reversal():
     # second order is the full reversal, so its only long run is decreasing
     b = det_bouquet(4, [(1, 2, 3, 4), (4, 3, 2, 1)], seed=6)
@@ -133,26 +124,12 @@ def test_reduce_merges_duplicate_input_orders_first():
     assert expand(single.circuit).terms == reference_det(4).terms
 
 
-def test_reduce_transcript_replay_is_identical():
-    b = det_bouquet(5, [(1, 2, 3, 4, 5), (4, 2, 5, 1, 3), (2, 1, 3, 5, 4)], seed=7)
-    _, tr1 = reduce_to_single(b, verify="exact", seed=42)
-    _, tr2 = reduce_to_single(b, verify="exact", seed=42)
-    assert tr1.to_obj() == tr2.to_obj()
-
-
 def test_reduce_detects_non_determinant_input():
     nodes = (VarLeaf(1, 1), VarLeaf(2, 1), Mul(0, 1))
     rc = regular(Circuit(2, nodes, 2), (1, 2))
     with pytest.raises(VerificationFailed) as err:
         reduce_to_single(Bouquet(2, (rc,)), verify="exact", seed=0)
     assert err.value.step == 0
-
-
-def test_reduce_verify_random_tier():
-    b = det_bouquet(4, [(1, 2, 3, 4), (3, 1, 4, 2)], seed=8)
-    single, tr = reduce_to_single(b, verify="random", seed=9, trials=8)
-    assert all(v["mode"] == "random" for v in tr.verdicts)
-    assert expand(single.circuit).terms == reference_det(tr.final_degree).terms
 
 
 @pytest.mark.parametrize(("n", "verify"), [(4, "random"), (7, "exact")])

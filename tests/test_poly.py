@@ -5,9 +5,9 @@ import math
 import random
 
 import pytest
-from recheck import c, det_of_matrix, eval_mod, expand_nodes, grid
+from recheck import c, det_of_matrix, eval_mod, expand_nodes, grid, over_budget_circuit
 
-from smlc.circuit import Add, Bouquet, Circuit, ConstLeaf, Mul, RegularCircuit, VarLeaf
+from smlc.circuit import Add, Bouquet, ConstLeaf, Mul, RegularCircuit, VarLeaf
 from smlc.generators import det_bouquet, det_regular_circuit
 from smlc.poly import (
     PRIME,
@@ -44,34 +44,6 @@ def test_expand_det3_generator_matches_reference():
     assert len(poly) == 6
     assert all(coeff in (1, -1) for coeff in poly.terms.values())
     assert poly.terms == reference_det(3).terms
-
-
-def over_budget_circuit():
-    """n = 11: two products of three 11-variable row sums under one Mul (131 nodes).
-
-    Each product has 11^3 = 1331 terms, so the last Mul would need 1331^2,
-    which exceeds TERM_BUDGET = 10^6, while every earlier node is small.
-    """
-    nodes = []
-
-    def push(node):
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def row_sum(row):
-        acc = push(VarLeaf(row, 1))
-        for col in range(2, 12):
-            acc = push(Add(acc, push(VarLeaf(row, col))))
-        return acc
-
-    def product(rows):
-        acc = row_sum(rows[0])
-        for row in rows[1:]:
-            acc = push(Mul(acc, row_sum(row)))
-        return acc
-
-    root = push(Mul(product((1, 2, 3)), product((4, 5, 6))))
-    return Circuit(11, tuple(nodes), root)
 
 
 # x[1,1] * x[1,2], claimed regular: the checker refuses it, but the exact

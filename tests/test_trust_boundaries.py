@@ -12,13 +12,20 @@ the whole document, with the same outcome, where it does not.
 """
 
 import json
-import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from recheck import perms, random_regular_circuit, read_outcome, read_whole, regular_circuits
+from recheck import (
+    outcome,
+    perms,
+    read_whole,
+    regular_circuits,
+    sample_det_bouquets,
+    sample_random_bouquets,
+    spy,
+)
 
 from smlc import circuit as circuit_module
 from smlc import serialize
@@ -26,46 +33,13 @@ from smlc.circuit import CONST, Bouquet, Circuit, regular, validate
 from smlc.generators import seeded_det_bouquet
 from smlc.passes import compose, project
 from smlc.pipeline import reduce_to_single
-from smlc.poly import random_perm
 from smlc.serialize import bouquet_from_text, bouquet_to_obj, dumps
-
-
-def _count_sweeps(monkeypatch):
-    calls = []
-    sweep = circuit_module._sweep
-
-    def counted(*args):
-        calls.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(circuit_module, "_sweep", counted)
-    return calls
-
-
-def _det_bouquets():
-    return [seeded_det_bouquet(n, k, seed) for n, k, seed in ((3, 2, 1), (5, 3, 7), (6, 2, 2))]
-
-
-def _random_bouquets():
-    rng = random.Random(17)
-    out = []
-    for n, k in ((4, 3), (6, 3), (8, 2)):
-        summands = tuple(
-            random_regular_circuit(
-                seed=rng.randrange(2**32),
-                size_budget=rng.randint(2 * n - 1, 80),
-                sigma=random_perm(n, rng),
-            )
-            for _ in range(k)
-        )
-        out.append(Bouquet(n, summands))
-    return out
 
 
 @pytest.mark.parametrize("verify", ["off", "exact", "random"])
 def test_reduce_sweeps_only_checked_steps_after_the_first(monkeypatch, verify):
-    inputs = _det_bouquets()
-    calls = _count_sweeps(monkeypatch)
+    inputs = sample_det_bouquets()
+    calls = spy(monkeypatch, circuit_module, "_sweep")
     for b in inputs:
         calls.clear()
         single, transcript = reduce_to_single(b, verify=verify, seed=3, trials=2)
@@ -81,8 +55,8 @@ def test_reduce_sweeps_only_checked_steps_after_the_first(monkeypatch, verify):
 
 
 def test_reduce_runs_no_sweep_on_random_summands(monkeypatch):
-    inputs = _random_bouquets()
-    calls = _count_sweeps(monkeypatch)
+    inputs = sample_random_bouquets()
+    calls = spy(monkeypatch, circuit_module, "_sweep")
     for b in inputs:
         reduce_to_single(b, verify="off")
     assert calls == []
@@ -146,14 +120,13 @@ READER_CASES = {
 
 @pytest.mark.parametrize(("text", "whole", "expected"), READER_CASES.values(), ids=READER_CASES)
 def test_bouquet_reader_reads_other_shapes_whole(monkeypatch, text, whole, expected):
-    canonical = read_outcome(read_whole, text)
+    canonical = outcome(read_whole, text)
     if expected == "ok":
         assert isinstance(canonical, Bouquet)
     else:
         assert canonical[0] is serialize.ParseError and canonical[1].startswith(expected)
-    reads, loads = [], serialize.loads
-    monkeypatch.setattr(serialize, "loads", lambda doc: reads.append(doc) or loads(doc))
-    assert read_outcome(bouquet_from_text, text) == canonical
+    reads = spy(monkeypatch, serialize, "loads")
+    assert outcome(bouquet_from_text, text) == canonical
     assert len(reads) == whole
 
 
