@@ -426,6 +426,17 @@ IRREGULAR = {
         "AddMismatch",
         "add gate 6: children cover different index sets",
     ),
+    # `gen det` circuits, regular for another order
+    "det-2,3,1": (
+        circuit_to_obj(det_regular_circuit(3, (2, 3, 1)).circuit)["nodes"],
+        "WrongAdjacency",
+        "mul gate 4: children are adjacent but in right-before-left position order",
+    ),
+    "det-1,3,2": (
+        circuit_to_obj(det_regular_circuit(3, (1, 3, 2)).circuit)["nodes"],
+        "NotContiguous",
+        "gate 2: index set [1, 3] is not contiguous in the given order",
+    ),
 }
 
 
