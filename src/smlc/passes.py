@@ -46,6 +46,7 @@ __all__ = [
     "DuplicateEntries",
     "EmptyKeepSet",
     "DegreeTooSmall",
+    "DegreeMismatch",
     "reverse",
     "compose",
     "monotone_subsequence",
@@ -74,6 +75,11 @@ class EmptyKeepSet(PassError):
 class DegreeTooSmall(PassError):
     def __init__(self, degree: int):
         super().__init__(f"cannot drop an index at degree {degree}; need >= 2")
+
+
+class DegreeMismatch(PassError):
+    def __init__(self, first: int, second: int, d1: int, d2: int):
+        super().__init__(f"summands {first} and {second} share an order but have degrees {d1} and {d2}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +309,9 @@ def distinct_orders(bouquet: Bouquet) -> int:
 
 def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
     # both roots cover the prefix 1..degree of the shared order, so the new
-    # Add is well typed exactly when the degrees agree
+    # Add is well typed exactly when the degrees agree, which merge_summands checks
     first, second = a.circuit.nodes, b.circuit.nodes
     offset = len(first)
-    if a.degree != b.degree:
-        raise AddMismatch(offset + len(second))
 
     def shifted(operands: tuple[int, ...]) -> tuple[int, ...]:
         # the second circuit's child ids move up by offset; leaf operands stay
@@ -327,18 +331,22 @@ def merge_summands(bouquet: Bouquet) -> Bouquet:
     Afterwards all non-zero summands carry pairwise distinct orders.  Zero
     summands are left in place (adding them to a non-constant summand would
     not even type-check) and never absorb a join.  Joining g summands costs
-    g-1 addition gates; the summed polynomial is unchanged.
+    g-1 addition gates; the summed polynomial is unchanged.  Summands that
+    share an order must share a degree, or DegreeMismatch names two that do not.
     """
-    groups: dict[tuple[int, ...], int] = {}  # sigma -> output position
+    groups: dict[tuple[int, ...], tuple[int, int]] = {}  # sigma -> output position, first input position
     out: list[RegularCircuit] = []
-    for rc in bouquet.summands:
+    for i, rc in enumerate(bouquet.summands):
         if is_zero_summand(rc):
             out.append(rc)
             continue
         slot = groups.get(rc.sigma)
         if slot is None:
-            groups[rc.sigma] = len(out)
+            groups[rc.sigma] = len(out), i
             out.append(rc)
-        else:
-            out[slot] = _join_add(out[slot], rc, bouquet.n)
+            continue
+        at, first = slot
+        if out[at].degree != rc.degree:
+            raise DegreeMismatch(first, i, out[at].degree, rc.degree)
+        out[at] = _join_add(out[at], rc, bouquet.n)
     return Bouquet(bouquet.n, tuple(out), bouquet.sign)

@@ -14,10 +14,15 @@ Bouquet document:
 documents written without it parse fine.
 
 `bouquet_from_text` reads a bouquet whose "n" precedes "summands", as this
-module writes it, one summand at a time: only one summand's decoded nodes
-exist at once.  Any other shape is read whole, by `bouquet_from_obj(loads(
-text))`, and so is any document the summand-at-a-time reader finds fault
-with, so its errors are the same either way.
+module writes it, one batch of decoded nodes at a time: from a node's start
+to the first "}," at least `_BATCH` characters on, decoded as "[" + batch +
+"]".  That decode fails unless every split in it lies between two top-level
+nodes (a split inside a string leaves it unterminated, one inside a nested
+value leaves it unclosed, one past the array's "]" leaves extra data), so a
+decoded batch equals the same nodes of the whole decode; from the first
+batch that fails, the rest of the array is read node by node.  Any other
+shape is read whole, by `bouquet_from_obj(loads(text))`, and so is any
+document the batch reader finds fault with, so its errors are the same.
 
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
+from typing import Any, Callable
 
 from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, regular
 from .circuit import _is_int, decimal
@@ -94,11 +99,14 @@ def circuit_from_obj(obj: Any) -> Circuit:
     n = _require(obj, "n", int)
     raw_nodes = _require(obj, "nodes", list)
     root = _require(obj, "root", int)
+    arrays: tuple[list, list, list] = ([], [], [])
+    _read_nodes(raw_nodes, *arrays)
+    return _circuit(n, arrays, root)
 
-    ops: list[int] = []
-    lefts: list[Any] = []
-    rights: list[Any] = []
-    for idx, raw in enumerate(raw_nodes):
+
+def _read_nodes(batch: list, ops: list[int], lefts: list[Any], rights: list[Any]) -> None:
+    """Append the nodes of `batch`, the next elements of a "nodes" array, to the arrays."""
+    for idx, raw in enumerate(batch, len(ops)):
         if type(raw) is not dict:
             raise ParseError(f"node {idx} is not an object")
         try:
@@ -138,6 +146,10 @@ def circuit_from_obj(obj: Any) -> Circuit:
         ops.append(op)
         lefts.append(left)
         rights.append(right)
+
+
+def _circuit(n: int, arrays: tuple, root: int) -> Circuit:
+    ops, lefts, rights = arrays
     if not (0 <= root < len(ops)):
         raise ParseError(f"root {root} out of range")
     return Circuit(n, Nodes(tuple(ops), tuple(lefts), tuple(rights)), root)
@@ -160,7 +172,9 @@ def _summand_from_obj(raw: Any, idx: int, n: int) -> RegularCircuit:
     sigma = _require(raw, "sigma", list)
     if not all(_is_int(x) for x in sigma):
         raise ParseError(f"summand {idx}: sigma must be a list of ints")
-    circuit = circuit_from_obj(_require(raw, "circuit", dict))
+    circuit = raw.get("circuit")
+    if type(circuit) is not Circuit:  # as decoded, not as `_circuit_at` reads it
+        circuit = circuit_from_obj(_require(raw, "circuit", dict))
     if circuit.n != n:
         raise ParseError(f"summand {idx}: grid size {circuit.n} does not match bouquet n={n}")
     # regularity is a domain property, not a schema property: let
@@ -183,15 +197,16 @@ def bouquet_from_obj(obj: Any) -> Bouquet:
 
 
 class _Declined(Exception):
-    """The document is not in the shape `_bouquet_by_summand` reads."""
+    """The document is not in the shape `bouquet_from_text` reads in batches."""
 
 
 _DECODE = json.JSONDecoder().raw_decode
 _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace, as the decoder skips it
+_BATCH = 16384  # characters of node text per batch, give or take a node
 
 
 def bouquet_from_text(text: str) -> Bouquet:
-    """`bouquet_from_obj(loads(text))`, reading one summand at a time when it can.
+    """`bouquet_from_obj(loads(text))`, reading one batch of nodes at a time when it can.
 
     A document that is not an object with "n" before a non-empty "summands"
     and no repeated key, or that fails in any way, is parsed again whole by
@@ -199,47 +214,77 @@ def bouquet_from_text(text: str) -> Bouquet:
     malformed document costs a second parse.
     """
     try:
-        return _bouquet_by_summand(text)
+        fields, i = _object(text, _SPACE(text).end(), "summands", _summands_at)
+        if _SPACE(text, i).end() != len(text):
+            raise _Declined
+        # a ValueError if "summands" is missing or "sign" is not exactly 1 or -1
+        return Bouquet(n=fields.get("n"), summands=fields.get("summands", ()), sign=fields.get("sign", 1))
     except (_Declined, ValueError, RecursionError, ParseError, CircuitError):
         return bouquet_from_obj(loads(text))
 
 
-def _bouquet_by_summand(text: str) -> Bouquet:
+def _object(text: str, i: int, name: str, read: Callable) -> tuple[dict[str, Any], int]:
+    """The members of the object at text[i] and the index past it: member
+    `name` is read by `read(text, index, members so far)`, the rest decoded."""
     fields: dict[str, Any] = {}
-    summands: list[RegularCircuit] = []
-    i = _SPACE(text).end()
-    sep = text[i : i + 1]
-    if sep != "{":
+    if text[i : i + 1] != "{":
         raise _Declined
-    while sep != "}":  # at the object's "{" or at a ","
+    sep = ","
+    while sep == ",":  # i is at the object's "{" or at a ","
         key, i = _DECODE(text, _SPACE(text, i + 1).end())
         i = _SPACE(text, i).end()
         if type(key) is not str or key in fields or text[i : i + 1] != ":":
             raise _Declined
         i = _SPACE(text, i + 1).end()
-        if key != "summands":
-            fields[key], i = _DECODE(text, i)
-        elif type(fields.get("n")) is int and text[i : i + 1] == "[":
-            fields[key] = summands
-            while sep != "]":  # at the array's "[" or at a ","
-                raw, i = _DECODE(text, _SPACE(text, i + 1).end())
-                summands.append(_summand_from_obj(raw, len(summands), fields["n"]))
-                del raw  # before the next summand is decoded
-                i = _SPACE(text, i).end()
-                sep = text[i : i + 1]
-                if sep not in (",", "]"):
-                    raise _Declined
-            i += 1
-        else:
-            raise _Declined
+        fields[key], i = read(text, i, fields) if key == name else _DECODE(text, i)
         i = _SPACE(text, i).end()
         sep = text[i : i + 1]
-        if sep not in (",", "}"):
-            raise _Declined
-    if _SPACE(text, i + 1).end() != len(text):
+    if sep != "}":
         raise _Declined
-    # a ValueError if "summands" is missing or "sign" is not exactly 1 or -1
-    return Bouquet(n=fields.get("n"), summands=tuple(summands), sign=fields.get("sign", 1))
+    return fields, i + 1
+
+
+def _summands_at(text: str, i: int, fields: dict[str, Any]) -> tuple[tuple[RegularCircuit, ...], int]:
+    n = fields.get("n")
+    if type(n) is not int or text[i : i + 1] != "[":
+        raise _Declined
+    summands: list[RegularCircuit] = []
+    sep = ","
+    while sep == ",":  # i is at the array's "[" or at a ","
+        raw, i = _object(text, _SPACE(text, i + 1).end(), "circuit", _circuit_at)
+        summands.append(_summand_from_obj(raw, len(summands), n))
+        i = _SPACE(text, i).end()
+        sep = text[i : i + 1]
+    if sep != "]":
+        raise _Declined
+    return tuple(summands), i + 1
+
+
+def _circuit_at(text: str, i: int, _: dict) -> tuple[Circuit, int]:
+    raw, i = _object(text, i, "nodes", _nodes_at)
+    return _circuit(_require(raw, "n", int), _require(raw, "nodes", tuple), _require(raw, "root", int)), i
+
+
+def _nodes_at(text: str, i: int, _: dict) -> tuple[tuple, int]:
+    arrays: tuple[list, list, list] = ([], [], [])
+    if text[i : i + 1] != "[":
+        raise _Declined
+    while (j := text.find("},", i + 1 + _BATCH)) >= 0:  # i is at the array's "[" or at a ","
+        try:
+            batch = json.loads("[" + text[i + 1 : j + 1] + "]")
+        except (ValueError, RecursionError):
+            break
+        _read_nodes(batch, *arrays)
+        i = j + 1
+    sep = ","
+    while sep == ",":
+        raw, i = _DECODE(text, _SPACE(text, i + 1).end())
+        _read_nodes([raw], *arrays)
+        i = _SPACE(text, i).end()
+        sep = text[i : i + 1]
+    if sep != "]":
+        raise _Declined
+    return arrays, i + 1
 
 
 def dumps(obj: Any) -> str:

@@ -454,13 +454,18 @@ def test_irregular_summand_error_golden(case, verb):
     assert res.out == json.dumps({"ok": False, "error": error, "detail": detail}) + "\n"
 
 
+def _det4_and_constants(order):
+    """det_4 on the identity order plus the constants 5 and -5 on `order`."""
+    constants = tuple(regular(Circuit(4, (ConstLeaf(v),), 0), order) for v in (5, -5))
+    return Bouquet(4, det_bouquet(4, [(1, 2, 3, 4)], 0).summands + constants)
+
+
 # det_4 and the constants 5 and -5 on one order sum to det_4, but the constants
 # are below full degree: on the identity order they broke the merge, and on
 # (2, 1, 4, 3) they drove a projection, so reduce refuses them either way
 @pytest.mark.parametrize("order", [(1, 2, 3, 4), (2, 1, 4, 3)])
 def test_reduce_refuses_a_summand_below_full_degree(order):
-    constants = tuple(regular(Circuit(4, (ConstLeaf(v),), 0), order) for v in (5, -5))
-    bouquet = Bouquet(4, det_bouquet(4, [(1, 2, 3, 4)], 0).summands + constants)
+    bouquet = _det4_and_constants(order)
     detail = "summand 1 has degree 0 below n=4"
     with pytest.raises(ValueError, match=f"^{detail}$"):
         reduce_to_single(bouquet, verify="off")
@@ -468,3 +473,13 @@ def test_reduce_refuses_a_summand_below_full_degree(order):
         res = run_cli(["reduce", "--verify", verify], stdin=dumps(bouquet_to_obj(bouquet)))
         assert res.code == 1
         assert res.out == json.dumps({"ok": False, "error": "ValueError", "detail": detail}) + "\n"
+
+
+# the same input on one order: merge names the summands it cannot join, not
+# the addition gate a join would have built
+def test_merge_refuses_a_summand_below_its_orders_degree():
+    text = dumps(bouquet_to_obj(_det4_and_constants((1, 2, 3, 4))))
+    detail = "summands 0 and 1 share an order but have degrees 4 and 0"
+    res = run_cli(["merge"], stdin=text)
+    assert res.code == 1
+    assert res.out == json.dumps({"ok": False, "error": "DegreeMismatch", "detail": detail}) + "\n"

@@ -5,7 +5,9 @@ strategies, and no unit test repeats it on seeded inputs.
 """
 
 import json
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recheck import (
@@ -21,6 +23,7 @@ from recheck import (
     regular_circuits,
 )
 
+from smlc import serialize
 from smlc.circuit import ADD, MUL, Bouquet, Circuit, ConstLeaf, regular
 from smlc.passes import compose, drop_last_index, merge_summands, project, reverse
 from smlc.poly import SparsePoly, compose_perms, expand, expand_bouquet, invert_perm, reference_det
@@ -118,13 +121,15 @@ def test_serialize_round_trip_is_identity(b):
 
 
 # what an edit puts in: nothing (a deletion), JSON's structure and whitespace,
-# digits, a BOM and a stray letter
-EDITS = ("", " ", "\n", "{", "}", "[", "]", ",", ":", '"', "0", "1", "-", "\ufeff", "x")
+# digits, a BOM, a stray letter and a node boundary
+EDITS = ("", " ", "\n", "{", "}", "[", "]", ",", ":", '"', "0", "1", "-", "\ufeff", "x", "},{")
 
 
+# with batches of 1 character every "}," is tried as a split
+@pytest.mark.parametrize("batch", [serialize._BATCH, 1], ids=["default-batch", "every-split"])
 @laws
 @given(bouquets(), st.data())
-def test_reading_by_summand_is_reading_the_whole_document(b, data):
+def test_reading_by_summand_is_reading_the_whole_document(batch, b, data):
     # the same Bouquet, or the same error class and message, on the compact,
     # indented and key-reordered text, each with 0-3 characters edited
     obj = bouquet_to_obj(b)
@@ -133,7 +138,8 @@ def test_reading_by_summand_is_reading_the_whole_document(b, data):
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, len(text)))
             text = text[:at] + data.draw(st.sampled_from(EDITS)) + text[at + data.draw(st.integers(0, 1)) :]
-        assert outcome(bouquet_from_text, text) == outcome(read_whole, text)
+        with patch.object(serialize, "_BATCH", batch):
+            assert outcome(bouquet_from_text, text) == outcome(read_whole, text)
 
 
 @laws

@@ -21,6 +21,7 @@ from smlc.circuit import (
 )
 from smlc.generators import det_bouquet, det_regular_circuit
 from smlc.passes import (
+    DegreeMismatch,
     DegreeTooSmall,
     DuplicateEntries,
     EmptyKeepSet,
@@ -264,14 +265,14 @@ def test_merge_skips_zero_summands():
     assert is_zero_summand(out.summands[0])
 
 
-def test_merge_degree_mismatch_raises_add_mismatch():
-    # a nonzero constant is not a zero summand, so it joins; the new add gate
-    # (id 1 + 9) would add a degree-0 and a degree-2 child
+def test_merge_refuses_one_order_at_two_degrees():
+    # a nonzero constant is not a zero summand, so it would join the degree-2
+    # summand of its order; the zero summand in between keeps its position
     five = regular(Circuit(2, (ConstLeaf(5),), 0), (1, 2))
+    zero = regular(Circuit(2, (ConstLeaf(0),), 0), (1, 2))
     det = det_regular_circuit(2, (1, 2))
-    assert len(det.circuit.nodes) == 9
-    with pytest.raises(AddMismatch, match="add gate 10:"):
-        merge_summands(Bouquet(2, (five, det)))
+    with pytest.raises(DegreeMismatch, match="^summands 0 and 2 share an order but have degrees 0 and 2$"):
+        merge_summands(Bouquet(2, (five, zero, det)))
 
 
 # --- drop_last_index ---------------------------------------------------------

@@ -99,6 +99,15 @@ def test_project_carries_the_inferred_order_and_degree():
 _DOC = bouquet_to_obj(seeded_det_bouquet(3, 2, 1))
 _SUMMANDS = json.dumps(_DOC["summands"])
 
+
+def _with_node_field(value):
+    """The compact document with one more field, `value`, on a middle node."""
+    doc = json.loads(dumps(_DOC))
+    nodes = doc["summands"][0]["circuit"]["nodes"]
+    nodes[len(nodes) // 2]["extra"] = value
+    return dumps(doc)
+
+
 # a document -> whether the reader reads it whole, and the outcome it must share with that read
 READER_CASES = {
     "summands before n": ('{"summands": %s, "n": 3}' % _SUMMANDS, True, "ok"),
@@ -113,13 +122,20 @@ READER_CASES = {
     "sign true": ('{"n": 3, "sign": true, "summands": %s}' % _SUMMANDS, True, "field 'sign': expected int, got bool"),
     "trailing data": (dumps(_DOC) + " {}", True, "invalid JSON: Extra data"),
     "leading BOM": ("\ufeff" + dumps(_DOC), True, "invalid JSON: Unexpected UTF-8 BOM"),
+    "as written": (dumps(_DOC), False, "ok"),
     "one summand": (dumps(dict(_DOC, summands=_DOC["summands"][:1])), False, "ok"),
+    # a "}," that does not end a node fails its batch: the rest of that array is read node by node
+    "string holding },{": (_with_node_field("},{"), False, "ok"),
+    "nested object split at },{": (_with_node_field({"list": [{"a": 1}, {"b": 2}]}), False, "ok"),
+    "indented": (json.dumps(_DOC, indent=2), False, "ok"),
     "empty summands": ('{"n": 3, "summands": []}', True, "bouquet needs at least one summand"),
 }
 
 
+@pytest.mark.parametrize("batch", [serialize._BATCH, 1], ids=["default-batch", "every-split"])
 @pytest.mark.parametrize(("text", "whole", "expected"), READER_CASES.values(), ids=READER_CASES)
-def test_bouquet_reader_reads_other_shapes_whole(monkeypatch, text, whole, expected):
+def test_bouquet_reader_reads_other_shapes_whole(monkeypatch, text, whole, expected, batch):
+    monkeypatch.setattr(serialize, "_BATCH", batch)
     canonical = outcome(read_whole, text)
     if expected == "ok":
         assert isinstance(canonical, Bouquet)
@@ -130,17 +146,22 @@ def test_bouquet_reader_reads_other_shapes_whole(monkeypatch, text, whole, expec
     assert len(reads) == whole
 
 
-def test_bouquet_reader_holds_one_summand_at_a_time():
-    # the decoded nodes of one summand, not of all three, at the traced peak
-    text = dumps(bouquet_to_obj(seeded_det_bouquet(6, 3, 1)))
-    peaks = []
+def _traced(read, text):
+    """The traced peak of read(text), and the traced size of what it returns."""
     tracemalloc.start()
     try:
-        for read in (bouquet_from_text, read_whole):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            read(text)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        out = read(text)
+        held, peak = tracemalloc.get_traced_memory()  # while `out` is alive
     finally:
         tracemalloc.stop()
-    assert peaks[0] <= 0.6 * peaks[1], peaks
+    return peak, held
+
+
+def test_bouquet_reader_holds_one_node_batch_at_a_time():
+    # well under the whole document's decoded nodes at the traced peak ...
+    text = dumps(bouquet_to_obj(seeded_det_bouquet(6, 3, 1)))
+    (peak, _), (whole, _) = (_traced(read, text) for read in (bouquet_from_text, read_whole))
+    assert peak <= 0.6 * whole, (peak, whole)
+    # ... and under one summand's: little more than the Bouquet it returns
+    peak, held = _traced(bouquet_from_text, dumps(bouquet_to_obj(seeded_det_bouquet(7, 3, 1))))
+    assert peak <= 1.5 * held, (peak, held)
