@@ -47,7 +47,6 @@ __all__ = [
     "VarLeaf",
     "Add",
     "Mul",
-    "Node",
     "Circuit",
     "RegularCircuit",
     "Bouquet",
@@ -147,8 +146,6 @@ class Mul:
     right: int
 
 
-Node = ConstLeaf | VarLeaf | Add | Mul
-
 # opcodes of the flat representation; the gates come first, so `op < VAR`
 # holds exactly for gates
 MUL, ADD, VAR, CONST = range(4)
@@ -157,7 +154,7 @@ _CODES = {Mul: MUL, Add: ADD, VarLeaf: VAR, ConstLeaf: CONST}
 _CLASSES = (Mul, Add, VarLeaf)
 
 
-def _node(op: int, a, b) -> Node:
+def _node(op: int, a, b) -> ConstLeaf | VarLeaf | Add | Mul:
     return ConstLeaf(a) if op == CONST else _CLASSES[op](a, b)
 
 

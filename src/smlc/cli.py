@@ -297,7 +297,3 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader closed stdout: devnull keeps the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -127,9 +127,8 @@ def _det_terms_circuit(
     for pi, sign in zip(perms, signs):
         cols = columns_of(pi)
         ids = list(map(getitem, table, cols))
-        # node by node where a leaf is new (and for n = 1, where the term is
-        # a bare leaf with no products to append)
-        if n == 1 or None in ids or (sign < 0 and neg is None):
+        # node by node where a leaf is new
+        if None in ids or (sign < 0 and neg is None):
             term = -1
             for pos, col in enumerate(cols):
                 leaf = ids[pos]

@@ -3,12 +3,12 @@
 Everything here is deliberately brute force: exact sparse expansion over
 arbitrary-precision integers, evaluation at many points, Leibniz-sum
 reference determinant/permanent polynomials, the determinant of a concrete
-matrix by Gaussian elimination, permutation sign, and a seeded
-Schwartz-Zippel equivalence test whose verdict is the dict `smlc equiv`
-writes (exact equivalence is equality of two expansions' terms).  Every
-modular computation is over one field, the integers mod the fixed 61-bit
-Mersenne prime PRIME = 2^61 - 1.  Passes are trusted only after they agree
-with these oracles.
+matrix by Gaussian elimination, permutation sign (the parity of the number of
+inversions), and a seeded Schwartz-Zippel equivalence test whose verdict is
+the dict `smlc equiv` writes (exact equivalence is equality of two
+expansions' terms).  Every modular computation is over one field, the
+integers mod the fixed 61-bit Mersenne prime PRIME = 2^61 - 1.  Passes are
+trusted only after they agree with these oracles.
 
 Evaluation (`eval_points`) compiles each circuit's flat node arrays once into
 a program in which structurally equal nodes share one slot, then sweeps that
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, _is_int, _is_permutation
@@ -79,22 +79,10 @@ def check_permutation(pi: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def sign_of_permutation(pi: Iterable[int]) -> int:
-    """Parity of pi: +1 for even, -1 for odd, via cycle decomposition."""
+    """Parity of pi: +1 for even, -1 for odd, by its number of inversions."""
     pi = tuple(pi)
     check_permutation(pi, len(pi))
-    seen = [False] * len(pi)
-    transpositions = 0
-    for start in range(len(pi)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = pi[j] - 1
-            length += 1
-        transpositions += length - 1
-    return -1 if transpositions % 2 else 1
+    return -1 if sum(a > b for i, a in enumerate(pi) for b in pi[i + 1 :]) % 2 else 1
 
 
 def compose_perms(tau: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,7 +120,7 @@ class SparsePoly:
     """
 
     n: int
-    terms: dict[Monomial, int] = field(default_factory=dict)
+    terms: dict[Monomial, int]
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         out: dict[Monomial, int] = {}

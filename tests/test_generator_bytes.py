@@ -130,7 +130,7 @@ def test_dp_det_bouquet_bytes_are_pinned(n, k, seed):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_sign_table_matches_cycle_parity(n):
+def test_sign_table_matches_sign_of_permutation(n):
     signs = _leibniz_signs(n)
     assert len(signs) == math.factorial(n)
     perms = itertools.permutations(range(1, n + 1))

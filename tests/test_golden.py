@@ -10,6 +10,7 @@ benchmark's three `--smoke` determinism digests are pinned here too.
 
 import hashlib
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -90,10 +91,14 @@ SMOKE_DIGESTS = [
 ]
 
 
-def test_benchmark_smoke_digests_are_pinned():
-    # reads perfbench/ and writes only its ignored out/ directory
-    args = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "1", "--smoke"]
+def test_benchmark_smoke_digests_are_pinned(tmp_path):
+    # on a copy, so the smoke run's records do not replace a real seed-1 run's in perfbench/out/
     root = Path(__file__).resolve().parent.parent
-    run = subprocess.run([sys.executable, *args], cwd=root, capture_output=True, text=True)
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "perfbench").mkdir()
+    for script in (root / "perfbench").glob("*.py"):
+        shutil.copy(script, tmp_path / "perfbench")
+    args = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "1", "--smoke"]
+    run = subprocess.run([sys.executable, *args], cwd=tmp_path, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert re.findall(r"^ +digest +sha256:(\w+)$", run.stdout, re.MULTILINE) == SMOKE_DIGESTS

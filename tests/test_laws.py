@@ -26,7 +26,15 @@ from recheck import (
 from smlc import serialize
 from smlc.circuit import ADD, MUL, Bouquet, Circuit, ConstLeaf, regular
 from smlc.passes import compose, drop_last_index, merge_summands, project, reverse
-from smlc.poly import SparsePoly, compose_perms, expand, expand_bouquet, invert_perm, reference_det
+from smlc.poly import (
+    SparsePoly,
+    compose_perms,
+    expand,
+    expand_bouquet,
+    invert_perm,
+    reference_det,
+    sign_of_permutation,
+)
 from smlc.serialize import bouquet_from_text, bouquet_to_obj, dumps
 
 laws = settings(derandomize=True, deadline=None, max_examples=40)
@@ -90,6 +98,15 @@ def gate_operands(draw):
 @given(full_degree_circuits())
 def test_reverse_is_an_involution(rc):
     assert reverse(reverse(rc)) == rc
+
+
+@laws
+@given(st.integers(1, 8), st.data())
+def test_sign_is_multiplicative(n, data):
+    # compose's bouquet sign rests on this; an iterator is read once, as a tuple
+    t, s = data.draw(perms(n)), data.draw(perms(n))
+    assert sign_of_permutation(compose_perms(t, s)) == sign_of_permutation(t) * sign_of_permutation(s)
+    assert sign_of_permutation(iter(s)) == sign_of_permutation(s)
 
 
 @laws

@@ -224,13 +224,13 @@ PER2 = c(
 )
 
 
-def test_equiv_exact_is_order_free():
+def test_expand_is_order_free():
     a = det_regular_circuit(2, (1, 2)).circuit
     b = det_regular_circuit(2, (2, 1)).circuit
     assert expand(a).terms == expand(b).terms  # same commutative polynomial, different order
 
 
-def test_equiv_exact_det_vs_perm():
+def test_expand_tells_det_from_perm():
     det = det_regular_circuit(2, (1, 2)).circuit
     assert expand(PER2).terms == reference_perm(2).terms
     assert expand(det).terms != expand(PER2).terms
