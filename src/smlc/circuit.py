@@ -6,13 +6,14 @@ polynomial picks at most one variable per row.  Nodes live in topological
 order (children always have smaller ids), so every pass is one left-to-right
 sweep.
 
-The representation is flat: `Nodes` holds three parallel tuples `op`, `a`
-and `b`.  Node v is a product or sum (`op[v]` MUL or ADD) of the nodes
-`a[v]` and `b[v]`, the variable x[a[v], b[v]] (VAR), or the constant `a[v]`
-(CONST, with `b[v]` = 0).  The parser, the generators, the checker, the
-passes and the oracles read and write only these arrays.  The node classes
-`ConstLeaf`, `VarLeaf`, `Add` and `Mul` are a view: `Circuit` converts exactly
-these four once (`Nodes.of`; any other object is a TypeError), and iterating
+The representation is flat: `Nodes` holds three parallel arrays `op`, `a`
+and `b`, of machine ints where the values fit (see `Nodes`).  Node v is a
+product or sum (`op[v]` MUL or ADD) of the nodes `a[v]` and `b[v]`, the
+variable x[a[v], b[v]] (VAR), or the constant `a[v]` (CONST, with `b[v]` =
+0).  The parser, the generators, the checker, the passes and the oracles
+read and write only these arrays.  The node classes `ConstLeaf`, `VarLeaf`,
+`Add` and `Mul` are a view: `Circuit` converts exactly these four once
+(`Nodes.of`; any other object is a TypeError), and iterating
 `circuit.nodes` builds them; nodes are never read by indexing `circuit.nodes`.
 
 Typing assigns each node v its index set I_v (the set of rows it covers):
@@ -36,8 +37,11 @@ trust boundaries: parsing and the generators) and `stats` are views over it;
 
 from __future__ import annotations
 
+import struct
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import countOf
 
 __all__ = [
     "MUL", "ADD", "VAR", "CONST",  # opcodes
@@ -158,37 +162,79 @@ def _node(op: int, a, b) -> ConstLeaf | VarLeaf | Add | Mul:
     return ConstLeaf(a) if op == CONST else _CLASSES[op](a, b)
 
 
-@dataclass(frozen=True, slots=True)
+def _exact(values: Sequence, packed: type) -> bool:
+    # `_is_int` on every value of a list or tuple, mapped in C; array("q")
+    # and bytes would take a bool or an int subclass as its int
+    kind = type(values)
+    return kind is packed or kind in (list, tuple) and countOf(map(type, values), int) == len(values)
+
+
+def _pack(op: Sequence, a: Sequence, b: Sequence, exact: bool) -> tuple:
+    """`op` as bytes and `a`, `b` as int64 arrays when every value is an
+    exact int that fits, else all three as tuples.  Each value is tested
+    unless the caller vouches (`exact`) that it computed them all as ints."""
+    if exact or _exact(op, bytes) and _exact(a, array) and _exact(b, array):
+        try:  # an opcode past a byte, an operand past int64, an array of floats
+            return bytes(op), _int64(a), _int64(b)
+        except (ValueError, TypeError, OverflowError, struct.error):
+            pass
+    return tuple(op), tuple(a), tuple(b)
+
+
+def _int64(values: Sequence) -> array:
+    # an array is copied as it is; a list or tuple goes through struct, which
+    # converts it in about two thirds of the time array("q", values) takes
+    if type(values) is array:
+        return array("q", values)
+    return array("q", struct.pack(f"{len(values)}q", *values))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Nodes:
-    """A circuit's nodes as three parallel tuples.
+    """A circuit's nodes as three parallel arrays.
 
     Node v is `op[v]` with operands `a[v]` and `b[v]` (see the module
-    docstring).  `len` reads the arrays; iteration builds node objects on
-    demand, and nothing inside the package iterates.  There is no indexing:
-    node v is read from the arrays.  Equality and hashing compare the arrays.
+    docstring).  The constructor packs the fields once (`_pack`), 17 bytes
+    a node; where a value is not an exact int or does not fit (a bool, a
+    float, a constant past int64) all three stay tuples, so the checker sees
+    what it was given.  A caller that computed every value itself as an int
+    (`Builder`, the parser) passes `exact=True` to skip the per-value test.
+    Readers use `zip`, `len`, indexing and `count`, alike on both forms;
+    iteration builds node objects on demand, and nothing inside the package
+    iterates.  Equal contents pack alike, so equality compares the arrays;
+    the hash is over their contents.
     """
 
-    op: tuple[int, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    op: bytes | tuple[int, ...]
+    a: array | tuple[int, ...]
+    b: array | tuple[int, ...]
+
+    def __init__(self, op: Sequence, a: Sequence, b: Sequence, exact: bool = False):
+        for name, value in zip(("op", "a", "b"), _pack(op, a, b, exact)):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.op), tuple(self.a), tuple(self.b)))
 
     @classmethod
     def of(cls, nodes: Iterable) -> Nodes:
         """Convert node objects of exactly the four node classes (any other object,
         a subclass too, is a TypeError naming its index and class).  Fields are
         kept as given, so the checker rejects what it would reject in the objects."""
-        out = Builder()
+        fields: tuple[list, list, list] = ([], [], [])
         for vid, node in enumerate(nodes):
             code = _CODES.get(type(node))
             if code is None:
                 raise TypeError(f"node {vid} is a {type(node).__name__}, not a node class")
             if code == VAR:
-                out.emit(code, node.row, node.col)
+                values = code, node.row, node.col
             elif code == CONST:
-                out.emit(code, node.value, 0)
+                values = code, node.value, 0
             else:
-                out.emit(code, node.left, node.right)
-        return out.nodes()
+                values = code, node.left, node.right
+            for field, value in zip(fields, values):
+                field.append(value)
+        return cls(*fields)
 
     def __len__(self) -> int:
         return len(self.op)
@@ -215,7 +261,9 @@ class Circuit:
 
 
 class Builder:
-    """Append-only flat node arrays; `leaf` shares equal leaves, `emit` never does."""
+    """Append-only flat node arrays; `leaf` shares equal leaves, `emit` never does.
+    Operands must be exact ints (ids, rows, cols and constants the caller
+    computed): `nodes` vouches for them, so `Nodes` does not test each."""
 
     def __init__(self):
         self.op: list[int] = []
@@ -236,7 +284,7 @@ class Builder:
         return got
 
     def nodes(self) -> Nodes:
-        return Nodes(tuple(self.op), tuple(self.a), tuple(self.b))
+        return Nodes(self.op, self.a, self.b, exact=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,42 +391,43 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
     masks: list[int] = []
     append = masks.append
     bad = None  # first irregular product
-    # a child reference is an int (`_is_int`, inlined) in [0, vid); masks
-    # holds vid entries, so indexing it checks the upper bound
-    for vid, op, a, b in zip(range(len(ops)), ops, lefts, rights):
+    # a node's id is len(masks), one mask per earlier node, so indexing masks
+    # checks a child reference's upper bound; a reference must also be an int
+    # (`_is_int`, inlined) and not negative
+    for op, a, b in zip(ops, lefts, rights):
         if op == MUL:
             if not (type(a) is int and type(b) is int and a >= 0 and b >= 0):
-                raise _child_error(vid, a, b)
+                raise _child_error(len(masks), a, b)
             try:
                 lm, rm = masks[a], masks[b]
             except IndexError:
-                raise _child_error(vid, a, b) from None
+                raise _child_error(len(masks), a, b) from None
             if lm & rm:
-                raise MulOverlap(vid)
+                raise MulOverlap(len(masks))
             # every earlier mask is contiguous until the first bad product
             if not (lm << 1 & rm) and lm and rm and bad is None:
-                bad = vid
+                bad = len(masks)
             append(lm | rm)
         elif op == ADD:
             if not (type(a) is int and type(b) is int and a >= 0 and b >= 0):
-                raise _child_error(vid, a, b)
+                raise _child_error(len(masks), a, b)
             try:
                 lm, rm = masks[a], masks[b]
             except IndexError:
-                raise _child_error(vid, a, b) from None
+                raise _child_error(len(masks), a, b) from None
             if lm != rm:
-                raise AddMismatch(vid)
+                raise AddMismatch(len(masks))
             append(lm)
         elif op == VAR:  # a, b = row, col
             if not (_is_int(a) and _is_int(b) and 1 <= a <= n and 1 <= b <= n):
-                raise VariableOutOfRange(vid, a, b, n)
+                raise VariableOutOfRange(len(masks), a, b, n)
             append(1 << (a - 1 if shift is None else shift[a]))
         elif op != CONST:
-            raise CircuitError(f"node {vid}: unknown opcode {op!r}")
+            raise CircuitError(f"node {len(masks)}: unknown opcode {op!r}")
         elif _is_int(a):
             append(0)
         else:
-            raise CircuitError(f"node {vid}: constant {a!r} is not an int")
+            raise CircuitError(f"node {len(masks)}: constant {a!r} is not an int")
 
     if sigma is None:
         return masks

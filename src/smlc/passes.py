@@ -101,8 +101,8 @@ def reverse(rc: RegularCircuit) -> RegularCircuit:
     if 0 < degree < n:
         raise RootNotPrefix(n - degree + 1, degree)
     ops, lefts, rights = rc.circuit.nodes.op, rc.circuit.nodes.a, rc.circuit.nodes.b
-    a = tuple(y if op == MUL else x for op, x, y in zip(ops, lefts, rights))
-    b = tuple(x if op == MUL else y for op, x, y in zip(ops, lefts, rights))
+    a = [y if op == MUL else x for op, x, y in zip(ops, lefts, rights)]
+    b = [x if op == MUL else y for op, x, y in zip(ops, lefts, rights)]
     flipped = Circuit(n, Nodes(ops, a, b), rc.circuit.root)
     return RegularCircuit(flipped, tuple(reversed(rc.sigma)), degree)
 
@@ -127,7 +127,7 @@ def compose(bouquet: Bouquet, tau: Iterable[int]) -> Bouquet:
     summands = []
     for rc in bouquet.summands:
         nodes = rc.circuit.nodes
-        rows = tuple(tau[x - 1] if op == VAR else x for op, x in zip(nodes.op, nodes.a))
+        rows = [tau[x - 1] if op == VAR else x for op, x in zip(nodes.op, nodes.a)]
         circuit = Circuit(bouquet.n, Nodes(nodes.op, rows, nodes.b), rc.circuit.root)
         summands.append(RegularCircuit(circuit, compose_perms(tau, rc.sigma), rc.degree))
     sign = bouquet.sign * sign_of_permutation(tau)
@@ -313,14 +313,14 @@ def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
     first, second = a.circuit.nodes, b.circuit.nodes
     offset = len(first)
 
-    def shifted(operands: tuple[int, ...]) -> tuple[int, ...]:
+    def shifted(operands: Sequence[int]) -> list[int]:
         # the second circuit's child ids move up by offset; leaf operands stay
-        return tuple(x + offset if op < VAR else x for op, x in zip(second.op, operands))
+        return [x + offset if op < VAR else x for op, x in zip(second.op, operands)]
 
     nodes = Nodes(
-        first.op + second.op + (ADD,),
-        first.a + shifted(second.a) + (a.circuit.root,),
-        first.b + shifted(second.b) + (b.circuit.root + offset,),
+        [*first.op, *second.op, ADD],
+        [*first.a, *shifted(second.a), a.circuit.root],
+        [*first.b, *shifted(second.b), b.circuit.root + offset],
     )
     return RegularCircuit(Circuit(n, nodes, len(nodes) - 1), a.sigma, a.degree)
 

@@ -31,7 +31,9 @@ but not its value still fails, except step 0 when a step follows it: its
 input passed `regular` at the parser or generator.  A failed check raises
 VerificationFailed: some pass broke semantics, the strongest possible error.
 With verification on, at least one trial is required, so no verdict can be
-recorded ok without an evaluation.
+recorded ok without an evaluation.  Nor can a run below its degree promise
+(a step keeping fewer than ceil_sqrt of its degree, a final degree below
+es_guarantee), which no value check sees: VerificationFailed names the step.
 """
 
 from __future__ import annotations
@@ -242,6 +244,8 @@ def reduce_to_single(
             cur = Bouquet(cur.n, tuple(summands), cur.sign)
             reversed_idx = target_idx
         kept = sorted(run["values"])
+        if verify != "off" and len(kept) < ceil_sqrt(cur.n):
+            raise VerificationFailed(len(steps) + 1, f"kept {len(kept)} of {cur.n} rows, below ceil_sqrt")
 
         cur = project(cur, kept)
         guarantee = ceil_sqrt(guarantee)
@@ -257,6 +261,8 @@ def reduce_to_single(
             )
         )
 
+    if verify != "off" and cur.n < guarantee:
+        raise VerificationFailed(len(steps), f"final degree {cur.n} is below es_guarantee {guarantee}")
     survivors = [rc for rc in cur.summands if not is_zero_summand(rc)]
     dropped = len(cur.summands) - len(survivors)
     if not survivors:
@@ -267,7 +273,7 @@ def reduce_to_single(
         if cur.sign < 0:
             root, nodes = single.circuit.root, single.circuit.nodes
             size = len(nodes)
-            wrapped = Nodes(nodes.op + (CONST, MUL), nodes.a + (-1, size), nodes.b + (0, root))
+            wrapped = Nodes([*nodes.op, CONST, MUL], [*nodes.a, -1, size], [*nodes.b, 0, root])
             single = RegularCircuit(Circuit(cur.n, wrapped, size + 1), single.sigma, single.degree)
 
     k_distinct = max(1, distinct_orders(bouquet))

@@ -23,6 +23,8 @@ decoded batch equals the same nodes of the whole decode; from the first
 batch that fails, the rest of the array is read node by node.  Any other
 shape is read whole, by `bouquet_from_obj(loads(text))`, and so is any
 document the batch reader finds fault with, so its errors are the same.
+The batch reader appends nodes to a bytearray and two int64 arrays, never
+to lists, and reads the whole document where a value is past int64.
 
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
@@ -32,8 +34,8 @@ over the bouquet's grid, then runs `regular` on it against its sigma.
 
 The parser accepts exactly what JSON decodes to: every document and node is
 a `dict` and every field an `int`, `str` or `list`, not a bool or a subclass.
-It writes each node straight into the three flat arrays of `circuit.Nodes`
-and builds no node objects.  Its loop reads the id, op and operand fields by
+It appends each node straight to the flat arrays of a `circuit.Nodes` and
+builds no node objects.  Its loop reads the id, op and operand fields by
 subscript, tests each with `type(value) is int` (or `str`) and calls
 `_require` only when a field is missing or that test fails, so a malformed
 document gets the same `ParseError` as a field-by-field check, while a
@@ -44,7 +46,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Callable
+from array import array
+from typing import Any, Callable, MutableSequence
 
 from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, regular
 from .circuit import _is_int, decimal
@@ -73,12 +76,16 @@ _NAMES = {op: (name, fa, fb) for name, (op, fa, fb) in _FIELDS.items()}
 
 def circuit_to_obj(circuit: Circuit) -> dict[str, Any]:
     nodes = circuit.nodes
+    # one int per id, shared by "id" and every reference, not one per array read
+    ids = list(range(len(nodes)))
     out = []
-    for vid, op, a, b in zip(range(len(nodes)), nodes.op, nodes.a, nodes.b):
+    for vid, op, a, b in zip(ids, nodes.op, nodes.a, nodes.b):
         if op == CONST:
             out.append({"id": vid, "op": "const", "value": str(a)})
         else:
             name, fa, fb = _NAMES[op]
+            if op < VAR:
+                a, b = ids[a], ids[b]
             out.append({"id": vid, "op": name, fa: a, fb: b})
     return {"n": circuit.n, "nodes": out, "root": circuit.root}
 
@@ -104,7 +111,7 @@ def circuit_from_obj(obj: Any) -> Circuit:
     return _circuit(n, arrays, root)
 
 
-def _read_nodes(batch: list, ops: list[int], lefts: list[Any], rights: list[Any]) -> None:
+def _read_nodes(batch: list, ops: MutableSequence, lefts: MutableSequence, rights: MutableSequence) -> None:
     """Append the nodes of `batch`, the next elements of a "nodes" array, to the arrays."""
     for idx, raw in enumerate(batch, len(ops)):
         if type(raw) is not dict:
@@ -149,10 +156,9 @@ def _read_nodes(batch: list, ops: list[int], lefts: list[Any], rights: list[Any]
 
 
 def _circuit(n: int, arrays: tuple, root: int) -> Circuit:
-    ops, lefts, rights = arrays
-    if not (0 <= root < len(ops)):
+    if not (0 <= root < len(arrays[0])):
         raise ParseError(f"root {root} out of range")
-    return Circuit(n, Nodes(tuple(ops), tuple(lefts), tuple(rights)), root)
+    return Circuit(n, Nodes(*arrays, exact=True), root)  # `_read_nodes` tested every field
 
 
 def bouquet_to_obj(bouquet: Bouquet) -> dict[str, Any]:
@@ -219,7 +225,7 @@ def bouquet_from_text(text: str) -> Bouquet:
             raise _Declined
         # a ValueError if "summands" is missing or "sign" is not exactly 1 or -1
         return Bouquet(n=fields.get("n"), summands=fields.get("summands", ()), sign=fields.get("sign", 1))
-    except (_Declined, ValueError, RecursionError, ParseError, CircuitError):
+    except (_Declined, ValueError, OverflowError, RecursionError, ParseError, CircuitError):
         return bouquet_from_obj(loads(text))
 
 
@@ -266,7 +272,7 @@ def _circuit_at(text: str, i: int, _: dict) -> tuple[Circuit, int]:
 
 
 def _nodes_at(text: str, i: int, _: dict) -> tuple[tuple, int]:
-    arrays: tuple[list, list, list] = ([], [], [])
+    arrays = (bytearray(), array("q"), array("q"))
     if text[i : i + 1] != "[":
         raise _Declined
     while (j := text.find("},", i + 1 + _BATCH)) >= 0:  # i is at the array's "[" or at a ","

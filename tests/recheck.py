@@ -150,9 +150,9 @@ def join(op, first, second):
     two factors share no row and the product is over first.n + second.n rows."""
     x, y = first.nodes, second.nodes
     offset, shift = len(x), first.n if op == MUL else 0
-    ya = tuple(v + offset if o < VAR else v + shift if o == VAR else v for o, v in zip(y.op, y.a))
-    yb = tuple(v + offset if o < VAR else v for o, v in zip(y.op, y.b))
-    nodes = Nodes(x.op + y.op + (op,), x.a + ya + (first.root,), x.b + yb + (second.root + offset,))
+    ya = [v + offset if o < VAR else v + shift if o == VAR else v for o, v in zip(y.op, y.a)]
+    yb = [v + offset if o < VAR else v for o, v in zip(y.op, y.b)]
+    nodes = Nodes([*x.op, *y.op, op], [*x.a, *ya, first.root], [*x.b, *yb, second.root + offset])
     return Circuit(first.n + (second.n if op == MUL else 0), nodes, offset + len(y))
 
 

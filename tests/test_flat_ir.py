@@ -1,10 +1,17 @@
 """The flat circuit representation: node objects are a view, built only on request.
 
-A circuit stores its nodes as three parallel tuples (`circuit.Nodes`).  The
-constructor converts node objects of exactly the four node classes once, and
-iterating `circuit.nodes` builds them again on demand.  So the parser and the
-reduction build none, and both conversions round-trip.
+A circuit stores its nodes as three parallel arrays (`circuit.Nodes`), packed
+as bytes and int64 arrays when every value is an exact int that fits, and as
+tuples otherwise.  The constructor converts node objects of exactly the four
+node classes once, and iterating `circuit.nodes` builds them again on demand.
+So the parser and the reduction build none, and both conversions round-trip.
+Equal contents compare and hash equal whatever they were built from, values
+that do not pack keep their type and their errors, and the packed form
+holds a node in well under the bytes a tuple of ints takes.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,18 +20,35 @@ from recheck import cases, sample_det_bouquets, sample_random_bouquets, spy, sum
 
 from smlc import pipeline
 from smlc.circuit import (
+    ADD,
+    CONST,
+    MUL,
+    VAR,
+    BadChildRef,
     Bouquet,
+    Builder,
     Circuit,
     CircuitError,
     ConstLeaf,
     Mul,
     Nodes,
+    VariableOutOfRange,
     VarLeaf,
+    regular,
     validate,
 )
 from smlc.generators import seeded_det_bouquet
+from smlc.passes import compose, merge_summands, project, reverse
 from smlc.pipeline import VerificationFailed, reduce_to_single
-from smlc.serialize import bouquet_from_obj, bouquet_to_obj, circuit_from_obj, circuit_to_obj
+from smlc.poly import invert_perm
+from smlc.serialize import (
+    bouquet_from_obj,
+    bouquet_from_text,
+    bouquet_to_obj,
+    circuit_from_obj,
+    circuit_to_obj,
+    dumps,
+)
 
 x11, x22 = VarLeaf(1, 1), VarLeaf(2, 2)
 
@@ -48,7 +72,7 @@ def test_node_view_reads_like_a_tuple():
     nodes = (x11, x22, ConstLeaf(-1), Mul(0, 1), Mul(2, 3))
     circuit = Circuit(2, nodes, 4)
     assert tuple(circuit.nodes) == nodes and len(circuit.nodes) == 5
-    assert (circuit.nodes.op, circuit.nodes.a, circuit.nodes.b) == (
+    assert (tuple(circuit.nodes.op), tuple(circuit.nodes.a), tuple(circuit.nodes.b)) == (
         (2, 2, 3, 0, 0),
         (1, 2, -1, 0, 2),
         (1, 2, 0, 1, 3),
@@ -90,3 +114,104 @@ def test_exact_tier_builds_each_reference_once(monkeypatch):
     with pytest.raises(VerificationFailed) as err:
         reduce_to_single(flipped, verify="exact", seed=seed)
     assert err.value.step == 0
+
+
+# --- the packed form --------------------------------------------------------
+
+
+def _rebuilt(nodes):
+    """The same contents through each way a `Nodes` is made: node objects,
+    tuples, lists and a `Builder`."""
+    built = Builder()
+    for op, a, b in zip(nodes.op, nodes.a, nodes.b):
+        built.emit(op, a, b)
+    fields = (nodes.op, nodes.a, nodes.b)
+    return [
+        Nodes.of(tuple(nodes)),
+        Nodes(*map(tuple, fields)),
+        Nodes(*map(list, fields)),
+        built.nodes(),
+    ]
+
+
+def _assert_one_content(nodes):
+    for other in _rebuilt(nodes):
+        assert other == nodes and hash(other) == hash(nodes)
+
+
+def test_equal_contents_compare_and_hash_equal_from_every_source():
+    b = seeded_det_bouquet(5, 3, 4)
+    tau = (2, 3, 1, 5, 4)
+    rows = [rc.circuit.nodes for rc in b.summands]
+    parsed = [rc.circuit.nodes for rc in bouquet_from_text(dumps(bouquet_to_obj(b))).summands]
+    assert parsed == rows and [hash(x) for x in parsed] == [hash(x) for x in rows]
+    assert circuit_from_obj(circuit_to_obj(b.summands[0].circuit)).nodes == rows[0]
+    back = compose(compose(b, tau), invert_perm(tau))
+    assert [rc.circuit.nodes for rc in back.summands] == rows
+    full = b.summands[0]
+    assert reverse(reverse(full)).circuit.nodes == full.circuit.nodes
+    same = Bouquet(5, (full, full))
+    outputs = [
+        compose(b, tau).summands[1].circuit.nodes,
+        reverse(full).circuit.nodes,
+        project(b, [1, 3, 4]).summands[0].circuit.nodes,
+        merge_summands(same).summands[0].circuit.nodes,
+        reduce_to_single(Bouquet(5, b.summands, -1), verify="off")[0].circuit.nodes,  # the sign wrap
+    ]
+    for nodes in rows + outputs:
+        _assert_one_content(nodes)
+
+
+class _Id(int):
+    """An int subclass: the checker refuses it, so packing must not turn it into an int."""
+
+
+@pytest.mark.parametrize(
+    ("fields", "error"),
+    [
+        (((VAR, VAR, MUL), (True, 2, 0), (1, 2, 1)), VariableOutOfRange),  # a bool row
+        (((VAR, VAR, MUL), (1, 2, 0), (1, 2, _Id(1))), BadChildRef),  # an int-subclass child
+        (((VAR, VAR, ADD), (1, 1, 0), (1, 2, 1)), None),  # exact ints, for contrast
+    ],
+)
+def test_values_that_do_not_pack_keep_their_type_and_error(fields, error):
+    nodes = Nodes(*fields)
+    assert [list(map(type, field)) for field in (nodes.op, nodes.a, nodes.b)] == [
+        list(map(type, field)) for field in fields
+    ]
+    if error is None:
+        validate(Circuit(2, nodes, 2))
+        return
+    with pytest.raises(error):
+        validate(Circuit(2, nodes, 2))
+    with pytest.raises(error):
+        validate(Circuit(2, Nodes.of(tuple(nodes)), 2))
+
+
+def test_a_constant_past_int64_keeps_its_value():
+    big = 10**30
+    circuit = Circuit(1, Nodes((CONST, VAR, MUL), (big, 1, 0), (0, 1, 1)), 2)
+    assert circuit.nodes.a[0] == big and regular(circuit, (1,)).degree == 1
+    doc = {"n": 1, "summands": [{"sigma": [1], "circuit": circuit_to_obj(circuit)}]}
+    for read in (bouquet_from_obj, lambda obj: bouquet_from_text(dumps(obj))):
+        assert read(doc).summands[0].circuit == circuit
+
+
+def _bytes_per_node(make):
+    """Traced bytes that the bouquet make() returns holds, per node."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bouquet = make()
+        held = tracemalloc.get_traced_memory()[0]  # while `bouquet` is alive
+    finally:
+        tracemalloc.stop()
+    return held / sum(len(rc.circuit.nodes) for rc in bouquet.summands)
+
+
+def test_a_packed_circuit_holds_a_node_in_at_most_25_bytes():
+    # a node as three tuple entries and a boxed id takes about 60 bytes
+    text = dumps(bouquet_to_obj(seeded_det_bouquet(7, 3, 1)))
+    generated = _bytes_per_node(lambda: seeded_det_bouquet(7, 3, 1))
+    parsed = _bytes_per_node(lambda: bouquet_from_text(text))
+    assert generated <= 25 and parsed <= 25, (generated, parsed)

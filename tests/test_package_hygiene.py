@@ -15,7 +15,10 @@ Each test-side helper is defined once: one that two test modules use lives
 in `tests/recheck.py`, no test module imports another, and no two top-level
 functions under `tests/` have the same body.  No comparison there has the
 same expression on both sides, and no `pytest.raises` takes `Exception` or
-`BaseException`: either checks nothing.
+`BaseException`: either checks nothing.  No `+` in the package or in
+`tests/recheck.py` has a node array (`.op`, `.a` or `.b`) as an operand:
+those are bytes or int64 arrays, or tuples where a value does not pack, and
+adding one form to another raises only on such rare inputs.
 """
 
 import ast
@@ -277,3 +280,16 @@ def test_no_check_accepts_any_error():
         and ast.unparse(node.args[0]) in ("Exception", "BaseException")
     ]
     assert not broad, f"pytest.raises of any error: {broad}"
+
+
+def test_no_node_array_is_concatenated_with_plus():
+    # join node arrays by building lists (`[*x.op, *y.op]`) that `Nodes` packs
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in [*MODULES, ROOT / "tests" / "recheck.py"]
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Add)
+        for side in ((node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value))
+        if isinstance(side, ast.Attribute) and side.attr in ("op", "a", "b")
+    ]
+    assert not offenders, f"node arrays joined with +: {offenders}"

@@ -21,7 +21,8 @@ from smlc.circuit import (
     regular,
 )
 from smlc.generators import det_bouquet, distinct_perms, dp_det_bouquet, seeded_det_bouquet
-from smlc.passes import compose, distinct_orders, is_zero_summand, merge_summands, project, reverse
+from smlc.passes import compose, distinct_orders, is_zero_summand, merge_summands, monotone_subsequence
+from smlc.passes import project, reverse
 from smlc.pipeline import (
     VerificationFailed,
     ceil_sqrt,
@@ -247,6 +248,12 @@ def _unrelabeled_normalize(bouquet):
     return _resummed(bouquet, (claimed,) + bouquet.summands[1:]), None
 
 
+def _one_entry_run(seq):
+    # keeps only the first entry of the longest run: the run computes det_1 correctly
+    run = monotone_subsequence(seq)
+    return {**run, "positions": run["positions"][:1], "values": run["values"][:1]}
+
+
 VALUE = "differs from degree-"
 STRUCTURE = "is not regular w.r.t. its order|has degree"
 
@@ -264,6 +271,7 @@ MUTANTS = {
     "reversed-merge": ("merge_summands", _reversed_merge, STRUCTURE, (1, 5, 7, 10, 15)),
     "partial-normalize": ("normalize_first", _partial_normalize, VALUE, (1, 2, 3)),
     "unrelabeled-normalize": ("normalize_first", _unrelabeled_normalize, STRUCTURE, (1, 2, 3)),
+    "one-entry-run": ("monotone_subsequence", _one_entry_run, "below ceil_sqrt", (1, 2, 3)),
 }
 
 
