@@ -3,8 +3,8 @@
 A circuit is an immutable DAG over an n-row variable grid x[r,c], r,c in 1..n.
 Row r is the partition class of x[r,c]: every monomial of a set-multilinear
 polynomial picks at most one variable per row.  Nodes live in topological
-order (children always have smaller ids), so every pass is one left-to-right
-sweep.
+order (children always have smaller ids), so a check or a fold is one
+left-to-right sweep.
 
 The representation is flat: `Nodes` holds three parallel arrays `op`, `a`
 and `b`, of machine ints where the values fit (see `Nodes`).  Node v is a
@@ -30,9 +30,10 @@ One left-to-right sweep, `_sweep`, checks both on int bitmasks in position
 space, typing errors anywhere before regularity errors.  A field it reads that
 is not exactly an int (`_is_int`) is a typed error: `BadChildRef` for a root or
 child reference, `VariableOutOfRange` for a row or col, else `CircuitError`,
-as is an unknown opcode.  `validate`, `infer_order`, `regular` (the check at
-trust boundaries: parsing and the generators) and `stats` are views over it;
-`infer_order` and `stats` return what `smlc check-regular` and `smlc stats` write.
+as is an unknown opcode (a bool or a float among them).  `validate`,
+`infer_order`, `regular` (the check at trust boundaries: parsing and the
+generators) and `stats` are views over it; `infer_order` and `stats` return
+what `smlc check-regular` and `smlc stats` write.
 """
 
 from __future__ import annotations
@@ -162,18 +163,18 @@ def _node(op: int, a, b) -> ConstLeaf | VarLeaf | Add | Mul:
     return ConstLeaf(a) if op == CONST else _CLASSES[op](a, b)
 
 
-def _exact(values: Sequence, packed: type) -> bool:
+def _exact(values: Sequence, packed: tuple) -> bool:
     # `_is_int` on every value of a list or tuple, mapped in C; array("q")
     # and bytes would take a bool or an int subclass as its int
     kind = type(values)
-    return kind is packed or kind in (list, tuple) and countOf(map(type, values), int) == len(values)
+    return kind in packed or kind in (list, tuple) and countOf(map(type, values), int) == len(values)
 
 
 def _pack(op: Sequence, a: Sequence, b: Sequence, exact: bool) -> tuple:
     """`op` as bytes and `a`, `b` as int64 arrays when every value is an
     exact int that fits, else all three as tuples.  Each value is tested
     unless the caller vouches (`exact`) that it computed them all as ints."""
-    if exact or _exact(op, bytes) and _exact(a, array) and _exact(b, array):
+    if exact or _exact(op, (bytes, bytearray)) and _exact(a, (array,)) and _exact(b, (array,)):
         try:  # an opcode past a byte, an operand past int64, an array of floats
             return bytes(op), _int64(a), _int64(b)
         except (ValueError, TypeError, OverflowError, struct.error):
@@ -182,11 +183,30 @@ def _pack(op: Sequence, a: Sequence, b: Sequence, exact: bool) -> tuple:
 
 
 def _int64(values: Sequence) -> array:
-    # an array is copied as it is; a list or tuple goes through struct, which
-    # converts it in about two thirds of the time array("q", values) takes
+    # an int64 array is kept (its maker hands it over); a list or tuple goes
+    # through struct, in about two thirds of the time array("q", values) takes
     if type(values) is array:
-        return array("q", values)
+        return values if values.typecode == "q" else array("q", values)
     return array("q", struct.pack(f"{len(values)}q", *values))
+
+
+def _writable(*parts: Nodes) -> tuple:
+    """The fields of `parts` one after another, fresh for a pass to rewrite:
+    packed (copied in C) when every part is, else lists, which `Nodes` tests."""
+    packed = all(type(part.op) is bytes for part in parts)
+    fields = (bytearray(), array("q"), array("q")) if packed else ([], [], [])
+    for part in parts:
+        for field, values in zip(fields, (part.op, part.a, part.b)):
+            field.extend(values)
+    return fields
+
+
+def _ids(ops: Sequence, code: int) -> list[int]:
+    """Ids of the nodes with opcode `code`, in order, found in C by `ops.index`."""
+    found = [-1]
+    for _ in range(ops.count(code)):
+        found.append(ops.index(code, found[-1] + 1))
+    return found[1:]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -197,12 +217,13 @@ class Nodes:
     docstring).  The constructor packs the fields once (`_pack`), 17 bytes
     a node; where a value is not an exact int or does not fit (a bool, a
     float, a constant past int64) all three stay tuples, so the checker sees
-    what it was given.  A caller that computed every value itself as an int
-    (`Builder`, the parser) passes `exact=True` to skip the per-value test.
-    Readers use `zip`, `len`, indexing and `count`, alike on both forms;
-    iteration builds node objects on demand, and nothing inside the package
-    iterates.  Equal contents pack alike, so equality compares the arrays;
-    the hash is over their contents.
+    what it was given.  Packed fields are not tested, and an int64 array is
+    kept, not copied: its maker must not change it.  A caller that computed
+    every value itself as an int (`Builder`) passes `exact=True` to skip the
+    test.  Readers use `zip`, `len`, indexing, `count` and `index` (`_ids`),
+    alike on both forms; iteration builds node objects on demand, and nothing
+    inside the package iterates.  Equal contents pack alike, so equality
+    compares the arrays; the hash is over their contents.
     """
 
     op: bytes | tuple[int, ...]
@@ -388,6 +409,11 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
         for p, row in enumerate(sigma):
             shift[row] = p
 
+    if type(ops) is not bytes and countOf(map(type, ops), int) != len(ops):
+        # an opcode that is not exactly an int (a bool, a float) is unknown:
+        # the sweep stops before the first one, so earlier errors come first
+        ops = ops[: [type(op) is int for op in ops].index(False)]
+
     masks: list[int] = []
     append = masks.append
     bad = None  # first irregular product
@@ -428,6 +454,8 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
             append(0)
         else:
             raise CircuitError(f"node {len(masks)}: constant {a!r} is not an int")
+    if len(masks) < len(nodes):
+        raise CircuitError(f"node {len(masks)}: unknown opcode {nodes.op[len(masks)]!r}")
 
     if sigma is None:
         return masks
@@ -517,4 +545,4 @@ def bouquet_gate_count(bouquet: Bouquet) -> int:
 def variables_of(circuit: Circuit) -> set[tuple[int, int]]:
     """All (row, col) pairs appearing as variable leaves."""
     nodes = circuit.nodes
-    return {(row, col) for op, row, col in zip(nodes.op, nodes.a, nodes.b) if op == VAR}
+    return {(nodes.a[v], nodes.b[v]) for v in _ids(nodes.op, VAR)}

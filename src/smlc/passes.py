@@ -1,7 +1,8 @@
 """Structural passes over regular circuits and bouquets.
 
-All passes are pure: each is one sweep over a circuit's flat node arrays
-(`circuit.Nodes`) that builds new arrays and never mutates its input.
+All passes are pure and never mutate their input.  compose, reverse and a
+join copy a circuit's flat node arrays (`circuit.Nodes`) in C and rewrite
+only the entries they change, found by opcode; project folds in one sweep.
 Regularity is checked where circuits enter (parsing and the generators), not
 after every pass.  Every pass preserves it by construction and carries a
 (sigma, degree) over without re-inferring: compose moves no position, reverse
@@ -30,10 +31,11 @@ The passes:
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Iterable, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, AddMismatch, Bouquet, Builder, Circuit, Nodes
-from .circuit import RegularCircuit, RootNotPrefix, _is_int
+from .circuit import RegularCircuit, RootNotPrefix, _ids, _is_int, _writable
 from .poly import (
     check_permutation,
     compose_perms,
@@ -100,10 +102,12 @@ def reverse(rc: RegularCircuit) -> RegularCircuit:
     n, degree = rc.circuit.n, rc.degree
     if 0 < degree < n:
         raise RootNotPrefix(n - degree + 1, degree)
-    ops, lefts, rights = rc.circuit.nodes.op, rc.circuit.nodes.a, rc.circuit.nodes.b
-    a = [y if op == MUL else x for op, x, y in zip(ops, lefts, rights)]
-    b = [x if op == MUL else y for op, x, y in zip(ops, lefts, rights)]
-    flipped = Circuit(n, Nodes(ops, a, b), rc.circuit.root)
+    nodes = rc.circuit.nodes
+    _, b, a = _writable(nodes)  # every operand swapped, then the few non-products put back
+    for code in (ADD, VAR, CONST):
+        for v in _ids(nodes.op, code):
+            a[v], b[v] = b[v], a[v]
+    flipped = Circuit(n, Nodes(nodes.op, a, b), rc.circuit.root)
     return RegularCircuit(flipped, tuple(reversed(rc.sigma)), degree)
 
 
@@ -127,7 +131,9 @@ def compose(bouquet: Bouquet, tau: Iterable[int]) -> Bouquet:
     summands = []
     for rc in bouquet.summands:
         nodes = rc.circuit.nodes
-        rows = [tau[x - 1] if op == VAR else x for op, x in zip(nodes.op, nodes.a)]
+        rows = _writable(nodes)[1]
+        for v in _ids(nodes.op, VAR):
+            rows[v] = tau[rows[v] - 1]
         circuit = Circuit(bouquet.n, Nodes(nodes.op, rows, nodes.b), rc.circuit.root)
         summands.append(RegularCircuit(circuit, compose_perms(tau, rc.sigma), rc.degree))
     sign = bouquet.sign * sign_of_permutation(tau)
@@ -204,45 +210,47 @@ def _substitute_and_fold(circuit: Circuit, rank: list[int], new_n: int) -> Circu
     """
     out = Builder()  # emits every node; only constants are shared
     emit, leaf = out.emit, out.leaf
-    # per old node: its new id, or None when it folded to the constant in `value`
-    ref: list[int | None] = []
-    value: list[int | None] = []
+    # per old node: its new id, or, when it folded to a constant, a code below
+    # 0 for it: consts[-1 - code], with fixed codes for 0 and 1
+    zero, one = -1, -2
+    consts = [0, 1]
+    ref: list[int] = []
+    append = ref.append
+
+    def folded(value: int) -> int:
+        if value == 0 or value == 1:
+            return -1 - value
+        consts.append(value)
+        return -len(consts)
+
     nodes = circuit.nodes
     for op, x, y in zip(nodes.op, nodes.a, nodes.b):
-        new = const = None
-        if op == CONST:
-            const = x
-        elif op == VAR:
-            if not rank[x]:
-                const = 1 if x == y else 0
-            elif not rank[y]:
-                const = 0
+        if op < VAR:
+            left, right = ref[x], ref[y]
+            if op == MUL and (left == zero or right == zero):
+                append(zero)
+            elif left >= 0 and right >= 0:
+                append(emit(op, left, right))
+            elif left < 0 and right < 0:
+                left, right = consts[-1 - left], consts[-1 - right]
+                append(folded(left * right if op == MUL else left + right))
+            elif (zero if op == ADD else one) in (left, right):  # the gate's unit: the live branch
+                append(max(left, right))
+            elif op == ADD:  # a nonzero constant beside a live branch
+                raise AddMismatch(len(ref))
+            elif left < 0:
+                append(emit(MUL, leaf(CONST, consts[-1 - left]), right))
             else:
-                new = emit(VAR, rank[x], rank[y])
+                append(emit(MUL, left, leaf(CONST, consts[-1 - right])))
+        elif op == CONST:
+            append(folded(x))
+        elif not rank[x]:  # a variable of a dropped row
+            append(one if x == y else zero)
         else:
-            lr, rr, lv, rv = ref[x], ref[y], value[x], value[y]
-            if lr is None and rr is None:
-                const = lv + rv if op == ADD else lv * rv
-            elif op == ADD:
-                if lr is not None and rr is not None:
-                    new = emit(ADD, lr, rr)
-                elif lv or rv:  # a nonzero constant beside a live branch
-                    raise AddMismatch(len(ref))
-                else:
-                    new = rr if lr is None else lr
-            elif lv == 0 or rv == 0:
-                const = 0
-            elif lr is None:
-                new = rr if lv == 1 else emit(MUL, leaf(CONST, lv), rr)
-            elif rr is None:
-                new = lr if rv == 1 else emit(MUL, lr, leaf(CONST, rv))
-            else:
-                new = emit(MUL, lr, rr)
-        ref.append(new)
-        value.append(const)
+            append(emit(VAR, rank[x], rank[y]) if rank[y] else zero)
 
     root = ref[circuit.root]
-    root = leaf(CONST, value[circuit.root]) if root is None else root
+    root = leaf(CONST, consts[-1 - root]) if root < 0 else root
     return Circuit(new_n, out.nodes(), root)
 
 
@@ -312,16 +320,17 @@ def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
     # Add is well typed exactly when the degrees agree, which merge_summands checks
     first, second = a.circuit.nodes, b.circuit.nodes
     offset = len(first)
-
-    def shifted(operands: Sequence[int]) -> list[int]:
-        # the second circuit's child ids move up by offset; leaf operands stay
-        return [x + offset if op < VAR else x for op, x in zip(second.op, operands)]
-
-    nodes = Nodes(
-        [*first.op, *second.op, ADD],
-        [*first.a, *shifted(second.a), a.circuit.root],
-        [*first.b, *shifted(second.b), b.circuit.root + offset],
-    )
+    join = Nodes((ADD,), (a.circuit.root,), (b.circuit.root + offset,))
+    ops, lefts, rights = _writable(first, second, join)
+    # the second circuit's child ids move up by offset, one run of gates
+    # between two leaves at a time (child ids always fit int64); leaves stay
+    start = offset
+    for leaf in sorted(_ids(second.op, VAR) + _ids(second.op, CONST)) + [len(second)]:
+        stop = leaf + offset
+        for field in (lefts, rights):
+            field[start:stop] = array("q", map(offset.__add__, field[start:stop]))
+        start = stop + 1
+    nodes = Nodes(ops, lefts, rights)
     return RegularCircuit(Circuit(n, nodes, len(nodes) - 1), a.sigma, a.degree)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .circuit import CONST, MUL, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, _is_int
-from .circuit import bouquet_gate_count, gate_count, regular
+from .circuit import _writable, bouquet_gate_count, gate_count, regular
 from .passes import (
     compose,
     distinct_orders,
@@ -273,7 +273,7 @@ def reduce_to_single(
         if cur.sign < 0:
             root, nodes = single.circuit.root, single.circuit.nodes
             size = len(nodes)
-            wrapped = Nodes([*nodes.op, CONST, MUL], [*nodes.a, -1, size], [*nodes.b, 0, root])
+            wrapped = Nodes(*_writable(nodes, Nodes((CONST, MUL), (-1, size), (0, root))))
             single = RegularCircuit(Circuit(cur.n, wrapped, size + 1), single.sigma, single.degree)
 
     k_distinct = max(1, distinct_orders(bouquet))

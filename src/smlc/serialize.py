@@ -158,7 +158,7 @@ def _read_nodes(batch: list, ops: MutableSequence, lefts: MutableSequence, right
 def _circuit(n: int, arrays: tuple, root: int) -> Circuit:
     if not (0 <= root < len(arrays[0])):
         raise ParseError(f"root {root} out of range")
-    return Circuit(n, Nodes(*arrays, exact=True), root)  # `_read_nodes` tested every field
+    return Circuit(n, Nodes(*arrays), root)  # packed, kept untested: `_read_nodes` tested every field
 
 
 def bouquet_to_obj(bouquet: Bouquet) -> dict[str, Any]:

@@ -32,9 +32,11 @@ from smlc.circuit import (
     ConstLeaf,
     Mul,
     Nodes,
+    RegularCircuit,
     VariableOutOfRange,
     VarLeaf,
     regular,
+    stats,
     validate,
 )
 from smlc.generators import seeded_det_bouquet
@@ -197,6 +199,52 @@ def test_a_constant_past_int64_keeps_its_value():
         assert read(doc).summands[0].circuit == circuit
 
 
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        (((VAR, VAR, 0.0), (1, 2, 0), (1, 2, 1)), "node 2: unknown opcode 0.0"),  # once a product
+        (((VAR, VAR, 1.0), (1, 1, 0), (1, 1, 1)), "node 2: unknown opcode 1.0"),  # once an addition
+        (((VAR, VAR, True), (1, 1, 0), (1, 1, 1)), "node 2: unknown opcode True"),
+        (((VAR, 2.0, MUL), (1, 1, 0), (1, 1, 9)), "node 1: unknown opcode 2.0"),  # before a bad child
+        (((VAR, ADD, 0.0), (1, 0, 0), (1, 5, 1)), "node 1 references invalid child id 5"),  # after one
+    ],
+)
+def test_an_opcode_that_is_not_an_int_is_unknown_in_id_order(fields, message):
+    circuit = Circuit(2, Nodes(*fields), 2)
+    for check in (validate, stats, lambda cc: regular(cc, (1, 2))):
+        with pytest.raises(CircuitError) as err:
+            check(circuit)
+        assert str(err.value) == message
+
+
+def test_a_tuple_form_bouquet_keeps_its_form_and_values_through_the_passes():
+    big = 10**30  # big * x[1,1] * x[2,2], which does not pack
+    c, v, m, a = CONST, VAR, MUL, ADD
+    rc = regular(Circuit(2, Nodes((c, v, v, m, m), (big, 1, 2, 1, 0), (0, 1, 2, 2, 3)), 4), (1, 2))
+    packed = regular(Circuit(2, (x11, x22, Mul(0, 1)), 2), (1, 2))
+    assert type(packed.circuit.nodes.a) is not tuple
+    outputs = [
+        (compose(Bouquet(2, (rc,)), (2, 1)), (c, v, v, m, m), (big, 2, 1, 1, 0), (0, 1, 2, 2, 3)),
+        (reverse(rc), (c, v, v, m, m), (big, 1, 2, 2, 3), (0, 1, 2, 1, 0)),
+        (project(Bouquet(2, (rc,)), [1]), (v, c, m), (1, big, 1), (1, 0, 0)),
+        (
+            merge_summands(Bouquet(2, (rc, packed))),
+            (c, v, v, m, m, v, v, m, a),
+            (big, 1, 2, 1, 0, 1, 2, 5, 4),
+            (0, 1, 2, 2, 3, 1, 2, 6, 7),
+        ),
+        (
+            merge_summands(Bouquet(2, (packed, rc))),
+            (v, v, m, c, v, v, m, m, a),
+            (1, 2, 0, big, 1, 2, 4, 3, 2),
+            (1, 2, 1, 0, 1, 2, 5, 6, 7),
+        ),
+    ]
+    for out, *fields in outputs:
+        nodes = (out if type(out) is RegularCircuit else out.summands[0]).circuit.nodes
+        assert [nodes.op, nodes.a, nodes.b] == fields  # tuples, so equal only as tuples
+
+
 def _bytes_per_node(make):
     """Traced bytes that the bouquet make() returns holds, per node."""
     gc.collect()
@@ -215,3 +263,24 @@ def test_a_packed_circuit_holds_a_node_in_at_most_25_bytes():
     generated = _bytes_per_node(lambda: seeded_det_bouquet(7, 3, 1))
     parsed = _bytes_per_node(lambda: bouquet_from_text(text))
     assert generated <= 25 and parsed <= 25, (generated, parsed)
+
+
+def _peak_bytes_per_node(run, nodes):
+    """The traced peak of run(), per node of its input."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / nodes
+
+
+def test_compose_and_reverse_peak_at_most_25_bytes_a_node():
+    # a copied int64 array takes 8 bytes a node; a rebuilt list of ints about 40
+    b = seeded_det_bouquet(7, 3, 1)
+    nodes = sum(len(rc.circuit.nodes) for rc in b.summands)
+    composed = _peak_bytes_per_node(lambda: compose(b, (2, 3, 1, 5, 4, 7, 6)), nodes)
+    reversed_ = _peak_bytes_per_node(lambda: [reverse(rc) for rc in b.summands], nodes)
+    assert composed <= 25 and reversed_ <= 25, (composed, reversed_)
