@@ -154,6 +154,7 @@ class Mul:
 # opcodes of the flat representation; the gates come first, so `op < VAR`
 # holds exactly for gates
 MUL, ADD, VAR, CONST = range(4)
+_OPERANDS = "i"  # int32, the one typecode of operand arrays: `array.extend` refuses another
 
 _CODES = {Mul: MUL, Add: ADD, VarLeaf: VAR, ConstLeaf: CONST}
 _CLASSES = (Mul, Add, VarLeaf)
@@ -163,38 +164,48 @@ def _node(op: int, a, b) -> ConstLeaf | VarLeaf | Add | Mul:
     return ConstLeaf(a) if op == CONST else _CLASSES[op](a, b)
 
 
+def _known(ops: Sequence) -> int:
+    """How many leading opcodes are one of the four: exact ints from MUL to CONST."""
+    if type(ops) is bytes and not ops.translate(None, bytes(_CODES.values())):  # all known, in C
+        return len(ops)
+    return next((v for v, op in enumerate(ops) if not (type(op) is int and MUL <= op <= CONST)), len(ops))
+
+
+def _unknown(ops: Sequence, vid: int) -> CircuitError:
+    return CircuitError(f"node {vid}: unknown opcode {ops[vid]!r}")
+
+
 def _exact(values: Sequence, packed: tuple) -> bool:
-    # `_is_int` on every value of a list or tuple, mapped in C; array("q")
-    # and bytes would take a bool or an int subclass as its int
+    # `_is_int` on each value of a list or tuple, mapped in C (arrays and bytes take a bool)
     kind = type(values)
     return kind in packed or kind in (list, tuple) and countOf(map(type, values), int) == len(values)
 
 
 def _pack(op: Sequence, a: Sequence, b: Sequence, exact: bool) -> tuple:
-    """`op` as bytes and `a`, `b` as int64 arrays when every value is an
-    exact int that fits, else all three as tuples.  Each value is tested
-    unless the caller vouches (`exact`) that it computed them all as ints."""
+    """`op` as bytes and `a`, `b` as int32 arrays (`_OPERANDS`) when every
+    value is an exact int that fits, else all three as tuples.  Each value is
+    tested unless the caller vouches (`exact`) that it computed them all as ints."""
     if exact or _exact(op, (bytes, bytearray)) and _exact(a, (array,)) and _exact(b, (array,)):
-        try:  # an opcode past a byte, an operand past int64, an array of floats
-            return bytes(op), _int64(a), _int64(b)
+        try:  # an opcode past a byte, an operand past int32, an array of floats
+            return bytes(op), _ints(a), _ints(b)
         except (ValueError, TypeError, OverflowError, struct.error):
             pass
     return tuple(op), tuple(a), tuple(b)
 
 
-def _int64(values: Sequence) -> array:
-    # an int64 array is kept (its maker hands it over); a list or tuple goes
-    # through struct, in about two thirds of the time array("q", values) takes
+def _ints(values: Sequence) -> array:
+    # an `_OPERANDS` array is kept (its maker hands it over); a list or tuple goes
+    # through struct, in about two thirds of the time array(_OPERANDS, values) takes
     if type(values) is array:
-        return values if values.typecode == "q" else array("q", values)
-    return array("q", struct.pack(f"{len(values)}q", *values))
+        return values if values.typecode == _OPERANDS else array(_OPERANDS, values)
+    return array(_OPERANDS, struct.pack(f"{len(values)}{_OPERANDS}", *values))
 
 
 def _writable(*parts: Nodes) -> tuple:
     """The fields of `parts` one after another, fresh for a pass to rewrite:
     packed (copied in C) when every part is, else lists, which `Nodes` tests."""
     packed = all(type(part.op) is bytes for part in parts)
-    fields = (bytearray(), array("q"), array("q")) if packed else ([], [], [])
+    fields = (bytearray(), array(_OPERANDS), array(_OPERANDS)) if packed else ([], [], [])
     for part in parts:
         for field, values in zip(fields, (part.op, part.a, part.b)):
             field.extend(values)
@@ -214,16 +225,17 @@ class Nodes:
     """A circuit's nodes as three parallel arrays.
 
     Node v is `op[v]` with operands `a[v]` and `b[v]` (see the module
-    docstring).  The constructor packs the fields once (`_pack`), 17 bytes
-    a node; where a value is not an exact int or does not fit (a bool, a
-    float, a constant past int64) all three stay tuples, so the checker sees
-    what it was given.  Packed fields are not tested, and an int64 array is
-    kept, not copied: its maker must not change it.  A caller that computed
-    every value itself as an int (`Builder`) passes `exact=True` to skip the
-    test.  Readers use `zip`, `len`, indexing, `count` and `index` (`_ids`),
-    alike on both forms; iteration builds node objects on demand, and nothing
-    inside the package iterates.  Equal contents pack alike, so equality
-    compares the arrays; the hash is over their contents.
+    docstring).  The constructor packs the fields once (`_pack`), 9 bytes a
+    node; where a value is not an exact int or does not fit (a bool, a float,
+    a constant past int32: 2**31 or more, or below -2**31) all three stay
+    tuples, so the checker sees what it was given.  Packed fields are not
+    tested, and an int32 array is kept, not copied: its maker must not change
+    it.  A caller that computed every value itself as an int (`Builder`)
+    passes `exact=True` to skip the test.  Readers use `zip`, `len`,
+    indexing, `count` and `index` (`_ids`), alike on both forms; iteration
+    builds node objects on demand, up to the checker's error at an unknown
+    opcode, and nothing inside the package iterates.  Equal contents pack
+    alike, so equality compares the arrays; the hash is over their contents.
     """
 
     op: bytes | tuple[int, ...]
@@ -261,7 +273,10 @@ class Nodes:
         return len(self.op)
 
     def __iter__(self):
-        return map(_node, self.op, self.a, self.b)
+        known = _known(self.op)
+        yield from map(_node, self.op[:known], self.a, self.b)
+        if known < len(self.op):
+            raise _unknown(self.op, known)
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,10 +424,7 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
         for p, row in enumerate(sigma):
             shift[row] = p
 
-    if type(ops) is not bytes and countOf(map(type, ops), int) != len(ops):
-        # an opcode that is not exactly an int (a bool, a float) is unknown:
-        # the sweep stops before the first one, so earlier errors come first
-        ops = ops[: [type(op) is int for op in ops].index(False)]
+    ops = ops[: _known(ops)]  # stop before an unknown opcode, so earlier errors come first
 
     masks: list[int] = []
     append = masks.append
@@ -448,14 +460,12 @@ def _sweep(circuit: Circuit, sigma: tuple[int, ...] | None) -> list[int]:
             if not (_is_int(a) and _is_int(b) and 1 <= a <= n and 1 <= b <= n):
                 raise VariableOutOfRange(len(masks), a, b, n)
             append(1 << (a - 1 if shift is None else shift[a]))
-        elif op != CONST:
-            raise CircuitError(f"node {len(masks)}: unknown opcode {op!r}")
-        elif _is_int(a):
+        elif _is_int(a):  # a CONST
             append(0)
         else:
             raise CircuitError(f"node {len(masks)}: constant {a!r} is not an int")
     if len(masks) < len(nodes):
-        raise CircuitError(f"node {len(masks)}: unknown opcode {nodes.op[len(masks)]!r}")
+        raise _unknown(nodes.op, len(masks))
 
     if sigma is None:
         return masks

@@ -35,7 +35,7 @@ from array import array
 from typing import Any, Iterable, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, AddMismatch, Bouquet, Builder, Circuit, Nodes
-from .circuit import RegularCircuit, RootNotPrefix, _ids, _is_int, _writable
+from .circuit import _OPERANDS, RegularCircuit, RootNotPrefix, _ids, _is_int, _writable
 from .poly import (
     check_permutation,
     compose_perms,
@@ -323,12 +323,12 @@ def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
     join = Nodes((ADD,), (a.circuit.root,), (b.circuit.root + offset,))
     ops, lefts, rights = _writable(first, second, join)
     # the second circuit's child ids move up by offset, one run of gates
-    # between two leaves at a time (child ids always fit int64); leaves stay
+    # between two leaves at a time (child ids fit int32 below 2**31 nodes); leaves stay
     start = offset
     for leaf in sorted(_ids(second.op, VAR) + _ids(second.op, CONST)) + [len(second)]:
         stop = leaf + offset
         for field in (lefts, rights):
-            field[start:stop] = array("q", map(offset.__add__, field[start:stop]))
+            field[start:stop] = array(_OPERANDS, map(offset.__add__, field[start:stop]))
         start = stop + 1
     nodes = Nodes(ops, lefts, rights)
     return RegularCircuit(Circuit(n, nodes, len(nodes) - 1), a.sigma, a.degree)

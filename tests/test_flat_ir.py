@@ -1,13 +1,15 @@
 """The flat circuit representation: node objects are a view, built only on request.
 
 A circuit stores its nodes as three parallel arrays (`circuit.Nodes`), packed
-as bytes and int64 arrays when every value is an exact int that fits, and as
-tuples otherwise.  The constructor converts node objects of exactly the four
-node classes once, and iterating `circuit.nodes` builds them again on demand.
-So the parser and the reduction build none, and both conversions round-trip.
-Equal contents compare and hash equal whatever they were built from, values
-that do not pack keep their type and their errors, and the packed form
-holds a node in well under the bytes a tuple of ints takes.
+as bytes and int32 arrays, 9 bytes a node, when every value is an exact int
+that fits, and as tuples otherwise: a constant of 2**31 or more, or below
+-2**31, keeps its exact value in the tuple form.  The constructor converts
+node objects of exactly the four node classes once, and iterating
+`circuit.nodes` builds them again on demand, up to the checker's error at an
+unknown opcode.  So the parser and the reduction build none, and both
+conversions round-trip.  Equal contents compare and hash equal whatever they
+were built from, values that do not pack keep their type and their errors,
+and the packed form holds a node in fewer bytes than int64 fields would take.
 """
 
 import gc
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from recheck import cases, sample_det_bouquets, sample_random_bouquets, spy, summands
 
-from smlc import pipeline
+from smlc import pipeline, serialize
 from smlc.circuit import (
     ADD,
     CONST,
@@ -68,6 +70,22 @@ def test_parser_and_reduction_build_no_node_objects(monkeypatch, verify):
     assert calls == []
     next(iter(single.circuit.nodes))  # the counter does see a view access
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    ("op", "message"),
+    [(0.0, "node 2: unknown opcode 0.0"), (True, "node 2: unknown opcode True"), (7, "node 2: unknown opcode 7")],
+)
+def test_the_node_view_stops_at_an_unknown_opcode_with_the_checkers_error(op, message):
+    nodes = Nodes((VAR, VAR, op), (1, 2, 0), (1, 2, 1))
+    view = iter(nodes)
+    assert [next(view), next(view)] == [x11, x22]  # the nodes before it, in id order
+    with pytest.raises(CircuitError) as err:
+        next(view)
+    assert str(err.value) == message
+    with pytest.raises(CircuitError) as err:
+        validate(Circuit(2, nodes, 2))
+    assert str(err.value) == message
 
 
 def test_node_view_reads_like_a_tuple():
@@ -199,6 +217,34 @@ def test_a_constant_past_int64_keeps_its_value():
         assert read(doc).summands[0].circuit == circuit
 
 
+@pytest.mark.parametrize("value", [2**31 - 1, -(2**31), 2**31, -(2**31) - 1])
+def test_a_constant_at_the_int32_boundary_keeps_its_value_and_packs_only_inside(monkeypatch, value):
+    packs = -(2**31) <= value < 2**31
+    c, v, m, a = CONST, VAR, MUL, ADD
+    rc = regular(Circuit(2, Nodes((c, v, v, m, m), (value, 1, 2, 1, 0), (0, 1, 2, 2, 3)), 4), (1, 2))
+    packed = regular(Circuit(2, (x11, x22, Mul(0, 1)), 2), (1, 2))
+    doc = bouquet_to_obj(Bouquet(2, (rc,)))
+    whole_reads = spy(monkeypatch, serialize, "loads")
+    as_built = ((c, v, v, m, m), (value, 1, 2, 1, 0), (0, 1, 2, 2, 3))
+    outputs = [
+        (rc, as_built),
+        (bouquet_from_obj(doc), as_built),
+        (bouquet_from_text(dumps(doc)), as_built),  # read whole where the value does not pack
+        (compose(Bouquet(2, (rc,)), (2, 1)), ((c, v, v, m, m), (value, 2, 1, 1, 0), (0, 1, 2, 2, 3))),
+        (reverse(rc), ((c, v, v, m, m), (value, 1, 2, 2, 3), (0, 1, 2, 1, 0))),
+        (project(Bouquet(2, (rc,)), [1]), ((v, c, m), (1, value, 1), (1, 0, 0))),
+        (
+            merge_summands(Bouquet(2, (rc, packed))),
+            ((c, v, v, m, m, v, v, m, a), (value, 1, 2, 1, 0, 1, 2, 5, 4), (0, 1, 2, 2, 3, 1, 2, 6, 7)),
+        ),
+    ]
+    assert len(whole_reads) == (0 if packs else 1)
+    for out, fields in outputs:
+        nodes = (out if type(out) is RegularCircuit else out.summands[0]).circuit.nodes
+        assert (type(nodes.a) is not tuple) is packs, fields
+        assert (tuple(nodes.op), tuple(nodes.a), tuple(nodes.b)) == fields
+
+
 @pytest.mark.parametrize(
     ("fields", "message"),
     [
@@ -257,12 +303,13 @@ def _bytes_per_node(make):
     return held / sum(len(rc.circuit.nodes) for rc in bouquet.summands)
 
 
-def test_a_packed_circuit_holds_a_node_in_at_most_25_bytes():
-    # a node as three tuple entries and a boxed id takes about 60 bytes
+def test_a_packed_circuit_holds_a_node_in_at_most_16_bytes():
+    # a node as three tuple entries and a boxed id takes about 60 bytes, and
+    # int64 fields alone 17; int32 fields take 9 (about 15 generated, 10 parsed)
     text = dumps(bouquet_to_obj(seeded_det_bouquet(7, 3, 1)))
     generated = _bytes_per_node(lambda: seeded_det_bouquet(7, 3, 1))
     parsed = _bytes_per_node(lambda: bouquet_from_text(text))
-    assert generated <= 25 and parsed <= 25, (generated, parsed)
+    assert generated <= 16 and parsed <= 16, (generated, parsed)
 
 
 def _peak_bytes_per_node(run, nodes):
@@ -277,10 +324,11 @@ def _peak_bytes_per_node(run, nodes):
     return peak / nodes
 
 
-def test_compose_and_reverse_peak_at_most_25_bytes_a_node():
-    # a copied int64 array takes 8 bytes a node; a rebuilt list of ints about 40
+def test_compose_and_reverse_peak_under_an_int64_copy_of_what_they_rewrite():
+    # compose copies `a` and reverse `a` and `b`: 4 bytes a node each as int32,
+    # 8 as int64, and a rebuilt list of ints about 40 (about 6 and 11 in all)
     b = seeded_det_bouquet(7, 3, 1)
     nodes = sum(len(rc.circuit.nodes) for rc in b.summands)
     composed = _peak_bytes_per_node(lambda: compose(b, (2, 3, 1, 5, 4, 7, 6)), nodes)
     reversed_ = _peak_bytes_per_node(lambda: [reverse(rc) for rc in b.summands], nodes)
-    assert composed <= 25 and reversed_ <= 25, (composed, reversed_)
+    assert composed <= 8 and reversed_ <= 16, (composed, reversed_)

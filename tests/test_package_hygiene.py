@@ -17,8 +17,11 @@ functions under `tests/` have the same body.  No comparison there has the
 same expression on both sides, and no `pytest.raises` takes `Exception` or
 `BaseException`: either checks nothing.  No `+` in the package or in
 `tests/recheck.py` has a node array (`.op`, `.a` or `.b`) as an operand:
-those are bytes or int64 arrays, or tuples where a value does not pack, and
-adding one form to another raises only on such rare inputs.
+those are bytes or int32 arrays, or tuples where a value does not pack, and
+adding one form to another raises only on such rare inputs.  Every `array`
+call in the package names its typecode as `circuit._OPERANDS`, never by a
+literal, so the packed form is defined in one place and every operand array
+can extend another.
 """
 
 import ast
@@ -293,3 +296,16 @@ def test_no_node_array_is_concatenated_with_plus():
         if isinstance(side, ast.Attribute) and side.attr in ("op", "a", "b")
     ]
     assert not offenders, f"node arrays joined with +: {offenders}"
+
+
+def test_every_operand_array_takes_the_one_typecode():
+    # `array.extend` refuses an array of another typecode, so a site with its
+    # own would break the passes' copies only when its array met another
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("array", "array.array")
+        and not (node.args and ast.unparse(node.args[0]) == "_OPERANDS")
+    ]
+    assert not offenders, f"array calls with a typecode other than circuit._OPERANDS: {offenders}"

@@ -162,6 +162,7 @@ def test_bouquet_reader_holds_one_node_batch_at_a_time():
     text = dumps(bouquet_to_obj(seeded_det_bouquet(6, 3, 1)))
     (peak, _), (whole, _) = (_traced(read, text) for read in (bouquet_from_text, read_whole))
     assert peak <= 0.6 * whole, (peak, whole)
-    # ... and under one summand's: little more than the Bouquet it returns
+    # ... and under one summand's: its peak past the Bouquet it returns is
+    # about 215 KB, where each summand's decoded nodes here take 3.8 MB or more
     peak, held = _traced(bouquet_from_text, dumps(bouquet_to_obj(seeded_det_bouquet(7, 3, 1))))
-    assert peak <= 1.5 * held, (peak, held)
+    assert peak - held <= 300_000, (peak, held)
