@@ -24,8 +24,8 @@ which works at every degree.  The exact tier expands the already regular
 summands without validating them again, and needs no term budget: at d <= 6
 no node has more than 6^6 = 46,656 terms.  Its reference terms are built once
 per degree and shared, read-only, by every later step.  One `eval_points`
-call takes all of a check's trial points; it compiles each summand once and
-sweeps it once per point, in trial order.  Every check also re-runs `regular`
+call takes all of a check's trial points, and holds one compiled summand at
+a time, swept over every point.  Every check also re-runs `regular`
 on each non-zero summand, so a pass that breaks a summand's (sigma, degree)
 but not its value still fails, except step 0 when a step follows it: its
 input passed `regular` at the parser or generator.  A failed check raises

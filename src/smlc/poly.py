@@ -10,12 +10,12 @@ expansions' terms).  Every modular computation is over one field, the
 integers mod the fixed 61-bit Mersenne prime PRIME = 2^61 - 1.  Passes are
 trusted only after they agree with these oracles.
 
-Evaluation (`eval_points`) compiles each circuit's flat node arrays once into
-a program in which structurally equal nodes share one slot, then sweeps that
-program once per point; `eval_circuit` and `eval_bouquet` are its one-point
-forms.  The program's values are plain ints, reduced modulo PRIME only at the
-slots whose static bit bound would pass REDUCE_CEILING and once per point at
-the end; the results equal reduction at every operation.
+Evaluation (`eval_points`) compiles one summand at a time into a program in
+which structurally equal nodes share one slot, and sweeps it over every point
+before the next; `eval_circuit` and `eval_bouquet` are its one-point forms.
+The program's values are plain ints, reduced modulo PRIME only at the slots
+whose static bit bound would pass REDUCE_CEILING and once per point at the
+end; the results equal reduction at every operation.
 
 A monomial is a tuple of (row, col) pairs sorted by strictly increasing row;
 a polynomial (`SparsePoly`, a value whose one operation is the product) maps
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, _is_int, _is_permutation
+from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, _ids, _is_int, _is_permutation
 from .circuit import validate, variables_of
 
 # Fixed carrier for randomized identity testing.  Degree-d polynomials collide
@@ -236,48 +236,58 @@ def _expand(circuit: Circuit) -> SparsePoly:
     return polys[circuit.root]
 
 
-def eval_points(doc: Circuit | Bouquet, points: Sequence[Assignment]) -> list[int]:
+def eval_points(doc: Circuit | Bouquet, points: Iterable[Assignment]) -> list[int]:
     """Value of a circuit or bouquet polynomial at each point, mod PRIME.
 
-    Each circuit (every summand of a bouquet) is compiled once into a flat,
-    value-numbered program (`_compile`), and the programs are swept once per
-    point, in point order; a bouquet's value is sign times the sum of its
-    summands' values.  Slots hold plain ints, reduced mod PRIME only where
+    Summand-major: each circuit (every summand of a bouquet) is compiled into
+    a flat, value-numbered program (`_compile`), swept over every point into
+    per-point totals, and dropped before the next one is compiled, so one
+    program is alive at a time; a bouquet's value is sign times the sum of
+    its summands' values.  Slots hold plain ints, reduced mod PRIME only where
     `_compile` marked them, and each point's total is reduced once at the
     end, so every result equals slot-by-slot modular evaluation.  A variable
-    the point does not assign raises MissingAssignment, the first one in node
-    order, as a node-by-node evaluation would meet it.
+    a point does not assign raises MissingAssignment before any compile, for
+    the first point, then summand, then leaf in node order that lacks one, as
+    a point-by-point, node-by-node evaluation would meet it.
     """
     if isinstance(doc, Bouquet):
         circuits, sign = [rc.circuit for rc in doc.summands], doc.sign
     else:
         circuits, sign = [doc], 1
-    prime = PRIME
-    programs = [_compile(circuit) for circuit in circuits]
-    out = []
+    points = list(points)
+    leaves = [[(c.nodes.a[v], c.nodes.b[v]) for v in _ids(c.nodes.op, VAR)] for c in circuits]
     for point in points:
-        total = 0
-        for program, root in programs:
-            values: list[int] = []
-            append = values.append
-            for op, a, b in program:
-                if op == MUL:
-                    append(values[a] * values[b])
-                elif op == ADD:
-                    append(values[a] + values[b])
-                elif op == VAR:
-                    if (a, b) not in point:
-                        raise MissingAssignment(a, b)
-                    append(point[a, b] % prime)
-                elif op == MUL_MOD:
-                    append(values[a] * values[b] % prime)
-                elif op == ADD_MOD:
-                    append((values[a] + values[b]) % prime)
-                else:
-                    append(a)
-            total += values[root]
-        out.append(total % prime * sign % prime)
-    return out
+        for key in itertools.chain.from_iterable(leaves):
+            if key not in point:
+                raise MissingAssignment(*key)
+    totals = [0] * len(points)
+    for circuit in circuits:
+        _accumulate(circuit, points, totals)
+    return [total % PRIME * sign % PRIME for total in totals]
+
+
+def _accumulate(circuit: Circuit, points: list[Assignment], totals: list[int]) -> None:
+    # add the circuit's unreduced value at each point into totals; the
+    # program and the last point's slots die at return
+    program, root = _compile(circuit)
+    prime = PRIME
+    for i, point in enumerate(points):
+        values: list[int] = []
+        append = values.append
+        for op, a, b in program:
+            if op == MUL:
+                append(values[a] * values[b])
+            elif op == ADD:
+                append(values[a] + values[b])
+            elif op == VAR:
+                append(point[a, b] % prime)
+            elif op == MUL_MOD:
+                append(values[a] * values[b] % prime)
+            elif op == ADD_MOD:
+                append((values[a] + values[b]) % prime)
+            else:
+                append(a)
+        totals[i] += values[root]
 
 
 # Bit ceiling of the evaluator's unreduced slots (see _compile); a reduced

@@ -1,6 +1,11 @@
-"""eval_points against a node-by-node reference evaluator, as property tests."""
+"""eval_points against a node-by-node reference evaluator, as property tests,
+and its summand-major sweep: any iterable of points, the point-major order of
+MissingAssignment, and one compiled summand alive at a time."""
 
+import gc
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +22,9 @@ from smlc.circuit import (
     VarLeaf,
     regular,
     validate,
+    variables_of,
 )
-from smlc.generators import det_bouquet
+from smlc.generators import det_bouquet, seeded_det_bouquet
 from smlc.pipeline import VerificationFailed, reduce_to_single
 from smlc.poly import (
     ADD_MOD,
@@ -32,6 +38,7 @@ from smlc.poly import (
     eval_points,
     expand_bouquet,
     reference_det,
+    trial_point,
 )
 
 props = settings(derandomize=True, deadline=None, max_examples=200)
@@ -265,3 +272,45 @@ def test_value_numbering_keeps_rewired_twins_apart():
     with pytest.raises(VerificationFailed) as info:
         reduce_to_single(broken, verify="random", seed=0)
     assert info.value.step == 0
+
+
+def test_points_may_be_any_iterable():
+    # every summand sweeps all the points, so a generator is read once, up front
+    b = seeded_det_bouquet(5, 3, 1)
+    assert len(b.summands) == 3
+    points = [trial_point(grid(5), 1, t) for t in range(3)]
+    assert eval_points(b, (point for point in points)) == eval_points(b, points)
+
+
+def test_missing_variable_is_the_first_points_across_summands():
+    # point 0 lacks a variable only summand 1 reads, point 1 one only summand
+    # 0 reads: a point-by-point evaluation meets point 0's first
+    b = det_bouquet(3, [(1, 2, 3), (3, 2, 1)], 5)
+    first, second = (variables_of(rc.circuit) for rc in b.summands)
+    only_1, only_0 = min(second - first), min(first - second)
+    points = [{key: 1 for key in grid(3) if key != gone} for gone in (only_1, only_0)]
+    with pytest.raises(MissingAssignment, match=re.escape("x[%d,%d]" % only_1)):
+        eval_points(b, points)
+
+
+def _peak(doc, points):
+    """The traced peak of eval_points(doc, points), above what is already held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        eval_points(doc, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("n, k, seed", [(7, 3, 1), (6, 3, 2), (7, 2, 3)])
+def test_one_compiled_summand_is_alive_at_a_time(n, k, seed):
+    # a bouquet peaks at about its largest summand's own peak, not at the sum
+    # of its compiled programs (1.45-2.05x when all were compiled up front)
+    b = seeded_det_bouquet(n, k, seed)
+    points = [trial_point(grid(n), seed, t) for t in range(4)]
+    whole = _peak(b, points)
+    largest = max(_peak(rc.circuit, points) for rc in b.summands)
+    assert whole <= 1.25 * largest, (whole, largest)
