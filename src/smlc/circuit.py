@@ -48,6 +48,7 @@ __all__ = [
     "MUL", "ADD", "VAR", "CONST",  # opcodes
     "Nodes",
     "Builder",
+    "join", "negate",  # the sum and the negation of circuits
     "ConstLeaf",
     "VarLeaf",
     "Add",
@@ -181,11 +182,10 @@ def _exact(values: Sequence, packed: tuple) -> bool:
     return kind in packed or kind in (list, tuple) and countOf(map(type, values), int) == len(values)
 
 
-def _pack(op: Sequence, a: Sequence, b: Sequence, exact: bool) -> tuple:
-    """`op` as bytes and `a`, `b` as int32 arrays (`_OPERANDS`) when every
-    value is an exact int that fits, else all three as tuples.  Each value is
-    tested unless the caller vouches (`exact`) that it computed them all as ints."""
-    if exact or _exact(op, (bytes, bytearray)) and _exact(a, (array,)) and _exact(b, (array,)):
+def _pack(op: Sequence, a: Sequence, b: Sequence) -> tuple:
+    """`op` as bytes and `a`, `b` as int32 arrays (`_OPERANDS`) when every value
+    is an exact int that fits, else all three as tuples; a list or tuple is tested."""
+    if _exact(op, (bytes, bytearray)) and _exact(a, (array,)) and _exact(b, (array,)):
         try:  # an opcode past a byte, an operand past int32, an array of floats
             return bytes(op), _ints(a), _ints(b)
         except (ValueError, TypeError, OverflowError, struct.error):
@@ -202,7 +202,7 @@ def _ints(values: Sequence) -> array:
 
 
 def _writable(*parts: Nodes) -> tuple:
-    """The fields of `parts` one after another, fresh for a pass to rewrite:
+    """The fields of `parts` (none: empty) one after another, fresh to rewrite:
     packed (copied in C) when every part is, else lists, which `Nodes` tests."""
     packed = all(type(part.op) is bytes for part in parts)
     fields = (bytearray(), array(_OPERANDS), array(_OPERANDS)) if packed else ([], [], [])
@@ -227,23 +227,21 @@ class Nodes:
     Node v is `op[v]` with operands `a[v]` and `b[v]` (see the module
     docstring).  The constructor packs the fields once (`_pack`), 9 bytes a
     node; where a value is not an exact int or does not fit (a bool, a float,
-    a constant past int32: 2**31 or more, or below -2**31) all three stay
-    tuples, so the checker sees what it was given.  Packed fields are not
-    tested, and an int32 array is kept, not copied: its maker must not change
-    it.  A caller that computed every value itself as an int (`Builder`)
-    passes `exact=True` to skip the test.  Readers use `zip`, `len`,
-    indexing, `count` and `index` (`_ids`), alike on both forms; iteration
-    builds node objects on demand, up to the checker's error at an unknown
-    opcode, and nothing inside the package iterates.  Equal contents pack
-    alike, so equality compares the arrays; the hash is over their contents.
+    a constant past int32) all three stay tuples, so the checker sees what it
+    was given.  Packed fields are not tested, and an int32 array is kept, not
+    copied: its maker must not change it.  Readers use `zip`, `len`, indexing,
+    `count` and `index` (`_ids`), alike on both forms; iteration builds node
+    objects on demand, up to the checker's error at an unknown opcode, and
+    nothing inside the package iterates.  Equal contents pack alike, so
+    equality compares the arrays; the hash is over their contents.
     """
 
     op: bytes | tuple[int, ...]
     a: array | tuple[int, ...]
     b: array | tuple[int, ...]
 
-    def __init__(self, op: Sequence, a: Sequence, b: Sequence, exact: bool = False):
-        for name, value in zip(("op", "a", "b"), _pack(op, a, b, exact)):
+    def __init__(self, op: Sequence, a: Sequence, b: Sequence):
+        for name, value in zip(("op", "a", "b"), _pack(op, a, b)):
             object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
@@ -299,7 +297,7 @@ class Circuit:
 class Builder:
     """Append-only flat node arrays; `leaf` shares equal leaves, `emit` never does.
     Operands must be exact ints (ids, rows, cols and constants the caller
-    computed): `nodes` vouches for them, so `Nodes` does not test each."""
+    computed): `nodes` packs them untested, as tuples where a constant is past int32."""
 
     def __init__(self):
         self.op: list[int] = []
@@ -320,7 +318,32 @@ class Builder:
         return got
 
     def nodes(self) -> Nodes:
-        return Nodes(self.op, self.a, self.b, exact=True)
+        try:
+            return Nodes(bytes(self.op), _ints(self.a), _ints(self.b))
+        except struct.error:
+            return Nodes(self.op, self.a, self.b)
+
+
+def join(first: Circuit, second: Circuit) -> Circuit:
+    """first + second on first's grid: second's nodes follow first's, and one
+    Add joins the two roots.  Second's child ids move up by len(first), one run
+    of gates between two leaves at a time (ids fit int32 below 2**31 nodes)."""
+    offset, nodes = len(first.nodes), second.nodes
+    ops, lefts, rights = _writable(first.nodes, nodes, Nodes((ADD,), (first.root,), (second.root + offset,)))
+    start = offset
+    for leaf in sorted(_ids(nodes.op, VAR) + _ids(nodes.op, CONST)) + [len(nodes)]:
+        stop = leaf + offset
+        for field in (lefts, rights):
+            field[start:stop] = array(_OPERANDS, map(offset.__add__, field[start:stop]))
+        start = stop + 1
+    return Circuit(first.n, Nodes(ops, lefts, rights), len(ops) - 1)
+
+
+def negate(circuit: Circuit) -> Circuit:
+    """-1 times the circuit: its nodes, then CONST -1 and MUL(-1, root)."""
+    size = len(circuit.nodes)
+    sign = Nodes((CONST, MUL), (-1, size), (0, circuit.root))
+    return Circuit(circuit.n, Nodes(*_writable(circuit.nodes, sign)), size + 1)
 
 
 @dataclass(frozen=True, slots=True)

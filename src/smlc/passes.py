@@ -1,7 +1,7 @@
 """Structural passes over regular circuits and bouquets.
 
 All passes are pure and never mutate their input.  compose, reverse and a
-join copy a circuit's flat node arrays (`circuit.Nodes`) in C and rewrite
+join (`circuit.join`) copy node arrays (`circuit.Nodes`) in C and rewrite
 only the entries they change, found by opcode; project folds in one sweep.
 Regularity is checked where circuits enter (parsing and the generators), not
 after every pass.  Every pass preserves it by construction and carries a
@@ -31,11 +31,10 @@ The passes:
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Iterable, Sequence
 
 from .circuit import ADD, CONST, MUL, VAR, AddMismatch, Bouquet, Builder, Circuit, Nodes
-from .circuit import _OPERANDS, RegularCircuit, RootNotPrefix, _ids, _is_int, _writable
+from .circuit import RegularCircuit, RootNotPrefix, _ids, _is_int, _writable, join
 from .poly import (
     check_permutation,
     compose_perms,
@@ -315,25 +314,6 @@ def distinct_orders(bouquet: Bouquet) -> int:
     return len({rc.sigma for rc in bouquet.summands if not is_zero_summand(rc)})
 
 
-def _join_add(a: RegularCircuit, b: RegularCircuit, n: int) -> RegularCircuit:
-    # both roots cover the prefix 1..degree of the shared order, so the new
-    # Add is well typed exactly when the degrees agree, which merge_summands checks
-    first, second = a.circuit.nodes, b.circuit.nodes
-    offset = len(first)
-    join = Nodes((ADD,), (a.circuit.root,), (b.circuit.root + offset,))
-    ops, lefts, rights = _writable(first, second, join)
-    # the second circuit's child ids move up by offset, one run of gates
-    # between two leaves at a time (child ids fit int32 below 2**31 nodes); leaves stay
-    start = offset
-    for leaf in sorted(_ids(second.op, VAR) + _ids(second.op, CONST)) + [len(second)]:
-        stop = leaf + offset
-        for field in (lefts, rights):
-            field[start:stop] = array(_OPERANDS, map(offset.__add__, field[start:stop]))
-        start = stop + 1
-    nodes = Nodes(ops, lefts, rights)
-    return RegularCircuit(Circuit(n, nodes, len(nodes) - 1), a.sigma, a.degree)
-
-
 def merge_summands(bouquet: Bouquet) -> Bouquet:
     """Join same-order summands under addition gates.
 
@@ -357,5 +337,5 @@ def merge_summands(bouquet: Bouquet) -> Bouquet:
         at, first = slot
         if out[at].degree != rc.degree:
             raise DegreeMismatch(first, i, out[at].degree, rc.degree)
-        out[at] = _join_add(out[at], rc, bouquet.n)
+        out[at] = RegularCircuit(join(out[at].circuit, rc.circuit), out[at].sigma, rc.degree)
     return Bouquet(bouquet.n, tuple(out), bouquet.sign)

@@ -14,8 +14,9 @@ transcript, kept as the JSON it is written as, records both the running
 guarantee and the lengths actually achieved.
 
 The driver can check the bouquet each iteration hands on, right after that
-iteration's normalization and merge, so the summand it returns is checked
-too.  The check compares the bouquet with the determinant of the current
+iteration's normalization and merge; the last check takes in its place the
+circuit returned (`_result`), so that circuit is checked, sign product and
+all.  The check compares the bouquet with the determinant of the current
 degree d: exactly (term-by-term expansion against the reference polynomial)
 up to degree 6 under verify="exact", and otherwise by seeded random
 evaluation, comparing its value at each trial point with the determinant of
@@ -33,7 +34,8 @@ VerificationFailed: some pass broke semantics, the strongest possible error.
 With verification on, at least one trial is required, so no verdict can be
 recorded ok without an evaluation.  Nor can a run below its degree promise
 (a step keeping fewer than ceil_sqrt of its degree, a final degree below
-es_guarantee), which no value check sees: VerificationFailed names the step.
+es_guarantee), or a step whose kept rows are not monotone in its target's
+order, which no value check sees: VerificationFailed names the step.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import types
 from dataclasses import dataclass
 from typing import Any
 
-from .circuit import CONST, MUL, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, _is_int
-from .circuit import _writable, bouquet_gate_count, gate_count, regular
+from .circuit import CONST, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, _is_int
+from .circuit import bouquet_gate_count, gate_count, negate, regular
 from .passes import (
     compose,
     distinct_orders,
@@ -138,6 +140,17 @@ def normalize_first(bouquet: Bouquet) -> tuple[Bouquet, tuple[int, ...] | None]:
     return compose(bouquet, tau), tau
 
 
+def _result(bouquet: Bouquet) -> RegularCircuit:
+    """What a reduction returns: the first non-zero summand, negated when the
+    pending sign is -1, or the constant 0 when every summand is zero."""
+    single = next((rc for rc in bouquet.summands if not is_zero_summand(rc)), None)
+    if single is None:
+        return RegularCircuit(Circuit(bouquet.n, Nodes((CONST,), (0,), (0,)), 0), identity_perm(bouquet.n), 0)
+    if bouquet.sign < 0:
+        return RegularCircuit(negate(single.circuit), single.sigma, single.degree)
+    return single
+
+
 @functools.cache
 def _det_terms(d: int) -> types.MappingProxyType:
     # read-only: every later step and reduction shares this one mapping
@@ -226,9 +239,11 @@ def reduce_to_single(
         gates_before = bouquet_gate_count(cur)
         cur, tau = normalize_first(cur)
         cur = merge_summands(cur)
-        verdicts.append(_verify_step(cur, verify, len(steps), seed, trials, bool(steps) or k_before <= 1))
         if k_before <= 1:  # composing and merging keep the number of orders
+            single = _result(cur)  # the last check sees what is returned
+            verdicts.append(_verify_step(Bouquet(cur.n, (single,)), verify, len(steps), seed, trials, True))
             break
+        verdicts.append(_verify_step(cur, verify, len(steps), seed, trials, bool(steps)))
 
         ident = identity_perm(cur.n)
         target_idx = next(
@@ -248,6 +263,8 @@ def reduce_to_single(
             raise VerificationFailed(len(steps) + 1, f"kept {len(kept)} of {cur.n} rows, below ceil_sqrt")
 
         cur = project(cur, kept)
+        if verify != "off" and cur.summands[target_idx].sigma != identity_perm(cur.n):
+            raise VerificationFailed(len(steps) + 1, f"kept {kept} is not monotone in summand {target_idx}")
         guarantee = ceil_sqrt(guarantee)
         steps.append(
             dict(
@@ -263,19 +280,6 @@ def reduce_to_single(
 
     if verify != "off" and cur.n < guarantee:
         raise VerificationFailed(len(steps), f"final degree {cur.n} is below es_guarantee {guarantee}")
-    survivors = [rc for rc in cur.summands if not is_zero_summand(rc)]
-    dropped = len(cur.summands) - len(survivors)
-    if not survivors:
-        zero = Circuit(cur.n, Nodes((CONST,), (0,), (0,)), 0)
-        single = RegularCircuit(zero, identity_perm(cur.n), 0)
-    else:
-        single = survivors[0]
-        if cur.sign < 0:
-            root, nodes = single.circuit.root, single.circuit.nodes
-            size = len(nodes)
-            wrapped = Nodes(*_writable(nodes, Nodes((CONST, MUL), (-1, size), (0, root))))
-            single = RegularCircuit(Circuit(cur.n, wrapped, size + 1), single.sigma, single.degree)
-
     k_distinct = max(1, distinct_orders(bouquet))
     transcript = Transcript(
         config=dict(
@@ -289,7 +293,7 @@ def reduce_to_single(
         epsilon_guarantee=1.0 / 2 ** (k_distinct - 1),
         es_guarantee=guarantee,
         final_tau=None if tau is None else list(tau),
-        zero_summands_dropped=dropped,
+        zero_summands_dropped=sum(map(is_zero_summand, cur.summands)),
     )
     return single, transcript
 

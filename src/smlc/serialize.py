@@ -23,8 +23,9 @@ decoded batch equals the same nodes of the whole decode; from the first
 batch that fails, the rest of the array is read node by node.  Any other
 shape is read whole, by `bouquet_from_obj(loads(text))`, and so is any
 document the batch reader finds fault with, so its errors are the same.
-The batch reader appends nodes to a bytearray and two int32 arrays, never
-to lists, and reads the whole document where a value is past int32.
+The batch reader appends nodes to the empty packed fields `circuit._writable()`
+gives, a bytearray and two int32 arrays, never to lists, and reads the whole
+document where a value is past int32.
 
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
@@ -46,11 +47,10 @@ from __future__ import annotations
 
 import json
 import re
-from array import array
 from typing import Any, Callable, MutableSequence
 
 from .circuit import ADD, CONST, MUL, VAR, Bouquet, Circuit, CircuitError, Nodes, RegularCircuit, regular
-from .circuit import _OPERANDS, _is_int, decimal
+from .circuit import _is_int, _writable, decimal
 
 __all__ = [
     "ParseError",
@@ -272,7 +272,7 @@ def _circuit_at(text: str, i: int, _: dict) -> tuple[Circuit, int]:
 
 
 def _nodes_at(text: str, i: int, _: dict) -> tuple[tuple, int]:
-    arrays = (bytearray(), array(_OPERANDS), array(_OPERANDS))
+    arrays = _writable()
     if text[i : i + 1] != "[":
         raise _Declined
     while (j := text.find("},", i + 1 + _BATCH)) >= 0:  # i is at the array's "[" or at a ","

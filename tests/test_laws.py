@@ -23,7 +23,7 @@ from recheck import (
     regular_circuits,
 )
 
-from smlc import serialize
+from smlc import circuit, serialize
 from smlc.circuit import ADD, MUL, Bouquet, Circuit, ConstLeaf, regular
 from smlc.passes import compose, drop_last_index, merge_summands, project, reverse
 from smlc.poly import (
@@ -212,6 +212,17 @@ def test_expand_is_a_ring_homomorphism(case):
     lifted = {tuple((r + shift, c) for r, c in mono): coeff for mono, coeff in terms.items()}
     combine = poly_mul if op == MUL else poly_add
     assert expand(joined).terms == combine(expand(left), SparsePoly(joined.n, lifted)).terms
+
+
+@laws
+@given(gate_operands())
+def test_sum_and_negation_lay_out_nodes_as_the_references(case):
+    # the sum against the test-side join, and the negation against -1 times its expansion
+    op, left, right = case
+    if op == ADD:
+        assert circuit.join(left, right) == join(ADD, left, right)
+    negated = expand(circuit.negate(left)).terms
+    assert negated == {mono: -coeff for mono, coeff in expand(left).terms.items()}
 
 
 @laws

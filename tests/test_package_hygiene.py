@@ -19,9 +19,10 @@ same expression on both sides, and no `pytest.raises` takes `Exception` or
 `tests/recheck.py` has a node array (`.op`, `.a` or `.b`) as an operand:
 those are bytes or int32 arrays, or tuples where a value does not pack, and
 adding one form to another raises only on such rare inputs.  Every `array`
-call in the package names its typecode as `circuit._OPERANDS`, never by a
-literal, so the packed form is defined in one place and every operand array
-can extend another.
+or `bytearray` call in the package is in `circuit`, the one module that lays
+out node storage, and every `array` call names its typecode as
+`circuit._OPERANDS`, never by a literal, so the packed form is defined in one
+place and every operand array can extend another.
 """
 
 import ast
@@ -300,12 +301,19 @@ def test_no_node_array_is_concatenated_with_plus():
 
 def test_every_operand_array_takes_the_one_typecode():
     # `array.extend` refuses an array of another typecode, so a site with its
-    # own would break the passes' copies only when its array met another
-    offenders = [
-        f"{path.name}:{node.lineno}"
+    # own would break the passes' copies only when its array met another; and
+    # a module that makes its own node fields lays out node storage outside `circuit`
+    calls = [
+        (path.name, node)
         for path in MODULES
         for node in ast.walk(_tree(path))
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("array", "array.array")
-        and not (node.args and ast.unparse(node.args[0]) == "_OPERANDS")
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("array", "array.array", "bytearray")
+    ]
+    outside = [f"{name}:{node.lineno}" for name, node in calls if name != "circuit.py"]
+    assert not outside, f"array or bytearray calls outside circuit.py: {outside}"
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if ast.unparse(node.func) != "bytearray" and not (node.args and ast.unparse(node.args[0]) == "_OPERANDS")
     ]
     assert not offenders, f"array calls with a typecode other than circuit._OPERANDS: {offenders}"

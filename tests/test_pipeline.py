@@ -254,6 +254,17 @@ def _one_entry_run(seq):
     return {**run, "positions": run["positions"][:1], "values": run["values"][:1]}
 
 
+def _zero_counting_orders(bouquet):
+    # counts the orders of the zero summands instead of the live ones, so the loop stops at once
+    return len({rc.sigma for rc in bouquet.summands if is_zero_summand(rc)})
+
+
+def _unchanged(value):
+    # as a negation, leaves the pending -1 sign off the circuit returned; as a
+    # reversal, leaves a decreasing run decreasing in its summand's order
+    return value
+
+
 VALUE = "differs from degree-"
 STRUCTURE = "is not regular w.r.t. its order|has degree"
 
@@ -272,6 +283,9 @@ MUTANTS = {
     "partial-normalize": ("normalize_first", _partial_normalize, VALUE, (1, 2, 3)),
     "unrelabeled-normalize": ("normalize_first", _unrelabeled_normalize, STRUCTURE, (1, 2, 3)),
     "one-entry-run": ("monotone_subsequence", _one_entry_run, "below ceil_sqrt", (1, 2, 3)),
+    "zero-counting-orders": ("distinct_orders", _zero_counting_orders, VALUE, (1, 2, 3)),
+    "unsigned-result": ("negate", _unchanged, VALUE, (2, 4, 11)),
+    "unreversed-run": ("reverse", _unchanged, "is not monotone in summand", (1, 5, 6)),
 }
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from recheck import c, det_of_matrix, eval_mod, expand_nodes, grid, over_budget_circuit
 
+from smlc import poly
 from smlc.circuit import Add, Bouquet, ConstLeaf, Mul, RegularCircuit, VarLeaf
 from smlc.generators import det_bouquet, det_regular_circuit
 from smlc.poly import (
@@ -67,6 +68,15 @@ def test_expand_refusal_is_a_typed_error(run, error, message):
     with pytest.raises(error) as err:
         run()
     assert str(err.value) == message
+
+
+def test_a_sum_past_the_term_budget_is_refused(monkeypatch):
+    # each summand of x[1,1] + x[1,2] + x[1,3] is within a budget of 2 terms, and no product is taken
+    monkeypatch.setattr(poly, "TERM_BUDGET", 2)
+    circuit = c(3, X11, X12, Add(0, 1), X13, Add(2, 3))
+    with pytest.raises(BudgetExceeded) as err:
+        expand(circuit)
+    assert str(err.value) == "3 terms exceed budget 2"
 
 
 X11, X12, X13 = VarLeaf(1, 1), VarLeaf(1, 2), VarLeaf(1, 3)

@@ -108,6 +108,8 @@ def _with_node_field(value):
     return dumps(doc)
 
 
+_NO_COMMA = "invalid JSON: Expecting ',' delimiter"
+
 # a document -> whether the reader reads it whole, and the outcome it must share with that read
 READER_CASES = {
     "summands before n": ('{"summands": %s, "n": 3}' % _SUMMANDS, True, "ok"),
@@ -129,6 +131,9 @@ READER_CASES = {
     "nested object split at },{": (_with_node_field({"list": [{"a": 1}, {"b": 2}]}), False, "ok"),
     "indented": (json.dumps(_DOC, indent=2), False, "ok"),
     "empty summands": ('{"n": 3, "summands": []}', True, "bouquet needs at least one summand"),
+    # an array closed by "}" ends the batch reader's summand or node loop
+    "summand then }": (dumps(_DOC).replace(']},{"circuit"', ']}},{"circuit"', 1), True, _NO_COMMA),
+    "nodes then }": (dumps(_DOC).replace('}],"root"', '}},"root"', 1), True, _NO_COMMA),
 }
 
 
