@@ -32,10 +32,10 @@ but not its value still fails, except step 0 when a step follows it: its
 input passed `regular` at the parser or generator.  A failed check raises
 VerificationFailed: some pass broke semantics, the strongest possible error.
 With verification on, at least one trial is required, so no verdict can be
-recorded ok without an evaluation.  Nor can a run below its degree promise
-(a step keeping fewer than ceil_sqrt of its degree, a final degree below
-es_guarantee), or a step whose kept rows are not monotone in its target's
-order, which no value check sees: VerificationFailed names the step.
+recorded ok without an evaluation.  Nor can a step that breaks its degree
+promise (keeping fewer than ceil_sqrt of its degree, or projecting to a degree
+other than the number of rows kept) or keeps rows that are not monotone in its
+target's order, which no value check sees: VerificationFailed names the step.
 """
 
 from __future__ import annotations
@@ -263,6 +263,8 @@ def reduce_to_single(
             raise VerificationFailed(len(steps) + 1, f"kept {len(kept)} of {cur.n} rows, below ceil_sqrt")
 
         cur = project(cur, kept)
+        if verify != "off" and cur.n != len(kept):
+            raise VerificationFailed(len(steps) + 1, f"kept {len(kept)} rows, projected to degree {cur.n}")
         if verify != "off" and cur.summands[target_idx].sigma != identity_perm(cur.n):
             raise VerificationFailed(len(steps) + 1, f"kept {kept} is not monotone in summand {target_idx}")
         guarantee = ceil_sqrt(guarantee)
@@ -278,8 +280,6 @@ def reduce_to_single(
             )
         )
 
-    if verify != "off" and cur.n < guarantee:
-        raise VerificationFailed(len(steps), f"final degree {cur.n} is below es_guarantee {guarantee}")
     k_distinct = max(1, distinct_orders(bouquet))
     transcript = Transcript(
         config=dict(

@@ -18,9 +18,9 @@ whose static bit bound would pass REDUCE_CEILING and once per point at the
 end; the results equal reduction at every operation.
 
 A monomial is a tuple of (row, col) pairs sorted by strictly increasing row;
-a polynomial (`SparsePoly`, a value whose one operation is the product) maps
-monomials to nonzero integer coefficients.  Field elements are plain ints in
-[0, PRIME).
+a polynomial (`SparsePoly`, a plain record; `expand` forms its sums and
+products) maps monomials to nonzero integer coefficients.  Field elements are
+plain ints in [0, PRIME).
 """
 
 from __future__ import annotations
@@ -122,18 +122,6 @@ class SparsePoly:
     n: int
     terms: dict[Monomial, int]
 
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = _merge_monomials(ma, mb)
-                total = out.get(mono, 0) + ca * cb
-                if total:
-                    out[mono] = total
-                else:
-                    out.pop(mono, None)
-        return SparsePoly(self.n, out)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -220,18 +208,21 @@ def _expand(circuit: Circuit) -> SparsePoly:
                     a, b = b, a
                 base = a.terms if dead_a or dead_b else dict(a.terms)
                 result = SparsePoly(n, _add_into(base, b))
+                if len(result) > term_budget:
+                    raise BudgetExceeded(f"{len(result)} terms exceed budget {term_budget}")
             else:
                 if len(a) * len(b) > term_budget:
                     raise BudgetExceeded(
                         f"product of {len(a)} x {len(b)} terms exceeds budget {term_budget}"
                     )
-                result = a * b
+                # each pair of terms gives its own monomial: two pairs that met
+                # would make a crossed pair reuse a row, which _merge_monomials refuses
+                result = SparsePoly(n, {_merge_monomials(ma, mb): ca * cb
+                                        for ma, ca in a.terms.items() for mb, cb in b.terms.items()})
             if remaining[left] == 0:
                 polys[left] = None
             if remaining[right] == 0:
                 polys[right] = None
-        if len(result) > term_budget:
-            raise BudgetExceeded(f"{len(result)} terms exceed budget {term_budget}")
         polys[vid] = result
     return polys[circuit.root]
 

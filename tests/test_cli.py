@@ -143,6 +143,19 @@ def test_emitted_transcript_is_the_in_process_record(tmp_path, verify):
     assert red.out == dumps(circuit_to_obj(single.circuit)) + "\n"
 
 
+def test_reduce_without_a_transcript_path_writes_only_stdout(tmp_path, monkeypatch):
+    gen = run_cli(["gen", "bouquet", "--n", "5", "--k", "3", "--seed", "11"])
+    args = ["reduce", "--verify", "random", "--seed", "4", "--trials", "3"]
+    flagged = run_cli([*args, "--emit-transcript", str(tmp_path / "transcript.json")], stdin=gen.out)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    plain = run_cli(args, stdin=gen.out)
+    assert (plain.code, plain.out, plain.err) == (0, flagged.out, "")
+    assert list(cwd.iterdir()) == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cwd", "transcript.json"]
+
+
 @pytest.mark.parametrize("args", [["gen", "det", "--n", "7"], ["reverse"]], ids=" ".join)
 def test_closed_stdout_exits_141_quietly(args, tmp_path):
     # both outputs outgrow a pipe's buffer, so the write itself meets the closed pipe
@@ -212,6 +225,11 @@ def test_reduce_has_no_term_budget():
     blob = dumps(bouquet_to_obj(det_bouquet(3, [(1, 2, 3), (3, 1, 2)], seed=1)))
     res = run_cli(["reduce", "--term-budget", "3"], stdin=blob)
     assert res.code == 2
+
+
+def test_expand_of_the_zero_polynomial_prints_nothing():
+    res = run_cli(["expand"], stdin='{"n":1,"nodes":[{"id":0,"op":"const","value":"0"}],"root":0}')
+    assert (res.code, res.out, res.err) == (0, "", "")
 
 
 def test_expand_budget_exceeded_exits_1():

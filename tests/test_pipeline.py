@@ -191,6 +191,11 @@ def _short_project(bouquet, keep):
     return _resummed(out, (replace(rc, degree=rc.degree - 1) for rc in out.summands))
 
 
+def _dropped_kept_row_project(bouquet, keep):
+    # projects onto all but the last kept row: a smaller determinant, still monotone and correct
+    return project(bouquet, sorted(keep)[:-1])
+
+
 def _column_swap_project(bouquet, keep):
     # swaps columns 1 and 2 in every variable of the projected bouquet, which negates the determinant
     out = project(bouquet, keep)
@@ -276,6 +281,7 @@ MUTANTS = {
     "sorted-project": ("project", _sorted_project, STRUCTURE, (5, 10, 11)),
     "short-project": ("project", _short_project, "has degree", (1, 5, 10)),
     "column-swap-project": ("project", _column_swap_project, VALUE, (1, 5, 10)),
+    "dropped-kept-row": ("project", _dropped_kept_row_project, "projected to degree", (0, 5, 8)),
     "unsigned-compose": ("compose", _unsigned_compose, VALUE, (2, 4, 11)),
     "unordered-compose": ("compose", _unordered_compose, STRUCTURE, (1, 2, 3)),
     "lossy-merge": ("merge_summands", _lossy_merge, VALUE, (0, 5, 6, 10, 16)),

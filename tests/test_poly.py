@@ -50,6 +50,11 @@ def test_expand_det3_generator_matches_reference():
 # x[1,1] * x[1,2], claimed regular: the checker refuses it, but the exact
 # tier expands a bouquet's summands without checking them again
 ROW_REUSED = Bouquet(2, (RegularCircuit(c(2, VarLeaf(1, 1), VarLeaf(1, 2), Mul(0, 1)), (1, 2), 2),))
+# (x[1,1] + x[2,2]) * (x[2,2] + x[1,1]): the pairs (x11, x22) and (x22, x11)
+# meet in one monomial, and the crossed pair (x11, x11) reuses row 1
+PAIRS_MEET = Bouquet(2, (RegularCircuit(
+    c(2, VarLeaf(1, 1), VarLeaf(2, 2), Add(0, 1), Add(1, 0), Mul(2, 3)), (1, 2), 2
+),))
 
 
 @pytest.mark.parametrize(
@@ -61,8 +66,9 @@ ROW_REUSED = Bouquet(2, (RegularCircuit(c(2, VarLeaf(1, 1), VarLeaf(1, 2), Mul(0
             "product of 1331 x 1331 terms exceeds budget 1000000",
         ),
         (lambda: expand_bouquet(ROW_REUSED), OracleError, "monomial product reuses row 1"),
+        (lambda: expand_bouquet(PAIRS_MEET), OracleError, "monomial product reuses row 1"),
     ],
-    ids=["budget-exceeded", "row-reused"],
+    ids=["budget-exceeded", "row-reused", "pairs-meet"],
 )
 def test_expand_refusal_is_a_typed_error(run, error, message):
     with pytest.raises(error) as err:
