@@ -26,6 +26,9 @@ document the batch reader finds fault with, so its errors are the same.
 The batch reader appends nodes to the empty packed fields `circuit._writable()`
 gives, a bytearray and two int32 arrays, never to lists, and reads the whole
 document where a value is past int32.
+A batch of "mul" and "add" gates only, each as `dumps` writes it, ids in
+order, is read as flat ints: one `str.translate`, one decode, three slices.
+`regular`, run on every parsed summand, refuses a forward child there.
 
 Ids are 0-based and must equal the node's list position; child references must
 point strictly backwards (forward references are rejected).  Constant values
@@ -209,6 +212,11 @@ class _Declined(Exception):
 _DECODE = json.JSONDecoder().raw_decode
 _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace, as the decoder skips it
 _BATCH = 16384  # characters of node text per batch, give or take a node
+# `_GATES("", batch + ",")` is "" when the batch is all gates as `dumps` writes them
+# (a search holds one gate's match state, a fullmatch of gate(,gate)* every gate's)
+_INT = "(?:0|[1-9][0-9]{0,9})"  # JSON's int grammar, at most 10 digits
+_GATES = re.compile(r'\{"id":%s,"left":%s,"op":"(?:mul|add)","right":%s\},' % (_INT, _INT, _INT)).sub
+_FLAT = str.maketrans("ma", f"{MUL}{ADD}", '{}":defghilopurt')  # a gate -> "id,left,opcode,right"
 
 
 def bouquet_from_text(text: str) -> Bouquet:
@@ -273,14 +281,21 @@ def _circuit_at(text: str, i: int, _: dict) -> tuple[Circuit, int]:
 
 def _nodes_at(text: str, i: int, _: dict) -> tuple[tuple, int]:
     arrays = _writable()
+    ops = arrays[0]
     if text[i : i + 1] != "[":
         raise _Declined
     while (j := text.find("},", i + 1 + _BATCH)) >= 0:  # i is at the array's "[" or at a ","
-        try:
-            batch = json.loads("[" + text[i + 1 : j + 1] + "]")
-        except (ValueError, RecursionError):
-            break
-        _read_nodes(batch, *arrays)
+        batch = text[i + 1 : j + 1]
+        flat = [] if _GATES("", batch + ",") else json.loads("[" + batch.translate(_FLAT) + "]")
+        if flat and flat[0::4] == list(range(len(ops), len(ops) + len(flat) // 4)):
+            for field, first in zip(arrays, (2, 1, 3)):  # `regular` refuses a forward child
+                field.extend(flat[first::4])
+        else:
+            try:
+                nodes = json.loads("[" + batch + "]")
+            except (ValueError, RecursionError):
+                break
+            _read_nodes(nodes, *arrays)
         i = j + 1
     sep = ","
     while sep == ",":

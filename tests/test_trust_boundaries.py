@@ -100,15 +100,17 @@ _DOC = bouquet_to_obj(seeded_det_bouquet(3, 2, 1))
 _SUMMANDS = json.dumps(_DOC["summands"])
 
 
-def _with_node_field(value):
-    """The compact document with one more field, `value`, on a middle node."""
+def _with_middle_node(**fields):
+    """The compact document with `fields` set on a middle node, the gate
+    {"id": 8, "left": 7, "op": "mul", "right": 3}."""
     doc = json.loads(dumps(_DOC))
     nodes = doc["summands"][0]["circuit"]["nodes"]
-    nodes[len(nodes) // 2]["extra"] = value
+    nodes[len(nodes) // 2].update(fields)
     return dumps(doc)
 
 
 _NO_COMMA = "invalid JSON: Expecting ',' delimiter"
+_MIDDLE = '{"id":8,"left":7,'
 
 # a document -> whether the reader reads it whole, and the outcome it must share with that read
 READER_CASES = {
@@ -127,8 +129,17 @@ READER_CASES = {
     "as written": (dumps(_DOC), False, "ok"),
     "one summand": (dumps(dict(_DOC, summands=_DOC["summands"][:1])), False, "ok"),
     # a "}," that does not end a node fails its batch: the rest of that array is read node by node
-    "string holding },{": (_with_node_field("},{"), False, "ok"),
-    "nested object split at },{": (_with_node_field({"list": [{"a": 1}, {"b": 2}]}), False, "ok"),
+    "string holding },{": (_with_middle_node(extra="},{"), False, "ok"),
+    "nested object split at },{": (_with_middle_node(extra={"list": [{"a": 1}, {"b": 2}]}), False, "ok"),
+    # a batch of gates as `dumps` writes them is read as flat ints, and is
+    # refused there, as by the per-node reader, by the same whole read
+    "gate with a forward child": (_with_middle_node(left=11), True, "node 8: forward or invalid child reference 11"),
+    "gate with a self child": (_with_middle_node(left=8), True, "node 8: forward or invalid child reference 8"),
+    "gate id out of order": (_with_middle_node(id=9), True, "node 8: id 9 out of order"),
+    "gate child 2**31": (_with_middle_node(right=2**31), True, "node 8: forward or invalid child reference 2147483648"),
+    "gate child with a leading zero": (dumps(_DOC).replace(_MIDDLE, _MIDDLE.replace("7", "07"), 1), True, _NO_COMMA),
+    "gate op sub": (_with_middle_node(op="sub"), True, "node 8: unknown op 'sub'"),
+    "gate with an extra field": (_with_middle_node(extra=0), False, "ok"),
     "indented": (json.dumps(_DOC, indent=2), False, "ok"),
     "empty summands": ('{"n": 3, "summands": []}', True, "bouquet needs at least one summand"),
     # an array closed by "}" ends the batch reader's summand or node loop
@@ -149,6 +160,17 @@ def test_bouquet_reader_reads_other_shapes_whole(monkeypatch, text, whole, expec
     reads = spy(monkeypatch, serialize, "loads")
     assert outcome(bouquet_from_text, text) == canonical
     assert len(reads) == whole
+
+
+def test_bouquet_reader_reads_gate_batches_as_flat_ints(monkeypatch):
+    # only batches that also hold a variable reach the per-node reader: at
+    # n=7, 12,969 of 37,947 nodes
+    text = dumps(bouquet_to_obj(seeded_det_bouquet(7, 3, 1)))
+    whole = read_whole(text)
+    batches = spy(monkeypatch, serialize, "_read_nodes")
+    bouquet = bouquet_from_text(text)
+    assert bouquet == whole
+    assert sum(len(batch) for batch, *_ in batches) <= sum(len(rc.circuit.nodes) for rc in bouquet.summands) / 2
 
 
 def _traced(read, text):
